@@ -6,8 +6,15 @@ and simulates the fragmentation semigroup on a discretized size axis with
 checkable positivity, substochasticity, and mass-conservation guarantees.
 """
 
+import os
+
+if os.environ.get("FRAGKIT_THREADS"):  # cap the BLAS pools before any submodule loads numpy
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["FRAGKIT_THREADS"])
+
 from .admissibility import (AdmissibilityReport, RatioCurve, RelativeBoundEstimate,
-                            check, log_n_omega, n_omega, ratio_curve, relative_bound)
+                            check, log_n_omega, log_n_samples, n_omega, ratio_curve,
+                            relative_bound)
 from .errors import (ConfigError, ConstructionError, FragkitError, InvalidKernelError,
                      QuadratureError, StepSizeError, StiffnessError, WeightDomainError)
 from .kernels import (FragmentKernel, MassReport, MassValue, RateFunction,
@@ -36,7 +43,7 @@ __all__ = [
     "check", "classify_mass", "column_kappa", "compare_weights", "construct_weight",
     "derived_weight", "discretize", "eval_kernel", "eval_rate", "exp_decay",
     "exp_weight_search", "expm_oracle", "gamma_monotone_check", "integrate",
-    "log_integrate", "log_n_omega", "mass_integral", "n_omega", "rate_envelope",
-    "ratio_curve", "relative_bound", "semigroup_check", "simulate", "solve_volterra",
-    "step",
+    "log_integrate", "log_n_omega", "log_n_samples", "mass_integral", "n_omega",
+    "rate_envelope", "ratio_curve", "relative_bound", "semigroup_check", "simulate",
+    "solve_volterra", "step",
 ]

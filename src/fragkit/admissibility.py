@@ -18,6 +18,9 @@ Three conditions on r decide how much the semigroup theory gives you:
 
 All ratios are computed as exp(log n_w - log w) with log-sum-exp quadrature,
 so exponential and super-exponential weights never overflow.
+
+``log_n_omega`` (one y) and ``log_n_samples`` (a grid of y) are the only code
+that samples n_w; the weight builder and the weight comparison call them.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import write_csv
 from .errors import QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, log_integrate
 
-__all__ = ["log_n_omega", "n_omega", "ratio_curve", "RatioCurve",
+__all__ = ["log_n_omega", "log_n_samples", "n_omega", "ratio_curve", "RatioCurve",
            "AdmissibilityReport", "check", "RelativeBoundEstimate", "relative_bound",
            "PASS_MARGIN"]
 
@@ -43,22 +47,41 @@ PASS_MARGIN = 0.999
 TREND_TOL = 1e-6
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def log_n_omega(kernel: FragmentKernel, weight, y: float,
-                spec: QuadratureSpec | None = None, lo: float = 0.0) -> float:
-    """log of int_lo^y b(x,y) w(x) dx, honoring kernel and weight breakpoints."""
+                spec: QuadratureSpec | None = None, hi: float | None = None) -> float:
+    """log of int_0^min(y, hi) b(x,y) w(x) dx, honoring kernel and weight breakpoints."""
     if y <= 0:
         raise ValueError("n_w needs y > 0")
     spec = spec or DEFAULT_SPEC
+    top = y if hi is None else min(y, hi)
     bps = list(kernel.breakpoints(y))
     if hasattr(weight, "quad_breakpoints"):
-        bps.extend(weight.quad_breakpoints(lo, y))
-    val, _ = log_integrate(lambda x: kernel(x, y), weight.log_eval, lo, y,
-                           breakpoints=bps, spec=spec, grade_lo=(lo == 0.0))
+        bps.extend(weight.quad_breakpoints(0.0, top))
+    val, _ = log_integrate(lambda x: kernel(x, y), weight.log_eval, 0.0, top,
+                           breakpoints=bps, spec=spec, grade_lo=True)
     return val
+
+
+def log_n_samples(kernel: FragmentKernel, weight, ys,
+                  spec: QuadratureSpec | None = None, hi: float | None = None) -> np.ndarray:
+    """``log_n_omega`` at every y of ``ys``, attempting every sample.
+
+    If any sample fails, raises :class:`QuadratureError` with ``partial`` and ``failed`` arrays.
+    """
+    ys = np.asarray(ys, dtype=float)
+    log_n = np.empty_like(ys)
+    failed = np.zeros(ys.shape, dtype=bool)
+    for i, y in enumerate(ys):
+        try:
+            log_n[i] = log_n_omega(kernel, weight, float(y), spec=spec, hi=hi)
+        except QuadratureError as exc:
+            log_n[i] = exc.partial if exc.partial is not None else np.nan
+            failed[i] = True
+    if np.any(failed):
+        raise QuadratureError(
+            f"n_w quadrature did not converge at {np.count_nonzero(failed)} of {ys.size} "
+            f"parent sizes (first at y = {ys[failed][0]:g})", partial=log_n, failed=failed)
+    return log_n
 
 
 def n_omega(kernel: FragmentKernel, weight, y: float,
@@ -85,11 +108,11 @@ class RatioCurve:
     ratio: np.ndarray
     failed: np.ndarray  # bool mask; failed samples carry partial estimates
 
+    def csv_columns(self) -> dict:
+        return dict(y=self.y, log_n_omega=self.log_n, log_omega=self.log_w, ratio=self.ratio)
+
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("y,log_n_omega,log_omega,ratio\n")
-            for y, ln, lw, r in zip(self.y, self.log_n, self.log_w, self.ratio):
-                fh.write(f"{_fmt(y)},{_fmt(ln)},{_fmt(lw)},{_fmt(r)}\n")
+        write_csv(path, self.csv_columns())
 
     def __iter__(self):
         return iter(zip(self.y, self.ratio))
@@ -101,23 +124,20 @@ def ratio_curve(kernel: FragmentKernel, weight, y_grid,
     ys = np.asarray(y_grid, dtype=float)
     if np.any(ys <= 0) or np.any(np.diff(ys) < 0):
         raise ValueError("y_grid must be positive and non-decreasing")
-    log_n = np.empty_like(ys)
     failed = np.zeros(ys.shape, dtype=bool)
-    for i, y in enumerate(ys):
-        try:
-            log_n[i] = log_n_omega(kernel, weight, float(y), spec=spec)
-        except QuadratureError as exc:
-            log_n[i] = exc.partial if exc.partial is not None else np.nan
-            failed[i] = True
+    try:
+        log_n = log_n_samples(kernel, weight, ys, spec=spec)
+    except QuadratureError as exc:
+        log_n, failed = exc.partial, exc.failed
     log_w = weight.log_eval(ys)
     with np.errstate(invalid="ignore"):
         ratio = np.exp(log_n - log_w)
     return RatioCurve(y=ys, log_n=log_n, log_w=log_w, ratio=ratio, failed=failed)
 
 
-def geometric_grid(lo: float, hi: float, points_per_decade: int = 64) -> np.ndarray:
+def geometric_grid(lo: float, hi: float) -> np.ndarray:
     decades = np.log10(hi / lo)
-    n = max(2, int(np.ceil(points_per_decade * decades)) + 1)
+    n = max(2, int(np.ceil(64 * decades)) + 1)  # 64 points per decade
     return np.geomspace(lo, hi, n)
 
 
@@ -184,13 +204,8 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
     def to_csv(self, path) -> None:
-        merged = RatioCurve(
-            y=np.concatenate([self.small.y, self.main.y]),
-            log_n=np.concatenate([self.small.log_n, self.main.log_n]),
-            log_w=np.concatenate([self.small.log_w, self.main.log_w]),
-            ratio=np.concatenate([self.small.ratio, self.main.ratio]),
-            failed=np.concatenate([self.small.failed, self.main.failed]))
-        merged.to_csv(path)
+        small, main = self.small.csv_columns(), self.main.csv_columns()
+        write_csv(path, {name: np.concatenate([small[name], main[name]]) for name in main})
 
 
 def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,

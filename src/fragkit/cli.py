@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import admissibility, simulator, weight_builder
-from .config import ConfigError, RunConfig, load_config, save_weight_csv
+from .config import ConfigError, RunConfig, fmt, load_config, save_weight_csv
 from .errors import ConstructionError, FragkitError, StepSizeError
 from .kernels import classify_mass
 from .weights import Weight, compare_weights
@@ -24,10 +24,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def _need(cfg: RunConfig, *attrs) -> None:
@@ -81,14 +77,15 @@ def cmd_build_weight(cfg: RunConfig, args) -> int:
     step = cfg.param("step", 0.0) or None
     try:
         weight, cert = weight_builder.construct_weight(
-            cfg.kernel, cfg.weight, eta0, kappa, y_max, step=step, tol=tol)
+            cfg.kernel, cfg.weight, eta0, kappa, y_max, step=step,
+            floor=cfg.param("floor", 1e-8), tol=tol)
     except (ConstructionError, StepSizeError) as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     save_weight_csv(weight, _outpath(args, "weight.csv"))
     cert.to_csv(_outpath(args, "certificate.csv"))
-    print(f"constructed weight over [{_fmt(eta0)}, {_fmt(y_max)}], kappa = {_fmt(kappa)}")
-    print(f"certificate: {cert.y.size} validation points, min margin {_fmt(float(np.min(cert.margin)))}")
+    print(f"constructed weight over [{fmt(eta0)}, {fmt(y_max)}], kappa = {fmt(kappa)}")
+    print(f"certificate: {cert.y.size} validation points, min margin {fmt(float(np.min(cert.margin)))}")
     return EXIT_PASS
 
 
@@ -98,9 +95,9 @@ def cmd_find_exp_weight(cfg: RunConfig, args) -> int:
     if res is None:
         print("no exponential weight in float range", file=sys.stderr)
         return EXIT_FAIL
-    print(f"c = {_fmt(res.c)}")
-    print(f"delta = {_fmt(res.delta)}")
-    print(f"bound c^-delta + delta*b_m = {_fmt(res.c ** -res.delta + res.delta * cfg.param('b_m'))}")
+    print(f"c = {fmt(res.c)}")
+    print(f"delta = {fmt(res.delta)}")
+    print(f"bound c^-delta + delta*b_m = {fmt(res.c ** -res.delta + res.delta * cfg.param('b_m'))}")
     return EXIT_PASS
 
 
@@ -117,9 +114,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         weight=weight,
         sample_every=cfg.param("sample_every", 1, cast=lambda s: int(float(s))))
     traj.to_csv(_outpath(args, "trajectory.csv"))
-    print(f"simulated to t = {_fmt(traj.times[-1])}: "
-          f"M0 = {_fmt(traj.M0[-1])}, M1 = {_fmt(traj.M1[-1])}, "
-          f"dust = {_fmt(traj.dust_mass[-1])}")
+    print(f"simulated to t = {fmt(traj.times[-1])}: "
+          f"M0 = {fmt(traj.M0[-1])}, M1 = {fmt(traj.M1[-1])}, "
+          f"dust = {fmt(traj.dust_mass[-1])}")
 
     failures = []
     tol = args.tol if args.tol is not None else 1e-3
@@ -183,13 +180,6 @@ _COMMANDS = {
 }
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("FRAGKIT_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fragkit",
@@ -207,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = build_parser().parse_args(argv)
     args.asserts = [a for a in args.asserts.split(",") if a]
     try:

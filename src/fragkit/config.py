@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .kernels import FragmentKernel, RateFunction
 from .weights import Weight
 
-__all__ = ["RunConfig", "load_config", "load_weight_csv", "save_weight_csv"]
+__all__ = ["RunConfig", "load_config", "load_weight_csv", "save_weight_csv", "fmt", "write_csv"]
 
 _KERNEL_KEYS = {"family", "nu", "table", "expr"}
 _RATE_KEYS = {"family", "alpha", "level", "table", "expr"}
@@ -191,7 +191,16 @@ def load_weight_csv(path: str) -> Weight:
 def save_weight_csv(weight: Weight, path: str) -> None:
     if weight.knots is None:
         raise ConfigError("only tabulated/composite weights can be exported to CSV")
+    write_csv(path, {"x": weight.knots, "log_omega": weight.log_values + weight.log_offset})
+
+
+def fmt(v: float) -> str:
+    """17 significant digits, so every CSV and printed number round-trips its double."""
+    return format(v, ".17g")
+
+
+def write_csv(path: str, columns: dict) -> None:
+    """Write equal-length columns under a header of their names."""
     with open(path, "w", newline="") as fh:
-        fh.write("x,log_omega\n")
-        for x, lv in zip(weight.knots, weight.log_values + weight.log_offset):
-            fh.write(f"{format(x, '.17g')},{format(lv, '.17g')}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(fmt, row)) + "\n" for row in zip(*columns.values()))

@@ -56,10 +56,10 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         return z, w
 
 
-def _base_cells(lo: float, hi: float, breakpoints, grade_lo: bool, levels: int) -> np.ndarray:
+def _base_cells(lo: float, hi: float, breakpoints, levels: int) -> np.ndarray:
     pts = sorted({float(p) for p in breakpoints if lo < p < hi})
     edges = [lo] + pts + [hi]
-    if grade_lo and len(edges) >= 2:
+    if levels:
         width = edges[1] - edges[0]
         graded = edges[0] + width * 2.0 ** (-np.arange(levels, 0, -1, dtype=float))
         edges = [edges[0]] + list(graded) + edges[1:]
@@ -114,7 +114,7 @@ def integrate(f, lo, hi, *, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC,
     if hi <= lo:
         return 0.0, 0.0
     levels = spec.grading_levels if grade_lo else 0
-    cells = _base_cells(lo, hi, breakpoints, grade_lo, levels)
+    cells = _base_cells(lo, hi, breakpoints, levels)
     vals = _cell_values(f, cells, spec.gauss_order)
     total = float(vals.sum())
 
@@ -124,7 +124,7 @@ def integrate(f, lo, hi, *, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC,
         if first <= 0.1 * (spec.rel_tol * abs(total) + spec.abs_tol):
             break
         levels += 32
-        cells = _base_cells(lo, hi, breakpoints, grade_lo, levels)
+        cells = _base_cells(lo, hi, breakpoints, levels)
         vals = _cell_values(f, cells, spec.gauss_order)
         new_total = float(vals.sum())
         if abs(new_total - total) <= spec.rel_tol * abs(new_total) + spec.abs_tol:
@@ -172,7 +172,7 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(),
     if hi <= lo:
         return -np.inf, 0.0
     levels = spec.grading_levels if grade_lo else 0
-    cells = _base_cells(lo, hi, breakpoints, grade_lo, levels)
+    cells = _base_cells(lo, hi, breakpoints, levels)
     logs = _log_cell_values(factor, log_weight, cells, spec.gauss_order)
     total = float(logsumexp(logs))
 
@@ -180,7 +180,7 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(),
         if logs[0] <= total + np.log(0.1 * spec.rel_tol):
             break
         levels += 32
-        cells = _base_cells(lo, hi, breakpoints, grade_lo, levels)
+        cells = _base_cells(lo, hi, breakpoints, levels)
         logs = _log_cell_values(factor, log_weight, cells, spec.gauss_order)
         new_total = float(logsumexp(logs))
         if abs(new_total - total) <= spec.rel_tol:

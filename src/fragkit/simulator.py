@@ -41,7 +41,8 @@ import numpy as np
 from scipy.linalg import expm as _expm
 from scipy.linalg import solve_triangular
 
-from .errors import StiffnessError
+from .config import write_csv
+from .errors import FragkitError, StiffnessError
 from .kernels import FragmentKernel, RateFunction, eval_rate
 from .weights import Weight
 
@@ -187,7 +188,7 @@ def _ie_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float,
     # non-negativity is structural; anything below is round-off
     tiny = -1e-12 * max(float(np.max(out, initial=0.0)), 1e-300)
     if np.any(out < tiny):
-        raise RuntimeError("implicit Euler produced a substantive negative value")
+        raise FragkitError("implicit Euler produced a substantive negative value")
     np.clip(out, 0.0, None, out=out)
     return out, dt * float(gen.dust @ out)
 
@@ -248,10 +249,8 @@ class Trajectory:
     final: DensityState
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,M0,M1,norm_omega,dust_mass\n")
-            for row in zip(self.times, self.M0, self.M1, self.norm_omega, self.dust_mass):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        write_csv(path, {"t": self.times, "M0": self.M0, "M1": self.M1,
+                         "norm_omega": self.norm_omega, "dust_mass": self.dust_mass})
 
 
 def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,

@@ -17,6 +17,9 @@ is constructed in three steps:
    kernel by quadrature, which fails loudly instead of returning a weight
    that does not do its job.
 
+g(y) and the certificate's left-hand side n_w(y) are both sampled by
+``admissibility.log_n_samples``, which tries every sample before raising.
+
 The march replaces a truncated Neumann series: one forward pass gives
 machine-precision consistency with the discretized equation, and the
 factorial series bound is used only as an a-priori growth estimate in tests.
@@ -29,9 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .admissibility import log_n_samples
+from .config import write_csv
 from .errors import ConstructionError, StepSizeError
 from .kernels import FragmentKernel, eval_kernel
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, log_integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .weights import Weight
 
 __all__ = ["MajorantH", "MajorantB", "VolterraSolution", "WeightCertificate",
@@ -101,14 +106,6 @@ class MajorantB:
         return self.eval(x, y)
 
 
-def _g_of_y(kernel: FragmentKernel, omega0: Weight, eta0: float, y: float,
-            spec: QuadratureSpec) -> float:
-    bps = list(kernel.breakpoints(y)) + list(omega0.quad_breakpoints(0.0, eta0))
-    lv, _ = log_integrate(lambda x: kernel(x, y), omega0.log_eval, 0.0, min(eta0, y),
-                          breakpoints=bps, spec=spec, grade_lo=True)
-    return float(np.exp(lv))
-
-
 def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: float,
             samples_per_unit: int = 256, floor: float = 1e-8,
             spec: QuadratureSpec = DEFAULT_SPEC) -> MajorantH:
@@ -125,7 +122,7 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
         raise ConstructionError("omega0 is required when eta0 > 0")
 
     ys = np.linspace(eta0, eta0 + n_bands, n_bands * max(8, samples_per_unit) + 1)
-    g = np.array([_g_of_y(kernel, omega0, eta0, float(y), spec) for y in ys])
+    g = np.exp(log_n_samples(kernel, omega0, ys, spec=spec, hi=eta0))
     if not np.all(np.isfinite(g)):
         raise ConstructionError("below-eta0 contribution g(y) left the float range",
                                 worst_y=float(ys[~np.isfinite(g)][0]))
@@ -138,7 +135,7 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
 
     rng = np.random.default_rng(1234)
     y_check = rng.uniform(eta0, y_max, size=256)
-    g_check = np.array([_g_of_y(kernel, omega0, eta0, float(y), spec) for y in y_check])
+    g_check = np.exp(log_n_samples(kernel, omega0, y_check, spec=spec, hi=eta0))
     bad = g_check > h.eval(y_check) * (1.0 + 1e-9)
     if np.any(bad):
         raise ConstructionError("majorant validation failed: h < g (increase sampling density)",
@@ -273,11 +270,7 @@ class WeightCertificate:
     worst_y: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("y,lhs,rhs,margin\n")
-            for y, l, r, m in zip(self.y, self.lhs, self.rhs, self.margin):
-                fh.write(f"{format(y, '.17g')},{format(l, '.17g')},"
-                         f"{format(r, '.17g')},{format(m, '.17g')}\n")
+        write_csv(path, {"y": self.y, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin})
 
 
 def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
@@ -309,23 +302,12 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
         weight = Weight.tabulated(np.maximum(sol.nodes, 1e-300), log_vals)
 
     y_check = np.linspace(eta0 if eta0 > 0 else sol.nodes[1], sol.y_max, n_validation)
-    lhs = np.empty(n_validation)
-    rhs = np.empty(n_validation)
-    margin = np.empty(n_validation)
-    log_kappa = np.log(kappa)
-    for i, y in enumerate(y_check):
-        y = float(y)
-        bps = list(kernel.breakpoints(y)) + list(weight.quad_breakpoints(0.0, y))
-        log_lhs, _ = log_integrate(lambda x: kernel(x, y), weight.log_eval, 0.0, y,
-                                   breakpoints=bps, spec=spec, grade_lo=True)
-        log_rhs = log_kappa + weight.log_eval(y)
-        lhs[i] = np.exp(log_lhs)
-        rhs[i] = np.exp(log_rhs)
-        margin[i] = -np.expm1(log_lhs - log_rhs)  # (rhs - lhs)/rhs, overflow-safe
-    ok = margin >= -tol
-    passed = bool(np.all(ok))
+    log_lhs = log_n_samples(kernel, weight, y_check, spec=spec)
+    log_rhs = np.log(kappa) + weight.log_eval(y_check)
+    margin = -np.expm1(log_lhs - log_rhs)  # (rhs - lhs)/rhs, overflow-safe
+    passed = bool(np.all(margin >= -tol))
     worst = float(y_check[np.argmin(margin)])
-    cert = WeightCertificate(y=y_check, lhs=lhs, rhs=rhs, margin=margin,
+    cert = WeightCertificate(y=y_check, lhs=np.exp(log_lhs), rhs=np.exp(log_rhs), margin=margin,
                              tol=tol, passed=passed, worst_y=worst)
     if not passed:
         raise ConstructionError(

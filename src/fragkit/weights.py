@@ -295,7 +295,7 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples,
     force the larger-growth weight to see a smaller fragment-mass ratio; the
     sampled form of that conclusion is evaluated by quadrature here.
     """
-    from .admissibility import log_n_omega  # local import; admissibility is weight-agnostic
+    from .admissibility import log_n_samples  # local import; admissibility is weight-agnostic
 
     for w in (w1, w2):
         if w.family in ("tabulated", "composite") and w.knots.size < 3:
@@ -312,12 +312,8 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples,
                    for w in (w1, w2))
 
     ys = np.asarray(y_samples, dtype=float)
-    r1 = np.empty_like(ys)
-    r2 = np.empty_like(ys)
-    for i, y in enumerate(ys):
-        y = float(y)
-        r1[i] = np.exp(log_n_omega(kernel, w1, y, spec=spec) - w1.log_eval(y))
-        r2[i] = np.exp(log_n_omega(kernel, w2, y, spec=spec) - w2.log_eval(y))
+    r1 = np.exp(log_n_samples(kernel, w1, ys, spec=spec) - w1.log_eval(ys))
+    r2 = np.exp(log_n_samples(kernel, w2, ys, spec=spec) - w2.log_eval(ys))
     pointwise = bool(np.all(r1 >= r2 - 1e-10 * np.maximum(r2, 1.0)))
     return ComparisonVerdict(hypothesis_holds=hypothesis,
                              pointwise_inequality_holds=pointwise,

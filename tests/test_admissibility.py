@@ -17,9 +17,12 @@ test authoring):
 import numpy as np
 import pytest
 
-from fragkit.admissibility import (check, log_n_omega, n_omega, ratio_curve,
-                                   relative_bound)
+from fragkit.admissibility import (check, log_n_omega, log_n_samples, n_omega,
+                                   ratio_curve, relative_bound)
+from fragkit.errors import QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction
+from fragkit.quadrature import QuadratureSpec
+from fragkit.weight_builder import build_h
 from fragkit.weights import Weight, compare_weights
 
 BB = FragmentKernel.boundary_binary()
@@ -171,3 +174,55 @@ class TestRelativeBound:
         assert est.alpha_hat == pytest.approx(0.8646647167633872, rel=1e-9)
         rep = check(BB, W_EXP, 2.0, 40.0)
         assert est.beta_hat == pytest.approx(rep.kappa1_hat, rel=1e-12)
+
+
+class TestSampledNOmega:
+    """The one sampling path for n_w over parent sizes, and its failure contract."""
+
+    # scale-invariant oscillation: the same 40/(2 pi) periods under every y, so a
+    # single refinement cannot settle any sample
+    OSC = FragmentKernel.custom(lambda x, y: (1.0 + np.cos(40.0 * x / y)) * 2.0 / y,
+                                label="oscillatory")
+    COARSE = QuadratureSpec(max_refinements=1)
+
+    def test_samples_match_scalar_calls(self):
+        ys = np.geomspace(2.0, 50.0, 7)
+        np.testing.assert_array_equal(log_n_samples(BB, W_EXP, ys),
+                                      [log_n_omega(BB, W_EXP, float(y)) for y in ys])
+
+    def test_cutoff(self):
+        # homogeneous nu = 0: b = 2/y, so int_0^hi 2x/y dx = hi^2 / y
+        hom0 = FragmentKernel.homogeneous_power(0.0)
+        assert np.exp(log_n_omega(hom0, Weight.power(1.0), 3.0, hi=1.0)) == \
+            pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert log_n_omega(hom0, Weight.power(1.0), 0.5, hi=1.0) == \
+            log_n_omega(hom0, Weight.power(1.0), 0.5)
+
+    def test_ratio_curve_marks_every_failed_sample(self):
+        ys = np.geomspace(1.0, 10.0, 9)
+        rc = ratio_curve(self.OSC, Weight.power(1.0), ys, spec=self.COARSE)
+        assert rc.failed.shape == ys.shape
+        assert np.all(rc.failed)
+        assert rc.log_n.shape == ys.shape
+        assert np.all(np.isfinite(rc.log_n))  # one partial estimate per y
+        assert not np.any(ratio_curve(self.OSC, Weight.power(1.0), ys).failed)
+
+    def test_samples_raise_with_mask_and_partials(self):
+        ys = np.geomspace(1.0, 10.0, 9)
+        with pytest.raises(QuadratureError) as exc:
+            log_n_samples(self.OSC, Weight.power(1.0), ys, spec=self.COARSE)
+        assert exc.value.failed.shape == ys.shape
+        assert exc.value.failed.dtype == bool
+        assert np.all(exc.value.failed)
+        assert exc.value.partial.shape == ys.shape
+        assert "9 of 9" in str(exc.value)
+
+    def test_strict_callers_raise_quadrature_error(self):
+        with pytest.raises(QuadratureError) as exc:
+            build_h(self.OSC, Weight.power(1.0), 1.0, 2.0, samples_per_unit=8,
+                    spec=self.COARSE)
+        assert exc.value.failed.shape == exc.value.partial.shape
+        with pytest.raises(QuadratureError) as exc:
+            compare_weights(Weight.power(1.0), Weight.power(2.0), self.OSC,
+                            np.geomspace(1e-3, 10.0, 16), [2.0, 5.0], spec=self.COARSE)
+        assert exc.value.failed.shape == (2,)

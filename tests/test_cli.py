@@ -1,8 +1,13 @@
 """Configuration parsing and the command-line exit-code contract."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fragkit
 from fragkit.cli import main
 from fragkit.config import ConfigError, load_config, load_weight_csv, save_weight_csv
 from fragkit.weights import Weight
@@ -225,3 +230,36 @@ y_max = 10.0
         assert main(["simulate", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+    def test_build_weight_honors_floor(self, tmp_path):
+        text = """
+[kernel]
+family = boundary_binary
+
+[weight]
+family = power
+p = 1.0
+
+[params]
+eta0 = 1.0
+kappa = 1.0
+y_max = 4.0
+"""
+        default = write(tmp_path / "default.cfg", text)
+        raised = write(tmp_path / "raised.cfg", text + "floor = 1e-3\n")
+        assert main(["build-weight", "--config", default, "--out", str(tmp_path / "a")]) == 0
+        assert main(["build-weight", "--config", raised, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "weight.csv").read_bytes() != \
+            (tmp_path / "b" / "weight.csv").read_bytes()
+
+
+def test_fragkit_threads_caps_blas_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["FRAGKIT_THREADS"] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fragkit.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, fragkit; print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "1"

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from fragkit.errors import StiffnessError
+from fragkit.errors import FragkitError, StiffnessError
 from fragkit.kernels import FragmentKernel, RateFunction
-from fragkit.simulator import (DensityState, DiscreteGenerator, Grid, bump,
+from fragkit.simulator import (DensityState, DiscreteGenerator, Grid, _ie_step, bump,
                                column_kappa, discretize, exp_decay, expm_oracle,
                                semigroup_check, simulate, step)
 from fragkit.weights import Weight
@@ -278,3 +278,14 @@ class TestStiffness:
             assert np.all(out.u >= 0)
         except StiffnessError:
             pass
+
+
+def test_negative_implicit_euler_step_is_a_toolkit_error():
+    # a hand-built upper-triangular matrix whose solve goes negative: the
+    # leading block [[1, 1], [0, 1]] x = [0, 1] gives x = [-1, 1].  The CLI maps
+    # FragkitError to an exit code; a bare RuntimeError escaped as a traceback.
+    gen = discretize(HOM0, RATE_X, Grid.geometric(0.1, 1.0, 4))
+    matrix = np.eye(4)
+    matrix[0, 1] = 1.0
+    with pytest.raises(FragkitError):
+        _ie_step(gen, np.array([0.0, 1.0, 0.0, 0.0]), 0.1, matrix=matrix)
