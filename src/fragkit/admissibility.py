@@ -186,17 +186,25 @@ class AdmissibilityReport:
     def ratios_small(self) -> np.ndarray:
         return self.small.ratio
 
+    @property
+    def failed_counts(self) -> tuple[int, int]:
+        """Samples whose quadrature failed, below and above eta0."""
+        return int(np.count_nonzero(self.small.failed)), int(np.count_nonzero(self.main.failed))
+
     def summary(self) -> str:
+        below, above = self.failed_counts
+        verdict = lambda ok: "inconclusive" if below or above else ("pass" if ok else "fail")
         lines = [
             f"admissibility report: kernel {self.kernel_label or '?'}, weight {self.weight_label or '?'}",
             f"eta0 = {self.eta0:g}, y_max = {self.y_max:g}, "
             f"samples = {self.y_small.size} below / {self.y_grid.size} above",
+            *([f"failed samples = {below} below / {above} above"] if below or above else []),
             f"kappa_hat  = {self.kappa_hat:.12g}",
             f"kappa1_hat = {self.kappa1_hat:.12g}",
             f"kappa2_hat = {self.kappa2_hat:.12g}",
             f"tail_estimate = {self.tail_estimate:.12g}  trend/decade = {self.trend:+.3e}",
-            f"verdict_A32    = {'pass' if self.verdict_A32 else 'fail'} (sup ratio <= 1)",
-            f"verdict_A41    = {'pass' if self.verdict_A41 else 'fail'} (tail sup < 1, small-y sup finite)",
+            f"verdict_A32    = {verdict(self.verdict_A32)} (sup ratio <= 1)",
+            f"verdict_A41    = {verdict(self.verdict_A41)} (tail sup < 1, small-y sup finite)",
             f"verdict_limsup = {self.verdict_limsup}",
             f"verdict_kappa1_bounded = {'pass' if not self.kappa1_growing else 'flagged-growing'}",
             f"verdict_trend  = {'non-increasing' if self.trend <= TREND_TOL else 'increasing'}",
@@ -215,6 +223,9 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
     The main grid is geometric on [eta0, y_max] (64 points per decade unless
     ``n_samples`` pins the count); the small-y grid refines geometrically down
     to eta0 * 1e-6, since boundedness near 0 is what the first condition asks.
+    Samples whose quadrature failed enter no sup and no trend fit; if any
+    failed, verdict_A32 and verdict_A41 are False and verdict_limsup is
+    "inconclusive".
     """
     if not (0 < eta0 < y_max):
         raise ValueError("need 0 < eta0 < y_max")
@@ -237,16 +248,17 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
     tail = float(np.max(r_big[tail_mask]))
 
     dec_mask = big.y >= 0.1 * y_max
-    trend = _slope_per_decade(big.y[dec_mask], big.ratio[dec_mask])
+    trend = _slope_per_decade(big.y[dec_mask], r_big[dec_mask])
 
     # growing toward 0+: r on the smallest sampled decade still rising as y falls
     small_dec = small.y <= y_small[0] * 10.0
-    small_slope = _slope_per_decade(small.y[small_dec], small.ratio[small_dec])
+    small_slope = _slope_per_decade(small.y[small_dec], r_small[small_dec])
     kappa1_growing = bool(small_slope < -TREND_TOL * max(1.0, kappa1))
 
-    verdict_a32 = bool(kappa <= 1.0 + 1e-9)
-    verdict_a41 = bool(kappa2 < 1.0 and np.isfinite(kappa1))
-    if trend > TREND_TOL and tail < 1.0:
+    converged = not (np.any(big.failed) or np.any(small.failed))
+    verdict_a32 = bool(converged and kappa <= 1.0 + 1e-9)
+    verdict_a41 = bool(converged and kappa2 < 1.0 and np.isfinite(kappa1))
+    if not converged or (trend > TREND_TOL and tail < 1.0):
         limsup = "inconclusive"
     elif tail < PASS_MARGIN:
         limsup = "pass"

@@ -61,6 +61,8 @@ def cmd_check_weight(cfg: RunConfig, args) -> int:
     report.to_csv(_outpath(args, "admissibility.csv"))
     with open(_outpath(args, "report.txt"), "w") as fh:
         fh.write(report.summary() + "\n")
+    if any(report.failed_counts):
+        return EXIT_INCONCLUSIVE
     if not report.verdict_A41:
         return EXIT_FAIL
     if report.verdict_limsup == "inconclusive":

@@ -9,6 +9,7 @@ A custom kernel or rate is given as a numpy expression in ``x`` and ``y``
 
 from __future__ import annotations
 
+import ast
 import configparser
 from dataclasses import dataclass, field
 
@@ -33,6 +34,11 @@ _PARAM_KEYS = {
 _SAFE_NS = {"np": np, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
             "abs": np.abs, "minimum": np.minimum, "maximum": np.maximum,
             "where": np.where, "pi": np.pi, "e": np.e}
+# ``np.<name>`` may name a ufunc, a float constant or ``where``: elementwise math, no I/O
+_NP_ATTRS = frozenset(n for n, v in vars(np).items()
+                      if isinstance(v, (np.ufunc, float)) and not n.startswith("_")) | {"where"}
+_EXPR_NODES = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Attribute, ast.Call,
+               ast.BinOp, ast.UnaryOp, ast.Compare, ast.operator, ast.unaryop, ast.cmpop)
 
 
 @dataclass
@@ -80,12 +86,25 @@ def _parse_table(text: str) -> list[tuple[float, float]]:
 
 
 def _compile_expr(expr: str):
+    """Compile an arithmetic expression whose every syntax node is whitelisted.
+
+    Names are ``x``, ``y`` and the keys of ``_SAFE_NS``; the only attribute
+    access is ``np.<name>`` for a name in ``_NP_ATTRS``.  Lambdas,
+    comprehensions, subscripts and dunders never reach ``eval``.
+    """
     if not expr.strip():
         raise ConfigError("empty expression")
-    code = compile(expr, "<config expr>", "eval")
-    for name in code.co_names:
-        if name not in _SAFE_NS and name not in ("x", "y"):
-            raise ConfigError(f"expression uses disallowed name {name!r}")
+    tree = ast.parse(expr, "<config expr>", "eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in _SAFE_NS and node.id not in ("x", "y"):
+            raise ConfigError(f"expression uses disallowed name {node.id!r}")
+        if isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "np"
+                and node.attr in _NP_ATTRS):
+            raise ConfigError(f"expression uses disallowed attribute {node.attr!r}")
+        if not isinstance(node, _EXPR_NODES):
+            raise ConfigError(f"expression uses disallowed syntax {type(node).__name__}")
+    code = compile(tree, "<config expr>", "eval")
 
     def func(x, y):
         return eval(code, {"__builtins__": {}}, dict(_SAFE_NS, x=x, y=y))

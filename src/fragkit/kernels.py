@@ -232,24 +232,27 @@ class FragmentKernel:
 
     def _mass_partial_numeric(self, s_flat: np.ndarray, y: float,
                               spec: QuadratureSpec) -> np.ndarray:
-        """Quadrature fallback; sorted inputs get one batched cumulative pass."""
+        """Quadrature fallback in one cumulative pass over the sorted positive s.
+
+        An adaptive integral reaches the smallest one; fixed-order panels between
+        consecutive points add the rest, accurate when their ratio is small, as on
+        geometric grids.  Results come back in input order; zeros map to 0.
+        """
         f = lambda x: eval_kernel(self, x, y) * x
         bps = self.breakpoints(y)
-        if s_flat.size >= 2 and np.all(np.diff(s_flat) >= 0):
-            first = float(s_flat[0])
-            base, _ = integrate(f, 0.0, first, breakpoints=bps, spec=spec,
-                                grade_lo=True) if first > 0 else (0.0, 0.0)
-            pts = np.unique(np.concatenate(
-                [s_flat, [p for p in bps if s_flat[0] < p < s_flat[-1]]]))
+        order = np.argsort(s_flat)
+        order = order[s_flat[order] > 0]
+        s = s_flat[order]
+        out = np.zeros_like(s_flat)
+        if s.size:
+            base, _ = integrate(f, 0.0, float(s[0]), breakpoints=bps, spec=spec,
+                                grade_lo=True)
+            pts = np.unique(np.concatenate([s, [p for p in bps if s[0] < p < s[-1]]]))
             increments = panel_sums(f, pts, order=spec.gauss_order) if pts.size > 1 \
                 else np.zeros(0)
             cum = base + np.concatenate([[0.0], np.cumsum(increments)])
-            return cum[np.searchsorted(pts, s_flat)]
-        vals = np.empty_like(s_flat)
-        for i, si in enumerate(s_flat):
-            vals[i], _ = integrate(f, 0.0, float(si), breakpoints=bps, spec=spec,
-                                   grade_lo=True)
-        return vals
+            out[order] = cum[np.searchsorted(pts, s)]
+        return out
 
     def has_exact_mass(self) -> bool:
         return self.family in ("homogeneous_power", "boundary_binary", "concentrated") \
@@ -300,20 +303,15 @@ class MassValue:
     """One daughter-mass integral m(y) = int_0^y b(x,y) x dx."""
 
     value: float
-    error: float
     exact: bool
 
 
 def mass_integral(kernel: FragmentKernel, y: float,
                   spec: QuadratureSpec = DEFAULT_SPEC) -> MassValue:
-    """Daughter mass m(y); closed form (exact=True) for the built-in families."""
+    """Daughter mass m(y) = M(y; y); closed form (exact=True) for the built-in families."""
     if y <= 0:
         raise InvalidKernelError("mass integral needs y > 0")
-    if kernel.has_exact_mass():
-        return MassValue(value=float(kernel.mass_partial(y, y)), error=0.0, exact=True)
-    val, err = integrate(lambda x: eval_kernel(kernel, x, y) * x, 0.0, y,
-                         breakpoints=kernel.breakpoints(y), spec=spec, grade_lo=True)
-    return MassValue(value=val, error=err, exact=False)
+    return MassValue(value=kernel.mass_partial(y, y, spec), exact=kernel.has_exact_mass())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Panel Gauss-Legendre quadrature with breakpoint splitting and log-space accumulation.
 
-All weighted integrals in the toolkit go through the two entry points here:
+All weighted integrals in the toolkit go through one adaptive driver and its
+two entry points:
 
 ``integrate``
     Plain-valued integral of a vectorized integrand.
@@ -14,7 +15,15 @@ of the Gauss rule on piecewise-smooth kernels.  An integrable singularity at
 the lower endpoint is handled by geometric grading: the first cell is split at
 ``lo + (len)*2^-k``, and the grading is deepened until the innermost cell
 contributes less than ``0.1 * rel_tol`` of the running total (so rates close
-to the integrability limit still converge, or fail loudly).
+to the integrability limit still converge, or fail loudly).  Then every panel
+is halved until the total settles.
+
+The two modes differ in three places only: the total of the per-cell values
+is a sum or a log-sum-exp; it has settled within ``max(rel_tol, 1e-15)``
+relative (never while infinite) or, in log space, ``rel_tol`` absolute (the
+same relative change of the integral); and the innermost cell is negligible
+below ``0.1 * rel_tol`` of the total or, in log space, also when the total is
+not finite.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ class QuadratureSpec:
     """Accuracy and refinement knobs for the panel quadrature."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 0.0
     gauss_order: int = 12
     max_refinements: int = 9
     grading_levels: int = 48
@@ -91,62 +99,6 @@ def _cell_values(f, cells: np.ndarray, order: int) -> np.ndarray:
     return half * (fx @ w)
 
 
-def panel_sums(f, edges: np.ndarray, order: int = 12) -> np.ndarray:
-    """Fixed-order Gauss integrals of ``f`` over consecutive ``edges`` intervals.
-
-    One vectorized pass, no refinement: meant for batched cumulative
-    integrals of piecewise-smooth integrands whose breakpoints the caller has
-    already inserted into ``edges``.
-    """
-    cells = np.column_stack([edges[:-1], edges[1:]])
-    return _cell_values(f, cells, order)
-
-
-def integrate(f, lo, hi, *, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC,
-              grade_lo: bool = False):
-    """Integrate a vectorized ``f`` over ``[lo, hi]``.
-
-    Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` with
-    the partial estimate attached when successive panel refinements fail to
-    settle within ``spec.rel_tol``.
-    """
-    lo, hi = float(lo), float(hi)
-    if hi <= lo:
-        return 0.0, 0.0
-    levels = spec.grading_levels if grade_lo else 0
-    cells = _base_cells(lo, hi, breakpoints, levels)
-    vals = _cell_values(f, cells, spec.gauss_order)
-    total = float(vals.sum())
-
-    # Deepen the grading while the innermost cell still matters.
-    while grade_lo and levels < spec.max_grading_levels:
-        first = abs(float(vals[0]))
-        if first <= 0.1 * (spec.rel_tol * abs(total) + spec.abs_tol):
-            break
-        levels += 32
-        cells = _base_cells(lo, hi, breakpoints, levels)
-        vals = _cell_values(f, cells, spec.gauss_order)
-        new_total = float(vals.sum())
-        if abs(new_total - total) <= spec.rel_tol * abs(new_total) + spec.abs_tol:
-            total = new_total
-            break
-        total = new_total
-
-    prev = total
-    err = np.inf
-    for _ in range(spec.max_refinements):
-        cells = _split_cells(cells)
-        vals = _cell_values(f, cells, spec.gauss_order)
-        cur = float(vals.sum())
-        err = abs(cur - prev)
-        if err <= spec.rel_tol * abs(cur) + spec.abs_tol or err <= 1e-15 * abs(cur):
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"panel quadrature on [{lo:g}, {hi:g}] did not converge (last change {err:.3e})",
-        partial=cur, error_estimate=err)
-
-
 def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.ndarray:
     x, half, w = _panel_nodes(cells, order)
     flat = x.ravel()
@@ -160,6 +112,77 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.nd
     return logsumexp(terms, axis=1)
 
 
+def panel_sums(f, edges: np.ndarray, order: int = 12) -> np.ndarray:
+    """Fixed-order Gauss integrals of ``f`` over consecutive ``edges`` intervals.
+
+    One vectorized pass, no refinement: meant for batched cumulative
+    integrals of piecewise-smooth integrands whose breakpoints the caller has
+    already inserted into ``edges``.
+    """
+    cells = np.column_stack([edges[:-1], edges[1:]])
+    return _cell_values(f, cells, order)
+
+
+def _adaptive(values, lo, hi, breakpoints, spec: QuadratureSpec, grade_lo: bool, log: bool):
+    """Grade toward ``lo`` if asked, then halve every panel until the total settles.
+
+    ``values(cells)`` returns per-cell integrals, or their logs when ``log``.
+    Returns ``(total, last_change)``; raises :class:`QuadratureError` with the
+    last total as ``partial`` when ``spec.max_refinements`` halvings do not settle.
+    """
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return (-np.inf if log else 0.0), 0.0
+    if log:
+        total_of = lambda v: float(logsumexp(v))
+        tol = lambda t: spec.rel_tol
+        negligible = lambda v0, t: not np.isfinite(t) or v0 <= t + np.log(0.1 * spec.rel_tol)
+    else:
+        total_of = lambda v: float(v.sum())
+        # an overflowed (infinite) plain total never settles
+        tol = lambda t: max(spec.rel_tol, 1e-15) * abs(t) if np.isfinite(t) else -1.0
+        negligible = lambda v0, t: abs(float(v0)) <= 0.1 * (spec.rel_tol * abs(t))
+    # equal totals, infinite ones included, have not changed
+    change = lambda cur, prev: 0.0 if cur == prev else abs(cur - prev)
+
+    levels = spec.grading_levels if grade_lo else 0
+    cells = _base_cells(lo, hi, breakpoints, levels)
+    vals = values(cells)
+    total = total_of(vals)
+
+    # Deepen the grading while the innermost cell still matters.
+    while grade_lo and levels < spec.max_grading_levels and not negligible(vals[0], total):
+        levels += 32
+        cells = _base_cells(lo, hi, breakpoints, levels)
+        vals = values(cells)
+        prev, total = total, total_of(vals)
+        if change(total, prev) <= tol(total):
+            break
+
+    err = np.inf
+    for _ in range(spec.max_refinements):
+        cells = _split_cells(cells)
+        prev, total = total, total_of(values(cells))
+        err = change(total, prev)
+        if err <= tol(total):
+            return total, err
+    raise QuadratureError(
+        f"{'log-space' if log else 'panel'} quadrature on [{lo:g}, {hi:g}] "
+        f"did not converge (last change {err:.3e})", partial=total, error_estimate=err)
+
+
+def integrate(f, lo, hi, *, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC,
+              grade_lo: bool = False):
+    """Integrate a vectorized ``f`` over ``[lo, hi]``.
+
+    Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` with
+    the partial estimate attached when successive panel refinements fail to
+    settle within ``spec.rel_tol``.
+    """
+    return _adaptive(lambda cells: _cell_values(f, cells, spec.gauss_order),
+                     lo, hi, breakpoints, spec, grade_lo, log=False)
+
+
 def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(),
                   spec: QuadratureSpec = DEFAULT_SPEC, grade_lo: bool = False):
     """Return ``(log_value, log_error)`` for the integral of ``factor * exp(log_weight)``.
@@ -168,38 +191,5 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(),
     absolute change of the log between the last two refinement levels, which
     for small values equals the relative error of the integral.
     """
-    lo, hi = float(lo), float(hi)
-    if hi <= lo:
-        return -np.inf, 0.0
-    levels = spec.grading_levels if grade_lo else 0
-    cells = _base_cells(lo, hi, breakpoints, levels)
-    logs = _log_cell_values(factor, log_weight, cells, spec.gauss_order)
-    total = float(logsumexp(logs))
-
-    while grade_lo and np.isfinite(total) and levels < spec.max_grading_levels:
-        if logs[0] <= total + np.log(0.1 * spec.rel_tol):
-            break
-        levels += 32
-        cells = _base_cells(lo, hi, breakpoints, levels)
-        logs = _log_cell_values(factor, log_weight, cells, spec.gauss_order)
-        new_total = float(logsumexp(logs))
-        if abs(new_total - total) <= spec.rel_tol:
-            total = new_total
-            break
-        total = new_total
-
-    prev = total
-    err = np.inf
-    for _ in range(spec.max_refinements):
-        cells = _split_cells(cells)
-        logs = _log_cell_values(factor, log_weight, cells, spec.gauss_order)
-        cur = float(logsumexp(logs))
-        if not np.isfinite(cur) and not np.isfinite(prev):
-            return cur, 0.0
-        err = abs(cur - prev)
-        if err <= spec.rel_tol:
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"log-space quadrature on [{lo:g}, {hi:g}] did not converge (last log change {err:.3e})",
-        partial=cur, error_estimate=err)
+    return _adaptive(lambda cells: _log_cell_values(factor, log_weight, cells, spec.gauss_order),
+                     lo, hi, breakpoints, spec, grade_lo, log=True)

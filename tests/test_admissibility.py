@@ -226,3 +226,18 @@ class TestSampledNOmega:
             compare_weights(Weight.power(1.0), Weight.power(2.0), self.OSC,
                             np.geomspace(1e-3, 10.0, 16), [2.0, 5.0], spec=self.COARSE)
         assert exc.value.failed.shape == (2,)
+
+    def test_check_never_passes_on_failed_samples(self):
+        rep = check(self.OSC, Weight.power(1.0), 1.0, 10.0, spec=self.COARSE)
+        below, above = rep.failed_counts
+        assert (below, above) == (rep.y_small.size, rep.y_grid.size)
+        assert not rep.verdict_A32 and not rep.verdict_A41
+        assert rep.verdict_limsup == "inconclusive"
+        assert rep.trend == 0.0  # partial estimates of failed samples are not fitted
+        lines = rep.summary().splitlines()
+        assert f"failed samples = {below} below / {above} above" in lines
+        assert sum(line.split("=")[1].split()[0] == "inconclusive"
+                   for line in lines if line.startswith("verdict_")) == 3
+        converged = check(self.OSC, Weight.power(1.0), 1.0, 10.0)
+        assert converged.failed_counts == (0, 0)
+        assert "failed samples" not in converged.summary()

@@ -110,6 +110,21 @@ class TestConfigParsing:
             load_config(write(tmp_path / "e.cfg",
                               "[kernel]\nfamily = custom\nexpr = __import__('os')\n"))
 
+    @pytest.mark.parametrize("expr", ["(lambda q: q.__class__)(x)",
+                                      "[t.__class__.__name__ for t in (x,)][0]",
+                                      "np.save('f', x)"])
+    def test_expr_sandbox_rejects_escapes(self, tmp_path, expr):
+        cfg = write(tmp_path / "e.cfg", f"[kernel]\nfamily = custom\nexpr = {expr}\n")
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+        assert main(["kernel-info", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_expr_sandbox_accepts_numpy_arithmetic(self, tmp_path):
+        cfg = load_config(write(tmp_path / "h.cfg",
+                                "[kernel]\nfamily = custom\n"
+                                "expr = (-0.5 + 2) * x**(-0.5) / y**(-0.5 + 1) + 0 * np.cos(x)\n"))
+        assert cfg.kernel(1.0, 4.0) == pytest.approx(0.75)
+
     def test_kernel_table_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path / "f.cfg",
@@ -141,6 +156,16 @@ class TestExitCodes:
     def test_check_weight_pass_homogeneous(self, tmp_path):
         cfg = write(tmp_path / "c.cfg", HOM_POW)
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+    def test_check_weight_failed_samples_inconclusive(self, tmp_path, monkeypatch, capsys):
+        from fragkit import admissibility
+        from fragkit.quadrature import QuadratureSpec
+        monkeypatch.setattr(admissibility, "DEFAULT_SPEC", QuadratureSpec(max_refinements=1))
+        cfg = write(tmp_path / "osc.cfg",
+                    "[kernel]\nfamily = custom\nexpr = (1 + np.cos(40 * x / y)) * 2 / y\n\n"
+                    "[weight]\nfamily = power\np = 1\n\n[params]\neta0 = 1\ny_max = 10\n")
+        assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "failed samples = 385 below / 65 above" in capsys.readouterr().out
 
     def test_kernel_info(self, tmp_path, capsys):
         cfg = write(tmp_path / "d.cfg",

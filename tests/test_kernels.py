@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragkit.errors import InvalidKernelError
 from fragkit.kernels import (FragmentKernel, RateFunction, classify_mass,
@@ -124,6 +126,7 @@ class TestMassIntegral:
         m = mass_integral(clone, 3.0)
         assert not m.exact
         assert m.value == pytest.approx(3.0, rel=1e-9)
+        assert m.value == clone.mass_partial(3.0, 3.0)
 
     def test_mass_homogeneity(self):
         hom = FragmentKernel.homogeneous_power(-0.5)
@@ -145,6 +148,25 @@ class TestMassIntegral:
                                        breakpoints=kern.breakpoints(y), grade_lo=True)
                     np.testing.assert_allclose(kern.mass_partial(s, y), ref,
                                                rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nu=st.floats(-1.9, 0.0), y=st.floats(0.01, 100.0), ratio=st.floats(1.01, 4.0),
+           n=st.integers(1, 12), data=st.data())
+    def test_numeric_partial_mass_matches_closed_form(self, nu, y, ratio, n, data):
+        # a geometric run of s (consecutive ratio <= 4), one point above y, then
+        # duplicates and zeros, in random order; and one scalar
+        hom = FragmentKernel.homogeneous_power(nu)
+        clone = FragmentKernel.custom(lambda x, yy: eval_kernel(hom, x, yy))
+        run = list(y * 1.5 * ratio ** -np.arange(n + 1))
+        dups = data.draw(st.lists(st.sampled_from(run), max_size=4))
+        zeros = [0.0] * data.draw(st.integers(0, 2))
+        s = np.array(data.draw(st.permutations(run + dups + zeros)))
+        np.testing.assert_allclose(clone.mass_partial(s, y), hom.mass_partial(s, y),
+                                   rtol=1e-10, atol=0.0)
+        scalar = data.draw(st.sampled_from(run))
+        got = clone.mass_partial(scalar, y)
+        assert isinstance(got, float)
+        assert got == pytest.approx(hom.mass_partial(scalar, y), rel=1e-10)
 
 
 class TestClassifyMass:

@@ -1,7 +1,11 @@
 """Panel quadrature: accuracy, breakpoint handling, grading, log-space path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fragkit.errors import QuadratureError
@@ -80,3 +84,31 @@ def test_spec_is_immutable_default():
     assert DEFAULT_SPEC.rel_tol == 1e-10
     with pytest.raises(Exception):
         DEFAULT_SPEC.rel_tol = 1.0
+
+
+def test_spec_has_no_abs_tol():
+    assert "abs_tol" not in {f.name for f in dataclasses.fields(QuadratureSpec)}
+
+
+@pytest.mark.parametrize("grade_lo", [False, True])
+def test_nan_or_overflowed_integrand_raises(grade_lo):
+    nan = lambda x: np.full_like(x, np.nan)
+    with pytest.raises(QuadratureError):
+        integrate(nan, 0.0, 1.0, grade_lo=grade_lo)
+    with pytest.raises(QuadratureError):
+        log_integrate(nan, lambda x: 0.0 * x, 0.0, 1.0, grade_lo=grade_lo)
+    with pytest.raises(QuadratureError):  # an infinite plain total never settles
+        integrate(lambda x: np.full_like(x, np.inf), 0.0, 1.0, grade_lo=grade_lo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coef=st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+       c0=st.floats(0.1, 3.0), a=st.floats(-5.0, 5.0), b=st.floats(-3.0, 3.0),
+       lo=st.floats(0.0, 3.0), width=st.floats(0.1, 4.0), grade_lo=st.booleans())
+def test_log_integrate_matches_integrate(coef, c0, a, b, lo, width, grade_lo):
+    # non-negative polynomial factor times a linear log-weight, both modes of the one driver
+    f = lambda x: c0 + x * (coef[0] + x * (coef[1] + x * coef[2]))
+    lw = lambda x: a + b * x
+    lin, _ = integrate(lambda x: f(x) * np.exp(lw(x)), lo, lo + width, grade_lo=grade_lo)
+    lv, _ = log_integrate(f, lw, lo, lo + width, grade_lo=grade_lo)
+    np.testing.assert_allclose(np.exp(lv), lin, rtol=1e-9)
