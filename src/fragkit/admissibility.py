@@ -32,7 +32,7 @@ import numpy as np
 from .config import write_csv
 from .errors import QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, log_integrate
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _log_integrate_rows, log_integrate
 
 __all__ = ["log_n_omega", "log_n_samples", "n_omega", "ratio_curve", "RatioCurve",
            "AdmissibilityReport", "check", "RelativeBoundEstimate", "relative_bound",
@@ -47,36 +47,37 @@ PASS_MARGIN = 0.999
 TREND_TOL = 1e-6
 
 
-def log_n_omega(kernel: FragmentKernel, weight, y: float,
-                spec: QuadratureSpec | None = None, hi: float | None = None) -> float:
-    """log of int_0^min(y, hi) b(x,y) w(x) dx, honoring kernel and weight breakpoints."""
+def _span(kernel: FragmentKernel, weight, y: float, hi: float | None):
+    """``(0, min(y, hi), breakpoints)`` of n_w(y): the kernel's and the weight's kinks."""
     if y <= 0:
         raise ValueError("n_w needs y > 0")
-    spec = spec or DEFAULT_SPEC
     top = y if hi is None else min(y, hi)
     bps = list(kernel.breakpoints(y))
     if hasattr(weight, "quad_breakpoints"):
         bps.extend(weight.quad_breakpoints(0.0, top))
-    val, _ = log_integrate(lambda x: kernel(x, y), weight.log_eval, 0.0, top,
-                           breakpoints=bps, spec=spec, grade_lo=True)
+    return 0.0, top, bps
+
+
+def log_n_omega(kernel: FragmentKernel, weight, y: float,
+                spec: QuadratureSpec | None = None, hi: float | None = None) -> float:
+    """log of int_0^min(y, hi) b(x,y) w(x) dx, honoring kernel and weight breakpoints."""
+    lo, top, bps = _span(kernel, weight, y, hi)
+    val, _ = log_integrate(lambda x: kernel(x, y), weight.log_eval, lo, top,
+                           breakpoints=bps, spec=spec or DEFAULT_SPEC, grade_lo=True)
     return val
 
 
 def log_n_samples(kernel: FragmentKernel, weight, ys,
                   spec: QuadratureSpec | None = None, hi: float | None = None) -> np.ndarray:
-    """``log_n_omega`` at every y of ``ys``, attempting every sample.
+    """``log_n_omega`` at every y of ``ys`` in one batched quadrature, attempting every sample.
 
-    If any sample fails, raises :class:`QuadratureError` with ``partial`` and ``failed`` arrays.
+    Gives the same bits as the one-y calls.  If any sample fails, raises
+    :class:`QuadratureError` with ``partial`` and ``failed`` arrays.
     """
     ys = np.asarray(ys, dtype=float)
-    log_n = np.empty_like(ys)
-    failed = np.zeros(ys.shape, dtype=bool)
-    for i, y in enumerate(ys):
-        try:
-            log_n[i] = log_n_omega(kernel, weight, float(y), spec=spec, hi=hi)
-        except QuadratureError as exc:
-            log_n[i] = exc.partial if exc.partial is not None else np.nan
-            failed[i] = True
+    log_n, failed = _log_integrate_rows(
+        lambda x, i: kernel(x, ys[i]), weight.log_eval,
+        (_span(kernel, weight, float(y), hi) for y in ys), spec or DEFAULT_SPEC, grade_lo=True)
     if np.any(failed):
         raise QuadratureError(
             f"n_w quadrature did not converge at {np.count_nonzero(failed)} of {ys.size} "

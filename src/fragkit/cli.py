@@ -48,7 +48,7 @@ def cmd_kernel_info(cfg: RunConfig, args) -> int:
     report = classify_mass(cfg.kernel, samples, tol=tol)
     print(f"kernel family: {cfg.kernel.describe()}")
     print(report.summary())
-    return EXIT_PASS
+    return EXIT_INCONCLUSIVE if report.failed else EXIT_PASS
 
 
 def cmd_check_weight(cfg: RunConfig, args) -> int:
@@ -124,8 +124,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     tol = args.tol if args.tol is not None else 1e-3
     for name in args.asserts:
         if name == "positivity":
-            if np.min(traj.final.u) < 0:
-                failures.append("positivity")
+            if traj.min_content < 0:  # the schemes clip round-off negatives; look before that
+                failures.append(f"positivity (content {traj.min_content:.3e} before clipping)")
         elif name == "mass":
             total = traj.M1 + traj.dust_mass
             if np.max(np.abs(total - total[0])) > tol * total[0]:

@@ -107,7 +107,10 @@ def _compile_expr(expr: str):
     code = compile(tree, "<config expr>", "eval")
 
     def func(x, y):
-        return eval(code, {"__builtins__": {}}, dict(_SAFE_NS, x=x, y=y))
+        try:
+            return eval(code, {"__builtins__": {}}, dict(_SAFE_NS, x=x, y=y))
+        except Exception as exc:  # a bad expression is bad input (exit 2), not a crash
+            raise ConfigError(f"expression {expr.strip()!r} failed: {exc}") from exc
 
     return func
 

@@ -235,8 +235,10 @@ class FragmentKernel:
         """Quadrature fallback in one cumulative pass over the sorted positive s.
 
         An adaptive integral reaches the smallest one; fixed-order panels between
-        consecutive points add the rest, accurate when their ratio is small, as on
-        geometric grids.  Results come back in input order; zeros map to 0.
+        consecutive points add the rest.  Geometric points are inserted where two
+        consecutive points differ by more than a factor of 2, so every panel is
+        accurate near a singular kernel; finer grids, such as the simulator's, are
+        used as they are.  Results come back in input order; zeros map to 0.
         """
         f = lambda x: eval_kernel(self, x, y) * x
         bps = self.breakpoints(y)
@@ -248,6 +250,7 @@ class FragmentKernel:
             base, _ = integrate(f, 0.0, float(s[0]), breakpoints=bps, spec=spec,
                                 grade_lo=True)
             pts = np.unique(np.concatenate([s, [p for p in bps if s[0] < p < s[-1]]]))
+            pts = _geometric_fill(pts)
             increments = panel_sums(f, pts, order=spec.gauss_order) if pts.size > 1 \
                 else np.zeros(0)
             cum = base + np.concatenate([[0.0], np.cumsum(increments)])
@@ -260,6 +263,14 @@ class FragmentKernel:
 
     def describe(self) -> str:
         return self.label or self.family
+
+
+def _geometric_fill(pts: np.ndarray) -> np.ndarray:
+    """Increasing positive ``pts`` with geometric points added so no gap exceeds a factor of 2."""
+    pieces = np.ceil(np.log2(pts[1:] / pts[:-1])).astype(int)
+    fill = [a * (b / a) ** (np.arange(1, n) / n)
+            for a, b, n in zip(pts[:-1], pts[1:], pieces) if n > 1]
+    return np.unique(np.concatenate([pts, *fill])) if fill else pts
 
 
 def eval_kernel(kernel: FragmentKernel, x, y):

@@ -182,19 +182,20 @@ def _ie_matrix(gen: DiscreteGenerator, dt: float) -> np.ndarray:
 
 
 def _ie_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float,
-             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
     m = _ie_matrix(gen, dt) if matrix is None else matrix
     out = solve_triangular(m, mu, lower=False)
     # non-negativity is structural; anything below is round-off
     tiny = -1e-12 * max(float(np.max(out, initial=0.0)), 1e-300)
     if np.any(out < tiny):
         raise FragkitError("implicit Euler produced a substantive negative value")
+    low = float(np.min(out, initial=np.inf))
     np.clip(out, 0.0, None, out=out)
-    return out, dt * float(gen.dust @ out)
+    return out, dt * float(gen.dust @ out), low
 
 
 def _rk4_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float, depth: int = 0
-              ) -> tuple[np.ndarray, float]:
+              ) -> tuple[np.ndarray, float, float]:
     if depth > 30:
         raise StiffnessError("rk4 rejected the step 30 times; use implicit_euler")
     k1 = gen.apply(mu)
@@ -203,16 +204,27 @@ def _rk4_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float, depth: int = 0
     k4 = gen.apply(mu + dt * k3)
     out = mu + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     scale = float(np.max(np.abs(out), initial=0.0))
-    if np.min(out, initial=0.0) < -1e-14 * max(scale, 1e-300):
-        a, da = _rk4_step(gen, mu, 0.5 * dt, depth + 1)
-        b, db = _rk4_step(gen, a, 0.5 * dt, depth + 1)
-        return b, da + db
+    low = float(np.min(out, initial=np.inf))
+    if low < -1e-14 * max(scale, 1e-300):
+        a, da, low_a = _rk4_step(gen, mu, 0.5 * dt, depth + 1)
+        b, db, low_b = _rk4_step(gen, a, 0.5 * dt, depth + 1)
+        return b, da + db, min(low_a, low_b)
     np.clip(out, 0.0, None, out=out)
     d1 = float(gen.dust @ mu)
     d2 = float(gen.dust @ (mu + 0.5 * dt * k1))
     d3 = float(gen.dust @ (mu + 0.5 * dt * k2))
     d4 = float(gen.dust @ (mu + dt * k3))
-    return out, dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+    return out, dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4), low
+
+
+def _advance(gen: DiscreteGenerator, mu: np.ndarray, dt: float, scheme: str,
+             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
+    """One step of the cell contents: ``(mu_new, dust increment, least content before clipping)``."""
+    if scheme == "implicit_euler":
+        return _ie_step(gen, mu, dt, matrix)
+    if scheme == "rk4":
+        return _rk4_step(gen, mu, dt)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def step(state: DensityState, gen: DiscreteGenerator, dt: float,
@@ -222,13 +234,7 @@ def step(state: DensityState, gen: DiscreteGenerator, dt: float,
         raise ValueError("dt must be non-negative")
     if dt == 0:
         return state
-    mu = state.grid.weights * state.u
-    if scheme == "implicit_euler":
-        mu_new, d_inc = _ie_step(gen, mu, dt)
-    elif scheme == "rk4":
-        mu_new, d_inc = _rk4_step(gen, mu, dt)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    mu_new, d_inc, _ = _advance(gen, state.grid.weights * state.u, dt, scheme)
     return replace(state, u=mu_new / state.grid.weights, t=state.t + dt,
                    dust_mass=state.dust_mass + d_inc)
 
@@ -247,6 +253,7 @@ class Trajectory:
     norm_omega: np.ndarray
     dust_mass: np.ndarray
     final: DensityState
+    min_content: float  # smallest cell content w_i u_i along the run, before any clipping
 
     def to_csv(self, path) -> None:
         write_csv(path, {"t": self.times, "M0": self.M0, "M1": self.M1,
@@ -288,22 +295,20 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
         dusts.append(s.dust_mass)
 
     record(state)
+    min_content = float(np.min(w * state.u, initial=np.inf))
     for k in range(n_steps):
         h = min(dt, t_end - state.t)
         if h <= 0:
             break
-        if scheme == "implicit_euler" and h == dt:
-            mu_new, d_inc = _ie_step(gen, w * state.u, h, matrix)
-            state = replace(state, u=mu_new / w, t=state.t + h,
-                            dust_mass=state.dust_mass + d_inc)
-        else:
-            state = step(state, gen, h, scheme)
+        mu_new, d_inc, low = _advance(gen, w * state.u, h, scheme, matrix if h == dt else None)
+        state = replace(state, u=mu_new / w, t=state.t + h, dust_mass=state.dust_mass + d_inc)
+        min_content = min(min_content, low)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(state)
 
     return Trajectory(times=np.asarray(times), M0=np.asarray(m0s), M1=np.asarray(m1s),
                       norm_omega=np.asarray(norms), dust_mass=np.asarray(dusts),
-                      final=state)
+                      final=state, min_content=min_content)
 
 
 # ---------------------------------------------------------------------------

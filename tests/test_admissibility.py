@@ -16,6 +16,8 @@ test authoring):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragkit.admissibility import (check, log_n_omega, log_n_samples, n_omega,
                                    ratio_curve, relative_bound)
@@ -216,6 +218,34 @@ class TestSampledNOmega:
         assert np.all(exc.value.failed)
         assert exc.value.partial.shape == ys.shape
         assert "9 of 9" in str(exc.value)
+        partials = []  # each failed row keeps the estimate its one-y call fails with
+        for y in ys:
+            with pytest.raises(QuadratureError) as one:
+                log_n_omega(self.OSC, Weight.power(1.0), float(y), spec=self.COARSE)
+            partials.append(one.value.partial)
+        np.testing.assert_array_equal(exc.value.partial, partials)
+
+    # custom kernels with 0, 1 (for y > 1) and 2 (for y > 2) breakpoints, so a
+    # grid of y mixes blocks of different cell counts
+    KERNELS = [
+        FragmentKernel.custom(lambda x, y: (1.5 + np.sin(x)) / y),
+        FragmentKernel.custom(lambda x, y: np.where(x <= 1.0, 3.0, 1.0) / y,
+                              breakpoints=lambda y: (1.0,) if y > 1.0 else ()),
+        FragmentKernel.custom(lambda x, y: np.where((x <= 1.0) | (x >= y - 1.0), 1.0, 0.2),
+                              breakpoints=lambda y: (1.0, y - 1.0) if y > 2.0 else ()),
+    ]
+    WEIGHTS = [Weight.power(1.5), Weight.exponential(2.0),
+               Weight.composite(Weight.power(1.0), 1.0, np.linspace(1.0, 20.0, 40),
+                                np.linspace(0.0, 12.0, 40))]
+
+    @settings(max_examples=25, deadline=None)
+    @given(kernel=st.sampled_from(KERNELS), weight=st.sampled_from(WEIGHTS),
+           ys=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=60),
+           hi=st.one_of(st.none(), st.floats(0.5, 5.0)))
+    def test_samples_equal_one_y_calls_bit_for_bit(self, kernel, weight, ys, hi):
+        got = log_n_samples(kernel, weight, ys, hi=hi)
+        want = [log_n_omega(kernel, weight, y, hi=hi) for y in ys]
+        np.testing.assert_array_equal(got, want)
 
     def test_strict_callers_raise_quadrature_error(self):
         with pytest.raises(QuadratureError) as exc:

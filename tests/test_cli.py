@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line exit-code contract."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -178,6 +179,38 @@ class TestExitCodes:
                     "[kernel]\nfamily = custom\nexpr = x / y**2\n\n[params]\ny_samples = 1,2\n")
         assert main(["kernel-info", "--config", cfg]) == 0
         assert "sub_conserving" in capsys.readouterr().out
+
+    def test_kernel_info_failed_samples_inconclusive(self, tmp_path, capsys):
+        # 3000/(2 pi) periods per unit length: the y = 5 sample cannot settle
+        cfg = write(tmp_path / "osc.cfg",
+                    "[kernel]\nfamily = custom\nexpr = (1 + np.cos(3000 * x)) * 2 / y\n\n"
+                    "[params]\ny_samples = 1,2,5\n")
+        assert main(["kernel-info", "--config", cfg]) == 3
+        assert "quadrature failed at sample indices [2]" in capsys.readouterr().out
+
+    def test_expr_failing_at_evaluation_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path / "np.cfg", "[kernel]\nfamily = custom\nexpr = exp(np)\n")
+        assert main(["kernel-info", "--config", cfg]) == 2
+        assert "'exp(np)'" in capsys.readouterr().err
+
+    def test_simulate_positivity_checks_before_clipping(self, tmp_path, monkeypatch, capsys):
+        # a slightly negative gain row makes implicit Euler produce round-off-sized
+        # negatives in cell 0, which the step clips to 0 before the final state
+        from fragkit import simulator
+        real = simulator.discretize
+
+        def leaky(kernel, rate, grid):
+            gen = real(kernel, rate, grid)
+            gain = gen.gain.copy()
+            gain[0, 1:] = -1e-20
+            return dataclasses.replace(gen, gain=gain)
+
+        monkeypatch.setattr(simulator, "discretize", leaky)
+        cfg = write(tmp_path / "sim.cfg", SIM)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                     "--assert", "positivity"]) == 1
+        assert "assertion failed: positivity" in capsys.readouterr().err
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "f.cfg", "[kernel]\nfamily = custom\nexpr =\n")

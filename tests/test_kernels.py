@@ -128,6 +128,14 @@ class TestMassIntegral:
         assert m.value == pytest.approx(3.0, rel=1e-9)
         assert m.value == clone.mass_partial(3.0, 3.0)
 
+    def test_numeric_partial_mass_across_a_wide_gap(self):
+        # one fixed panel over [1e-4, 1] missed 2.6% of the mass of x^-1.5
+        hom = FragmentKernel.homogeneous_power(-1.5)
+        clone = FragmentKernel.custom(lambda x, yy: eval_kernel(hom, x, yy))
+        s = np.array([1e-4, 1.0])
+        np.testing.assert_allclose(clone.mass_partial(s, 1.0), hom.mass_partial(s, 1.0),
+                                   rtol=1e-10, atol=0.0)
+
     def test_mass_homogeneity(self):
         hom = FragmentKernel.homogeneous_power(-0.5)
         rng = np.random.default_rng(3)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from fragkit.errors import QuadratureError
-from fragkit.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, log_integrate
+from fragkit.quadrature import (DEFAULT_SPEC, QuadratureSpec, _logsumexp, integrate,
+                                log_integrate)
 
 
 def test_polynomial_is_exact():
@@ -112,3 +115,22 @@ def test_log_integrate_matches_integrate(coef, c0, a, b, lo, width, grade_lo):
     lin, _ = integrate(lambda x: f(x) * np.exp(lw(x)), lo, lo + width, grade_lo=grade_lo)
     lv, _ = log_integrate(f, lw, lo, lo + width, grade_lo=grade_lo)
     np.testing.assert_allclose(np.exp(lv), lin, rtol=1e-9)
+
+
+_LSE_ELEMENTS = st.one_of(st.floats(-750.0, 750.0),
+                          st.sampled_from([-np.inf, np.inf, np.nan, 0.0, 1.0, -700.0, 700.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+                    elements=_LSE_ELEMENTS))
+def test_logsumexp_matches_scipy_bit_for_bit(a):
+    # sampled constants give ties, -inf-only rows, +inf and NaN
+    for axis in (None, -1):
+        got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        same = ~np.isnan(want)
+        assert np.array_equal(got[same].view(np.int64), want[same].view(np.int64))

@@ -5,7 +5,7 @@ import pytest
 
 from fragkit.errors import ConstructionError, StepSizeError
 from fragkit.kernels import FragmentKernel, eval_kernel
-from fragkit.quadrature import integrate
+from fragkit.quadrature import _BLOCK_POINTS, integrate
 from fragkit.weight_builder import (MajorantB, MajorantH, build_btilde, build_h,
                                     construct_weight, exp_weight_search,
                                     solve_volterra)
@@ -47,6 +47,20 @@ class TestBuildH:
                                 breakpoints=BB.breakpoints(float(y)), spec=light,
                                 grade_lo=True)[0] for y in ys])
         assert np.all(h.eval(ys) >= g - 1e-6)
+
+
+    def test_quadrature_blocks_stay_within_the_point_budget(self):
+        # rows above y = 2.5 oscillate enough that one row alone outgrows the budget
+        calls = []
+
+        def counting(x, y):
+            calls.append((np.size(x), np.unique(y).size))
+            return (1.0 + np.cos(np.where(y > 2.5, 300.0, 3.0) * x)) / y
+
+        build_h(FragmentKernel.custom(counting), W_X, 1.0, 3.0, samples_per_unit=16)
+        points, rows = np.array(calls).T
+        assert np.all((points <= _BLOCK_POINTS) | (rows == 1))
+        assert np.any(rows > 1) and np.any(points > _BLOCK_POINTS)
 
 
 class TestBuildBtilde:
