@@ -15,8 +15,9 @@ if os.environ.get("FRAGKIT_THREADS"):  # cap the BLAS pools before any submodule
 from .admissibility import (AdmissibilityReport, RatioCurve, RelativeBoundEstimate,
                             check, log_n_omega, log_n_samples, n_omega, ratio_curve,
                             relative_bound)
-from .errors import (ConfigError, ConstructionError, FragkitError, InvalidKernelError,
-                     QuadratureError, StepSizeError, StiffnessError, WeightDomainError)
+from .errors import (ConfigError, ConstructionError, FragkitError, InvalidInputError,
+                     InvalidKernelError, QuadratureError, StepSizeError, StiffnessError,
+                     WeightDomainError)
 from .kernels import (FragmentKernel, MassReport, MassValue, RateFunction,
                       classify_mass, eval_kernel, eval_rate, mass_integral,
                       rate_envelope)
@@ -35,7 +36,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport", "ComparisonVerdict", "ConfigError", "ConstructionError",
     "DEFAULT_SPEC", "DensityState", "DiscreteGenerator", "ExpWeight",
-    "FragkitError", "FragmentKernel", "Grid", "InvalidKernelError", "MajorantB",
+    "FragkitError", "FragmentKernel", "Grid", "InvalidInputError", "InvalidKernelError",
+    "MajorantB",
     "MajorantH", "MassReport", "MassValue", "QuadratureError", "QuadratureSpec",
     "RateFunction", "RatioCurve", "RelativeBoundEstimate", "StepSizeError",
     "StiffnessError", "Trajectory", "VolterraSolution", "Weight",

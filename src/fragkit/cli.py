@@ -156,14 +156,17 @@ def cmd_compare_weights(cfg: RunConfig, args) -> int:
 
 def _initial_condition(spec: str, grid) -> np.ndarray:
     spec = spec.strip()
-    if spec.startswith("bump:"):
-        lo, hi = (float(v) for v in spec[5:].split(","))
-        return simulator.bump(grid, lo, hi)
-    if spec.startswith("exp_decay:"):
-        return simulator.exp_decay(grid, float(spec[10:]))
-    if spec.startswith("csv:"):
-        data = np.loadtxt(spec[4:], delimiter=",", skiprows=1, ndmin=2)
-        return np.interp(grid.nodes, data[:, 0], data[:, 1], left=0.0, right=0.0)
+    try:
+        if spec.startswith("bump:"):
+            lo, hi = (float(v) for v in spec[5:].split(","))
+            return simulator.bump(grid, lo, hi)
+        if spec.startswith("exp_decay:"):
+            return simulator.exp_decay(grid, float(spec[10:]))
+        if spec.startswith("csv:"):
+            data = np.loadtxt(spec[4:], delimiter=",", skiprows=1, ndmin=2)
+            return np.interp(grid.nodes, data[:, 0], data[:, 1], left=0.0, right=0.0)
+    except (ValueError, IndexError) as exc:  # malformed numbers or a table without two columns
+        raise ConfigError(f"initial condition {spec!r}: {exc}") from exc
     raise ConfigError(f"unknown initial condition {spec!r} "
                       "(want bump:lo,hi | exp_decay:scale | csv:path)")
 

@@ -9,6 +9,12 @@ class InvalidKernelError(FragkitError):
     """A kernel or rate definition violates its invariants (negativity, bad table, ...)."""
 
 
+class InvalidInputError(FragkitError, ValueError):
+    """An argument is out of range (a negative or non-finite density, dt <= 0, an
+    unknown scheme, a degenerate grid).  Also a ValueError, so callers catching
+    that keep working."""
+
+
 class WeightDomainError(FragkitError):
     """A weight was evaluated outside its domain (e.g. log of a power weight at x=0)."""
 

@@ -212,6 +212,29 @@ class TestExitCodes:
         assert "assertion failed: positivity" in capsys.readouterr().err
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("params", [
+        {"u0": "csv:{tmp}/neg.csv"},            # negative density in the table
+        {"u0": "csv:{tmp}/nan.csv"},            # NaN in the table
+        {"dt": "0"},
+        {"scheme": "foo"},
+        {"dt": "-0.01"},                        # ran no step and exited 0
+        {"t_end": "nan"},
+        {"sample_every": "0"},
+        {"n_nodes": "2"},
+        {"u0": "bump:1"},
+        {"u0": "csv:{tmp}/text.csv"},           # a value that is not a number
+    ], ids=lambda p: ",".join(f"{k}={v.split('/')[-1]}" for k, v in p.items()))
+    def test_simulate_bad_input_exit_2(self, tmp_path, capsys, params):
+        (tmp_path / "neg.csv").write_text("x,u\n0.5,1\n2,-1\n5,1\n")
+        (tmp_path / "nan.csv").write_text("x,u\n0.5,1\n2,nan\n5,1\n")
+        (tmp_path / "text.csv").write_text("x,u\n0.5,1\n2,abc\n")
+        lines = [ln for ln in SIM.splitlines() if ln.split(" = ")[0] not in params]
+        lines += [f"{k} = {v.format(tmp=tmp_path)}" for k, v in params.items()]  # [params] is last
+        cfg = write(tmp_path / "bad.cfg", "\n".join(lines) + "\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "f.cfg", "[kernel]\nfamily = custom\nexpr =\n")
         assert main(["kernel-info", "--config", cfg]) == 2

@@ -1,8 +1,14 @@
 """Discretization and time stepping: conservation, positivity, oracle agreement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from fragkit import simulator
 from fragkit.errors import FragkitError, StiffnessError
 from fragkit.kernels import FragmentKernel, RateFunction
 from fragkit.simulator import (DensityState, DiscreteGenerator, Grid, _ie_step, bump,
@@ -76,6 +82,19 @@ class TestDiscretize:
         g = Grid.geometric(1e-3, 20.0, 256)
         gen = discretize(HOM0, RATE_X, g)
         assert column_kappa(gen, Weight.power(1.0)) <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(nu=st.floats(-2.0, 0.0, exclude_min=True), alpha=st.floats(0.0, 2.0),
+           x_min=st.floats(1e-6, 1.0), span=st.floats(2.0, 1e6), n=st.integers(8, 256))
+    def test_mass_closure_with_dust(self, nu, alpha, x_min, span, n):
+        # a mass-conserving kernel: each column sends all of the parent's mass
+        # to the cells below it or to the dust, sum_i x_i B_ij + d_j = a_j x_j
+        g = Grid.geometric(x_min, x_min * span, n)
+        gen = discretize(FragmentKernel.homogeneous_power(nu), RateFunction.power(alpha), g)
+        assert np.all(gen.gain >= 0)
+        assert np.all(gen.dust >= 0)
+        np.testing.assert_allclose(g.nodes @ gen.gain + gen.dust, gen.loss * g.nodes,
+                                   rtol=1e-12, atol=0.0)
 
     def test_custom_kernel_batched_column_mass(self):
         # m(y) = y/3 for b = x/y^2; the generic cumulative-quadrature path
@@ -229,11 +248,16 @@ class TestExpmOracle:
         two = expm_oracle(gen, 0.3, expm_oracle(gen, 0.2, u0))
         np.testing.assert_allclose(one.u, two.u, rtol=1e-9, atol=1e-12)
 
-    def test_refuses_large_systems(self):
-        g = Grid.geometric(0.1, 5.0, 513)
-        gen = discretize(FragmentKernel.zero(), RATE_X, g)
-        with pytest.raises(ValueError):
-            expm_oracle(gen, 1.0, exp_decay(g, 1.0))
+    def test_mass_closure_beyond_the_old_dense_limit(self):
+        # N = 1024 was refused by the dense oracle's N <= 512 cost guard; the
+        # action of the exponential only multiplies by the generator
+        g = Grid.geometric(1e-3, 10.0, 1024)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 1.0, 5.0)
+        st = expm_oracle(gen, 0.5, u0)
+        m1_before = float((g.nodes * g.weights * u0).sum())
+        m1_after = float((g.nodes * g.weights * st.u).sum()) + st.dust_mass
+        np.testing.assert_allclose(m1_after, m1_before, rtol=1e-10)
 
     def test_oracle_mass_closure(self):
         g = Grid.geometric(1e-3, 10.0, 128)
@@ -243,6 +267,22 @@ class TestExpmOracle:
         m1_before = float((g.nodes * g.weights * u0).sum())
         m1_after = float((g.nodes * g.weights * st.u).sum()) + st.dust_mass
         np.testing.assert_allclose(m1_after, m1_before, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_dense_exponential(self, n):
+        # the dense exponential of the augmented generator is the reference
+        g = Grid.geometric(1e-4, 20.0, n)
+        gen = discretize(FragmentKernel.homogeneous_power(-0.5), RateFunction.power(1.5), g)
+        u0 = bump(g, 1.0, 10.0)
+        aug = np.zeros((n + 1, n + 1))
+        aug[:n, :n] = gen.full_matrix()
+        aug[n, :n] = gen.dust
+        ref = expm(aug * 0.5) @ np.append(g.weights * u0, 0.0)
+        st = expm_oracle(gen, 0.5, u0)
+        out = np.append(g.weights * st.u, st.dust_mass)
+        # relative to the largest component: cells far below the bump hold
+        # round-off-sized content, where a componentwise ratio means nothing
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSemigroupCheck:
@@ -264,6 +304,64 @@ class TestSemigroupCheck:
         gen = discretize(HOM0, RATE_X, g)
         dev = semigroup_check(gen, bump(g, 0.2, 1.5), 0.3, 0.2, scheme="expm")
         assert dev < 1e-9
+
+
+class TestFiniteness:
+    """The implicit-Euler matrix is checked once per run and the initial state
+    once; the triangular solves themselves skip LAPACK's input check."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gain_raises(self, bad):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        gain = gen.gain.copy()
+        gain[3, 7] = bad
+        gen = dataclasses.replace(gen, gain=gain)
+        u0 = bump(g, 0.5, 4.0)
+        # the matrix check, not the per-step guard, must be what refuses it
+        with pytest.raises(FragkitError, match="matrix I - dt G has a non-finite"):
+            simulate(u0, gen, 0.1, 0.01, scheme="implicit_euler")
+        with pytest.raises(FragkitError, match="matrix I - dt G has a non-finite"):
+            step(DensityState(grid=g, u=u0), gen, 0.01)
+
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_density_rejected_before_stepping(self, monkeypatch, scheme, bad):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.5, 4.0)
+        u0[5] = bad
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped a non-finite state")
+
+        monkeypatch.setattr(simulator, "_advance", no_step)
+        with pytest.raises(FragkitError, match="non-finite"):
+            simulate(u0, gen, 0.1, 0.01, scheme=scheme)
+        with pytest.raises(FragkitError, match="non-finite"):
+            simulate(DensityState(grid=g, u=u0), gen, 0.1, 0.01, scheme=scheme)
+
+    def test_overflowing_solve_raises(self):
+        # finite but huge gain entries: the substitution overflows to inf,
+        # which no input check sees; the step itself must refuse it
+        g = Grid.geometric(0.1, 5.0, 64)
+        gen = discretize(HOM0, RATE_X, g)
+        gen = dataclasses.replace(gen, gain=gen.gain * 1e300)
+        u0 = bump(g, 1.0, 4.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FragkitError, match="non-finite"):
+                step(DensityState(grid=g, u=u0), gen, 0.01)
+            with pytest.raises(FragkitError, match="non-finite"):
+                simulate(u0, gen, 0.05, 0.01)
+
+    @pytest.mark.parametrize("dt, t_end, every", [(0.0, 0.1, 1), (-0.01, 0.1, 1),
+                                                  (np.inf, 0.1, 1), (np.nan, 0.1, 1),
+                                                  (0.01, np.nan, 1), (0.01, 0.1, 0)])
+    def test_bad_step_parameters_are_toolkit_errors(self, dt, t_end, every):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        with pytest.raises(FragkitError):
+            simulate(bump(g, 0.5, 4.0), gen, t_end, dt, sample_every=every)
 
 
 class TestStiffness:
