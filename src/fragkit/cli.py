@@ -151,7 +151,7 @@ def cmd_compare_weights(cfg: RunConfig, args) -> int:
     y_samples = [float(v) for v in cfg.params.get("y_samples", "2,5,10,20,50").split(",")]
     verdict = compare_weights(cfg.weight, cfg.weight2, cfg.kernel, x_grid, y_samples)
     print(verdict.summary())
-    return EXIT_PASS
+    return EXIT_INCONCLUSIVE if verdict.inconclusive else EXIT_PASS
 
 
 def _initial_condition(spec: str, grid) -> np.ndarray:

@@ -34,7 +34,9 @@ not finite.
 Rows and blocks.  The rows of one call share their breakpoint count, so at
 every stage all rows of a block have the same number of cells.  A block is
 evaluated in one vectorized pass over its flattened ``(rows * cells, 2)``
-cells; every reduction runs along the last axis, so each row does exactly the
+cells, with the Gauss nodes node-major, ``(order, rows, cells)``: a cell's
+reductions over its nodes run along the first axis, elementwise across cells,
+and the row totals along the last axis, so each row does exactly the
 arithmetic of a one-row call.  After each pass the block splits: rows that
 settle leave it, rows that deepen their grading form their own block, and a
 block that would exceed ``_BLOCK_POINTS`` integrand points is cut into
@@ -42,9 +44,18 @@ smaller ones, which bounds the working set.  Rows are never padded to a common
 cell count: padding with empty cells would change how numpy's pairwise
 summation groups the terms, and with it the last bits of the totals.
 
-The log-sum-exp is ``_logsumexp``, plain numpy that follows
-``scipy.special.logsumexp`` step for step (so the totals are bit-identical)
-without the cost of scipy's array-API dispatch on every call.
+A log-space cell costs one ``exp`` per Gauss point: with ``c_j = half * w_j
+* factor(x_j)`` and ``m`` the largest ``log_weight(x_j)`` over the nodes with
+``c_j > 0``, the cell is ``m + log(sum_j c_j * exp(log_weight(x_j) - m))``,
+which agrees with the per-point form, the log-sum-exp of ``log(c_j) +
+log_weight(x_j)``, to rounding (not bit for bit).  A cell with no ``c_j > 0``
+is ``-inf``; one where ``m`` is infinite or the sum overflows is recomputed in
+the per-point form.
+
+The log-sum-exp of the row totals (and of those fallback cells) is
+``_logsumexp``, plain numpy that follows ``scipy.special.logsumexp`` step for
+step (so it is bit-identical) without the cost of scipy's array-API dispatch
+on every call.
 """
 
 from __future__ import annotations
@@ -137,17 +148,19 @@ def _split_cells(cells: np.ndarray) -> np.ndarray:
 
 
 def _panel_nodes(cells: np.ndarray, order: int):
+    """Gauss nodes ``(order, *cells.shape[:-1])``, node-major, with half-widths and weights."""
     z, w = _rule(order)
     half = 0.5 * (cells[..., 1] - cells[..., 0])
     mid = 0.5 * (cells[..., 0] + cells[..., 1])
-    x = mid[..., None] + half[..., None] * z
-    return x, half, w
+    col = (order,) + (1,) * half.ndim
+    return mid + half * z.reshape(col), half, w.reshape(col)
 
 
 def _cell_values(f, cells: np.ndarray, order: int) -> np.ndarray:
     x, half, w = _panel_nodes(cells, order)
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(-1, order)
-    return half * (fx @ w).reshape(half.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(order, -1)
+    # the same (cells, order) matrix-vector product as a node-last layout, bit for bit
+    return half * (np.ascontiguousarray(fx.T) @ w.ravel()).reshape(half.shape)
 
 
 def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.ndarray:
@@ -157,10 +170,16 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.nd
     lw = np.asarray(log_weight(flat), dtype=float).reshape(x.shape)
     if np.any(fac < 0):
         raise ValueError("log_integrate requires a non-negative factor")
-    with np.errstate(divide="ignore"):
-        terms = np.log(half[..., None] * w * fac)
-    terms = terms + lw
-    return _logsumexp(terms, axis=-1)
+    coef = half * w * fac
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lw = np.where(coef > 0, lw, -np.inf)  # a point with coef = 0 adds exactly 0
+        m = lw.max(axis=0)  # over the nodes, elementwise across contiguous cells
+        shift = np.where(np.isfinite(m), m, 0.0)  # no inf - inf: a dead cell gives -inf
+        out = m + np.log((coef * np.exp(lw - shift)).sum(axis=0))
+        bad = out == np.inf  # an infinite m or an overflowed sum
+        if bad.any():
+            out[bad] = _logsumexp(np.log(coef[:, bad].T) + lw[:, bad].T, axis=-1)
+    return out
 
 
 def panel_sums(f, edges: np.ndarray, order: int = 12) -> np.ndarray:
@@ -293,7 +312,7 @@ def _log_integrate_rows(factor, log_weight, spans, spec: QuadratureSpec, grade_l
         group = np.array([i for i, e in enumerate(edges) if e.size == n], dtype=np.intp)
 
         def values(cells, rows):
-            idx = np.repeat(group[rows], cells.shape[1] * order)
+            idx = np.tile(np.repeat(group[rows], cells.shape[1]), order)  # node-major
             return _log_cell_values(lambda x: factor(x, idx), log_weight, cells, order)
 
         total[group], _, failed[group] = _adaptive(

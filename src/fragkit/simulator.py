@@ -28,10 +28,11 @@ substitution coefficients are non-negative, so positivity of the update is
 structural, and the per-step weighted norm is non-increasing whenever the
 gain columns satisfy the kappa <= 1 admissibility inequality; I - dt G and
 the initial state are checked for finiteness once per run.  ``rk4`` is fourth
-order but only positivity-checked: a step producing negatives beyond
-round-off is rejected and halved (a stiffness error after 30 halvings points
-to implicit_euler).  ``expm_oracle``, the reference propagator for tests, is
-the action of the matrix exponential (Al-Mohy & Higham, SISC 2011), any N.
+order: a step producing a non-finite value raises, and one producing negatives
+beyond round-off is rejected and halved (a stiffness error after 30 halvings
+points to implicit_euler).  ``expm_oracle``, the reference propagator for
+tests, is the action of the matrix exponential (Al-Mohy & Higham, SISC 2011),
+any N; it leaves numpy's global random stream as it found it.
 """
 
 from __future__ import annotations
@@ -209,6 +210,8 @@ def _rk4_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float, depth: int = 0
     k4 = gen.apply(mu + dt * k3)
     out = mu + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     scale = float(np.max(np.abs(out), initial=0.0))
+    if not np.isfinite(scale):  # the stages overflowed, or the state was not finite
+        raise FragkitError("rk4 produced a non-finite value")
     low = float(np.min(out, initial=np.inf))
     if low < -1e-14 * max(scale, 1e-300):
         a, da, low_a = _rk4_step(gen, mu, 0.5 * dt, depth + 1)
@@ -343,7 +346,12 @@ def expm_oracle(gen: DiscreteGenerator, t: float, u0) -> DensityState:
     aug[:n, :n] = gen.full_matrix()
     aug[n, :n] = gen.dust
     vec = np.concatenate([w * state.u, [state.dust_mass]])
-    out = expm_multiply(aug * t, vec)
+    # onenormest inside expm_multiply draws from np.random; leave the caller's stream alone
+    rng_state = np.random.get_state()
+    try:
+        out = expm_multiply(aug * t, vec)
+    finally:
+        np.random.set_state(rng_state)
     return replace(state, u=out[:n] / w, t=state.t + t, dust_mass=float(out[n]))
 
 

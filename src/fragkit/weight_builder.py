@@ -23,6 +23,13 @@ g(y) and the certificate's left-hand side n_w(y) are both sampled by
 The march replaces a truncated Neumann series: one forward pass gives
 machine-precision consistency with the discretized equation, and the
 factorial series bound is used only as an a-priori growth estimate in tests.
+
+bt depends on (x, y) only through s = x + y - 2 eta0.  On the march nodes
+y_k = eta0 + k*step and the residual's half-step nodes x_j = eta0 + j*step/2,
+s = (j + 2k) * step/2, so one lattice s_i = i*step/2, i = 0..4n, holds every
+value the march uses: row k is band[2k:4k:2], the residual row is
+band[2k:4k+1] and the diagonal bt(y_k, y_k) is band[4k].  The majorant is
+interpolated once per march, not once per row.
 """
 
 from __future__ import annotations
@@ -93,10 +100,15 @@ class MajorantB:
 
     def eval(self, x, y):
         s = np.asarray(x, dtype=float) + np.asarray(y, dtype=float) - 2.0 * self.eta0
+        out = self.eval_s(s)
+        return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+
+    def eval_s(self, s) -> np.ndarray:
+        """The majorant on the anti-diagonal ``x + y - 2 eta0 = s``."""
+        s = np.asarray(s, dtype=float)
         n = np.clip(np.floor(s).astype(int), 0, self.band_values.size - 2)
         out = self.band_values[n] + (self.band_values[n + 1] - self.band_values[n]) * (s - n)
-        out = np.where(s < 0, self.band_values[0], out)
-        return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+        return np.where(s < 0, self.band_values[0], out)
 
     def diagonal_max(self, y_max: float) -> float:
         s = 2.0 * (y_max - self.eta0)
@@ -209,30 +221,35 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
                    step: float, residual_stride: int = 1) -> VolterraSolution:
     """Forward march for the second-kind Volterra equation.
 
-    Each new node is solvable because the diagonal trapezoid coefficient
-    kappa - step/2 * bt(y, y) stays positive; a step too large for that raises
-    :class:`StepSizeError` telling the caller to halve.  The residual is
-    measured against a half-step re-integration of the linear interpolant,
-    which is an independent (finer) quadrature of the same equation.
+    ``btilde`` is a :class:`MajorantB`; it is read once, on the half-step
+    anti-diagonal lattice that holds every value the march and the residual
+    use, and ``f`` is evaluated once on the nodes.  Each new node is solvable
+    because the diagonal trapezoid coefficient kappa - step/2 * bt(y, y) stays
+    positive; a step too large for that raises :class:`StepSizeError` telling
+    the caller to halve.  The residual is measured against a half-step
+    re-integration of the linear interpolant, which is an independent (finer)
+    quadrature of the same equation.
     """
     if kappa <= 0 or step <= 0:
         raise ValueError("kappa and step must be positive")
     n_steps = int(np.ceil((y_max - eta0) / step - 1e-12))
     ys = eta0 + step * np.arange(n_steps + 1)
-    diag = np.asarray(btilde(ys, ys), dtype=float)
+    # bt is constant along anti-diagonals, so one half-step lattice in s holds every
+    # value used below: bt(eta0 + step*j/2, eta0 + step*k) = band[j + 2k]
+    band = btilde.eval_s(2.0 * (eta0 - btilde.eta0) + 0.5 * step * np.arange(4 * n_steps + 1))
+    diag = band[::4]
+    fy = np.broadcast_to(np.asarray(f(ys), dtype=float), ys.shape)
     if np.any(kappa - 0.5 * step * diag <= 0):
         raise StepSizeError(
             f"step {step:g} loses diagonal dominance (max bt on the diagonal "
             f"{float(np.max(diag)):g}); halve the step")
 
     w = np.empty(n_steps + 1)
-    w[0] = f(eta0) / kappa
+    w[0] = fy[0] / kappa
     for k in range(1, n_steps + 1):
-        row = np.asarray(btilde(ys[:k], ys[k]), dtype=float)
-        acc = 0.5 * row[0] * w[0]
-        if k > 1:
-            acc += float(row[1:] @ w[1:k])
-        w[k] = (f(ys[k]) + step * acc) / (kappa - 0.5 * step * diag[k])
+        row = band[2 * k:4 * k:2]  # bt(ys[:k], ys[k])
+        acc = 0.5 * row[0] * w[0] + float(row[1:] @ w[1:k])
+        w[k] = (fy[k] + step * acc) / (kappa - 0.5 * step * diag[k])
     if np.any(w < 0):
         raise ConstructionError("Volterra march produced a negative node (should be impossible "
                                 "for non-negative f and btilde)")
@@ -243,12 +260,12 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     w_fine = np.interp(fine, ys, w)
     for k in range(1, n_steps + 1, max(1, residual_stride)):
         m = 2 * k
-        row = np.asarray(btilde(fine[:m + 1], ys[k]), dtype=float)
+        row = band[m:2 * m + 1]  # bt(fine[:m + 1], ys[k])
         integral = 0.5 * step * 0.5 * float(row[0] * w_fine[0] + row[m] * w_fine[m]
                                             + 2.0 * (row[1:m] @ w_fine[1:m]))
         denom = kappa * w[k]
         if denom > 0:
-            res = max(res, abs(kappa * w[k] - f(ys[k]) - integral) / denom)
+            res = max(res, abs(kappa * w[k] - fy[k] - integral) / denom)
     return VolterraSolution(eta0=eta0, y_max=float(ys[-1]), step=step, nodes=ys,
                             values=w, kappa=kappa, residual_max=res)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import WeightDomainError
+from .errors import QuadratureError, WeightDomainError
 from .kernels import RateFunction, rate_envelope
 
 __all__ = ["Weight", "ComparisonVerdict", "gamma_monotone_check",
@@ -266,6 +266,9 @@ class ComparisonVerdict:
     ``pointwise_inequality_holds``: r1(y) >= r2(y) at every sampled y, where
     r_i(y) is the weighted fragment mass ratio n_{w_i}(y)/w_i(y).  The first
     implies the second; a counterexample would be a genuine bug.
+    ``failed`` marks the samples whose quadrature did not converge for either
+    weight.  Their ratios are partial estimates, and if there is any, the
+    comparison is inconclusive and ``pointwise_inequality_holds`` is False.
     """
 
     hypothesis_holds: bool
@@ -274,11 +277,20 @@ class ComparisonVerdict:
     y_samples: np.ndarray
     ratio1: np.ndarray
     ratio2: np.ndarray
+    failed: np.ndarray
     onesided_endpoints: bool = False
 
+    @property
+    def inconclusive(self) -> bool:
+        return bool(np.any(self.failed))
+
     def summary(self) -> str:
+        pointwise = "inconclusive" if self.inconclusive else self.pointwise_inequality_holds
         lines = [f"log-derivative ordering holds on grid: {self.hypothesis_holds}",
-                 f"pointwise ratio inequality r1 >= r2:   {self.pointwise_inequality_holds}"]
+                 f"pointwise ratio inequality r1 >= r2:   {pointwise}"]
+        if self.inconclusive:
+            lines.append("quadrature failed at y = "
+                         + ", ".join(f"{y:g}" for y in self.y_samples[self.failed]))
         if self.onesided_endpoints:
             lines.append("note: one-sided differences used at table endpoints")
         lines.append("      y        r1(y)        r2(y)")
@@ -312,10 +324,19 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples,
                    for w in (w1, w2))
 
     ys = np.asarray(y_samples, dtype=float)
-    r1 = np.exp(log_n_samples(kernel, w1, ys, spec=spec) - w1.log_eval(ys))
-    r2 = np.exp(log_n_samples(kernel, w2, ys, spec=spec) - w2.log_eval(ys))
-    pointwise = bool(np.all(r1 >= r2 - 1e-10 * np.maximum(r2, 1.0)))
+    failed = np.zeros(ys.shape, dtype=bool)
+    ratios = []
+    for w in (w1, w2):
+        try:
+            log_n = log_n_samples(kernel, w, ys, spec=spec)
+        except QuadratureError as exc:  # keep the partials; the verdict is inconclusive
+            log_n = exc.partial
+            failed |= exc.failed
+        with np.errstate(invalid="ignore"):
+            ratios.append(np.exp(log_n - w.log_eval(ys)))
+    r1, r2 = ratios
+    pointwise = bool(not failed.any() and np.all(r1 >= r2 - 1e-10 * np.maximum(r2, 1.0)))
     return ComparisonVerdict(hypothesis_holds=hypothesis,
                              pointwise_inequality_holds=pointwise,
                              x_grid=xg, y_samples=ys, ratio1=r1, ratio2=r2,
-                             onesided_endpoints=onesided)
+                             failed=failed, onesided_endpoints=onesided)

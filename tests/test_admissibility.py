@@ -252,10 +252,13 @@ class TestSampledNOmega:
             build_h(self.OSC, Weight.power(1.0), 1.0, 2.0, samples_per_unit=8,
                     spec=self.COARSE)
         assert exc.value.failed.shape == exc.value.partial.shape
-        with pytest.raises(QuadratureError) as exc:
-            compare_weights(Weight.power(1.0), Weight.power(2.0), self.OSC,
+
+    def test_compare_weights_reports_failed_samples(self):
+        v = compare_weights(Weight.power(1.0), Weight.power(2.0), self.OSC,
                             np.geomspace(1e-3, 10.0, 16), [2.0, 5.0], spec=self.COARSE)
-        assert exc.value.failed.shape == (2,)
+        assert v.failed.shape == (2,) and np.all(v.failed)
+        assert v.inconclusive and not v.pointwise_inequality_holds
+        assert "r1 >= r2:   inconclusive" in v.summary()
 
     def test_check_never_passes_on_failed_samples(self):
         rep = check(self.OSC, Weight.power(1.0), 1.0, 10.0, spec=self.COARSE)

@@ -284,6 +284,47 @@ y_samples = 1,5,25
         out = capsys.readouterr().out
         assert "True" in out
 
+    def test_compare_weights_failed_samples_inconclusive(self, tmp_path, monkeypatch, capsys):
+        from fragkit import admissibility
+        from fragkit.errors import QuadratureError
+        real = admissibility.log_n_samples
+
+        def failing(kernel, weight, ys, spec=None, hi=None):
+            partial = real(kernel, weight, ys, spec=spec, hi=hi)
+            raise QuadratureError("n_w quadrature did not converge", partial=partial,
+                                  failed=np.asarray(ys) == 5.0)
+
+        monkeypatch.setattr(admissibility, "log_n_samples", failing)
+        text = "\n".join(["[kernel]", "family = homogeneous_power", "nu = -1.0", "",
+                          "[weight]", "family = power", "p = 1.0", "",
+                          "[weight2]", "family = power", "p = 2.0", "",
+                          "[params]", "y_samples = 1,5,25", ""])
+        cfg = write(tmp_path / "fail.cfg", text)
+        assert main(["compare-weights", "--config", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "r1 >= r2:   inconclusive" in out
+        assert "quadrature failed at y = 5" in out
+
+    def test_simulate_rk4_overflow_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an overflowing rk4 step printed NaN M0 and M1, and --assert mass let it
+        # through because NaN comparisons are false
+        from fragkit import simulator
+        real = simulator.discretize
+
+        def huge(kernel, rate, grid):
+            gen = real(kernel, rate, grid)
+            return dataclasses.replace(gen, gain=gen.gain * 1e300)
+
+        monkeypatch.setattr(simulator, "discretize", huge)
+        cfg = write(tmp_path / "rk4.cfg",
+                    SIM.replace("n_nodes = 128", "n_nodes = 16") + "scheme = rk4\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                         "--assert", "mass"])
+        assert code == 2
+        assert "rk4 produced a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_build_weight(self, tmp_path):
         text = """
 [kernel]

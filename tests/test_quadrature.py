@@ -11,8 +11,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from fragkit.errors import QuadratureError
-from fragkit.quadrature import (DEFAULT_SPEC, QuadratureSpec, _logsumexp, integrate,
-                                log_integrate)
+from fragkit.quadrature import (DEFAULT_SPEC, QuadratureSpec, _log_cell_values, _logsumexp,
+                                _panel_nodes, integrate, log_integrate)
 
 
 def test_polynomial_is_exact():
@@ -134,3 +134,58 @@ def test_logsumexp_matches_scipy_bit_for_bit(a):
         assert np.array_equal(np.isnan(got), np.isnan(want))
         same = ~np.isnan(want)
         assert np.array_equal(got[same].view(np.int64), want[same].view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_cells=st.integers(1, 6),
+       widths=st.lists(st.floats(1e-6, 5.0), min_size=6, max_size=6))
+def test_one_exp_cell_matches_per_point_logsumexp(data, n_cells, widths):
+    # zero factors, log-weights spanning +-700 within one cell, -inf log-weights
+    # and all-zero cells, against the exact per-point form
+    edges = np.concatenate([[0.5], 0.5 + np.cumsum(widths[:n_cells])])
+    cells = np.stack([edges[:-1], edges[1:]], axis=-1)[None]
+    size = n_cells * 12
+    fac = data.draw(hnp.arrays(float, size, elements=st.one_of(
+        st.just(0.0), st.floats(1e-300, 1e3), st.floats(0.0, 10.0))))
+    lw = data.draw(hnp.arrays(float, size, elements=st.one_of(
+        st.floats(-700.0, 700.0), st.just(-np.inf))))
+    dead = data.draw(hnp.arrays(bool, n_cells))
+    fac = np.where(np.tile(dead, 12), 0.0, fac)  # the nodes come node-major
+    got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
+    x, half, w = _panel_nodes(cells, 12)
+    with np.errstate(divide="ignore"):
+        terms = np.log(half * w * fac.reshape(x.shape)) + lw.reshape(x.shape)
+    want = _logsumexp(np.moveaxis(terms, 0, -1), axis=-1)
+    assert got.shape == want.shape == (1, n_cells)
+    assert np.array_equal(got == -np.inf, want == -np.inf)
+    assert np.all(got[dead[None]] == -np.inf)
+    live = want > -np.inf
+    # 1e-13 in log, plus the rounding of the last addition: doubles near 700 are
+    # 1.1e-13 apart, so the two forms may land an ulp or two apart there
+    assert np.all(np.abs(got[live] - want[live]) <= 1e-13 + 2 * np.spacing(np.abs(want[live])))
+
+
+def test_one_exp_cell_falls_back_where_the_sum_overflows():
+    # cell 0: every c_j near the double maximum, so the scaled sum overflows;
+    # cell 1: a +inf log-weight; both take the exact per-point form
+    cells = np.array([[[0.0, 10.0], [10.0, 20.0]]])
+    fac = np.full(24, 1e308)
+    lw = np.zeros(24)
+    lw[1] = np.inf  # node 0 of cell 1, node-major
+    got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
+    x, half, w = _panel_nodes(cells, 12)
+    want0 = _logsumexp(np.log(half[0, 0] * w.ravel()) + np.log(1e308))
+    assert np.isfinite(got[0, 0]) and abs(got[0, 0] - want0) <= 1e-13
+    assert got[0, 1] == np.inf
+
+
+def test_one_exp_cell_shifts_by_the_live_nodes_only():
+    # a zero-factor node with a huge log-weight must not set the shift: exp(-100 - 700)
+    # underflows, so the cell would come out -inf instead of about -100
+    cells = np.array([[[0.0, 1.0]]])
+    fac = np.r_[0.0, np.ones(11)]
+    lw = np.r_[700.0, np.full(11, -100.0)]
+    got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
+    x, half, w = _panel_nodes(cells, 12)
+    want = _logsumexp(np.log(half[0, 0] * w.ravel()[1:]) - 100.0)
+    assert abs(got[0, 0] - want) <= 1e-13

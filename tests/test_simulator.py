@@ -284,6 +284,17 @@ class TestExpmOracle:
         # round-off-sized content, where a componentwise ratio means nothing
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_leaves_the_global_random_stream_alone(self):
+        # ||tG||_1 is large enough here for expm_multiply to call onenormest,
+        # which draws from np.random
+        g = Grid.geometric(1e-3, 100.0, 256)
+        gen = discretize(HOM0, RATE_X, g)
+        np.random.seed(0)
+        want = np.random.rand()
+        np.random.seed(0)
+        expm_oracle(gen, 1.0, bump(g, 1.0, 4.0))
+        assert np.random.rand() == want
+
 
 class TestSemigroupCheck:
     def test_pure_decay_commutes(self):
@@ -353,6 +364,15 @@ class TestFiniteness:
                 step(DensityState(grid=g, u=u0), gen, 0.01)
             with pytest.raises(FragkitError, match="non-finite"):
                 simulate(u0, gen, 0.05, 0.01)
+
+    def test_overflowing_rk4_step_raises(self):
+        # the same overflow inside the rk4 stages used to end in NaN M0 and M1
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        gen = dataclasses.replace(gen, gain=gen.gain * 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FragkitError, match="rk4 produced a non-finite"):
+                simulate(bump(g, 1.0, 4.0), gen, 0.05, 0.01, scheme="rk4")
 
     @pytest.mark.parametrize("dt, t_end, every", [(0.0, 0.1, 1), (-0.01, 0.1, 1),
                                                   (np.inf, 0.1, 1), (np.nan, 0.1, 1),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fragkit.errors import WeightDomainError
+from fragkit import admissibility
+from fragkit.errors import QuadratureError, WeightDomainError
 from fragkit.kernels import FragmentKernel, RateFunction
 from fragkit.weights import (Weight, compare_weights, derived_weight,
                              gamma_monotone_check)
@@ -146,3 +147,29 @@ class TestCompareWeights:
         wt = Weight.tabulated([1.0, 2.0], [0.0, 1.0])
         with pytest.raises(WeightDomainError):
             compare_weights(wt, Weight.power(2.0), hom, [1.0, 1.5, 2.0], [2.0])
+
+    def test_failed_samples_make_the_comparison_inconclusive(self, monkeypatch):
+        # each weight's quadrature fails somewhere; the verdict keeps the partials
+        # and the union of the masks instead of raising
+        hom = FragmentKernel.homogeneous_power(-1.0)
+        args = (hom, np.geomspace(0.01, 50, 64), [1.0, 5.0, 25.0])
+        ref = compare_weights(Weight.power(1.0), Weight.power(2.0), *args)
+        real = admissibility.log_n_samples
+        masks = iter([[False, True, False], [False, False, True]])
+
+        def failing(kernel, weight, ys, spec=None, hi=None):
+            partial = real(kernel, weight, ys, spec=spec, hi=hi)
+            raise QuadratureError("n_w quadrature did not converge", partial=partial,
+                                  failed=np.array(next(masks)))
+
+        monkeypatch.setattr(admissibility, "log_n_samples", failing)
+        v = compare_weights(Weight.power(1.0), Weight.power(2.0), *args)
+        np.testing.assert_array_equal(v.failed, [False, True, True])
+        assert v.inconclusive and not v.pointwise_inequality_holds
+        assert v.hypothesis_holds
+        np.testing.assert_array_equal(v.ratio1, ref.ratio1)
+        np.testing.assert_array_equal(v.ratio2, ref.ratio2)
+        lines = v.summary().splitlines()
+        assert lines[1] == "pointwise ratio inequality r1 >= r2:   inconclusive"
+        assert lines[2] == "quadrature failed at y = 5, 25"
+        assert not ref.inconclusive and "failed" not in ref.summary()
