@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=False, help="path to the run configuration")
     parser.add_argument("--out", default=".", help="directory for CSV artifacts")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="accepted for reproducibility bookkeeping (all commands are deterministic)")
     parser.add_argument("--assert", dest="asserts", default="",
                         help="comma list for simulate: substochastic,mass,positivity")
     return parser

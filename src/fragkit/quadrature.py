@@ -1,10 +1,10 @@
 """Panel Gauss-Legendre quadrature with breakpoint splitting and log-space accumulation.
 
 All weighted integrals in the toolkit go through one adaptive routine,
-``_adaptive``, which integrates a block of rows at once.  A row is one
-integral: its interval, its interior breakpoints and, during the run, its own
-cells, total, last change, grading depth and failed flag.  Two entry points
-run it on a single row:
+``_adaptive``, which integrates many rows at once.  A row is one integral: its
+interval, its interior breakpoints and, during the run, its own cells, total,
+last change, grading depth and failed flag.  Two entry points run it on a
+single row:
 
 ``integrate``
     Plain-valued integral of a vectorized integrand.
@@ -21,41 +21,40 @@ of the Gauss rule on piecewise-smooth kernels.  An integrable singularity at
 the lower endpoint is handled by geometric grading: the first cell is split at
 ``lo + (len)*2^-k``, and the grading is deepened until the innermost cell
 contributes less than ``0.1 * rel_tol`` of the running total (so rates close
-to the integrability limit still converge, or fail loudly).  Then every panel
-is halved until the total settles.
+to the integrability limit still converge, or fail loudly).  Then the panels
+are halved until the total settles.
 
-The two modes differ in three places only: the total of the per-cell values
+The two modes differ in four places only: the total of the per-cell values
 is a sum or a log-sum-exp; it has settled within ``max(rel_tol, 1e-15)``
 relative (never while infinite) or, in log space, ``rel_tol`` absolute (the
-same relative change of the integral); and the innermost cell is negligible
-below ``0.1 * rel_tol`` of the total or, in log space, also when the total is
-not finite.
+same relative change of the integral); the innermost cell is negligible below
+``0.1 * rel_tol`` of the total or, in log space, also when the total is not
+finite; and only log space freezes cells.
 
-Rows and blocks.  The rows of one call share their breakpoint count, so at
-every stage all rows of a block have the same number of cells.  A block is
-evaluated in one vectorized pass over its flattened ``(rows * cells, 2)``
-cells, with the Gauss nodes node-major, ``(order, rows, cells)``: a cell's
-reductions over its nodes run along the first axis, elementwise across cells,
-and the row totals along the last axis, so each row does exactly the
-arithmetic of a one-row call.  After each pass the block splits: rows that
-settle leave it, rows that deepen their grading form their own block, and a
-block that would exceed ``_BLOCK_POINTS`` integrand points is cut into
-smaller ones, which bounds the working set.  Rows are never padded to a common
-cell count: padding with empty cells would change how numpy's pairwise
-summation groups the terms, and with it the last bits of the totals.
+Ragged rows.  The cells of all rows sit in one flat ``(cells, 2)`` array with
+the row of each cell alongside, each row's cells contiguous and in order, and
+row totals are segmented reductions over each row's own cells: a row's result
+does not depend on the rows that share its call.  Deepening a row's grading or
+halving its cells changes only its own cells, and a settled row leaves the
+array.  Cells are evaluated in chunks of at most ``_BLOCK_POINTS`` points, and
+rows run in groups of about ``_BATCH_CELLS`` cells, which bounds the working
+set.  Log-space evaluation is elementwise, so neither changes any bits there;
+the plain cell values come from a BLAS product, whose last bits may depend on
+the chunk.
+
+Frozen cells.  In log space, before each halving, a cell at most ``eps``
+(double precision) of its row's current total is frozen: it keeps its value in
+the total and is never halved again, since no refinement of it can move the
+total.  A dead cell (``-inf``: zero factor at every node) is always frozen.
+Plain mode, whose integrands may be signed, freezes nothing.
 
 A log-space cell costs one ``exp`` per Gauss point: with ``c_j = half * w_j
 * factor(x_j)`` and ``m`` the largest ``log_weight(x_j)`` over the nodes with
-``c_j > 0``, the cell is ``m + log(sum_j c_j * exp(log_weight(x_j) - m))``,
-which agrees with the per-point form, the log-sum-exp of ``log(c_j) +
-log_weight(x_j)``, to rounding (not bit for bit).  A cell with no ``c_j > 0``
-is ``-inf``; one where ``m`` is infinite or the sum overflows is recomputed in
-the per-point form.
-
-The log-sum-exp of the row totals (and of those fallback cells) is
-``_logsumexp``, plain numpy that follows ``scipy.special.logsumexp`` step for
-step (so it is bit-identical) without the cost of scipy's array-API dispatch
-on every call.
+``c_j > 0``, it is ``m + log(sum_j c_j * exp(log_weight(x_j) - m))``, the
+per-point log-sum-exp of ``log(c_j) + log_weight(x_j)`` to rounding.  A cell
+with no ``c_j > 0`` is ``-inf``; one where ``m`` is infinite or the sum
+overflows is recomputed in the per-point form.  The nodes are node-major,
+``(order, cells)``, so the reductions over a cell's nodes run across cells.
 """
 
 from __future__ import annotations
@@ -69,8 +68,12 @@ from .errors import QuadratureError
 
 __all__ = ["QuadratureSpec", "DEFAULT_SPEC", "integrate", "log_integrate", "panel_sums"]
 
-# integrand points evaluated at once; a block that would exceed it is cut by rows
+# integrand points evaluated at once
 _BLOCK_POINTS = 1 << 13
+# cells of the rows run at once; a group that outgrows it is split by rows (a row never is)
+_BATCH_CELLS = 1 << 12
+# a log-space cell this far below its row's total cannot move it
+_LOG_EPS = float(np.log(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -98,29 +101,22 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         return z, w
 
 
-def _logsumexp(a, axis=None):
-    """``scipy.special.logsumexp(a, axis)`` for real ``a``, bit for bit.
+def _segment_logsumexp(v: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(v)))`` over each segment ``v[starts[i]:starts[i] + counts[i]]``.
 
-    ``axis`` is None (all elements) or -1.  The ``m`` copies of the maximum
-    ``a_max`` are split off for precision: ``log1p(s) + log(m) + a_max`` with
-    ``s`` the sum of the other ``exp(a - a_max)`` over ``m`` (0 stays 0).
-    Where that is not finite (all ``-inf``, ``+inf``, NaN) the direct
-    ``log(sum(exp(a)))`` is used instead.
+    Segments are contiguous and non-empty.  A segment of ``-inf`` gives ``-inf``,
+    one holding ``+inf`` gives ``+inf`` and one holding NaN gives NaN.
     """
-    a = np.asarray(a, dtype=float)
-    shape = () if axis is None else a.shape[:-1]
-    a = a.reshape(1, -1) if axis is None else a.reshape(-1, a.shape[-1])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(axis=1, keepdims=True)
-        top = a == a_max
-        m = top.sum(axis=1, dtype=float)
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=1)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
-    return out.reshape(shape)[()]
+        m = np.maximum.reduceat(v, starts)
+        shift = np.where(np.isfinite(m), m, 0.0)  # no inf - inf
+        return m + np.log(np.add.reduceat(np.exp(v - np.repeat(shift, counts)), starts))
+
+
+def _segments(row: np.ndarray):
+    """Start and length of each run of equal values of ``row``."""
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    return starts, np.diff(np.r_[starts, row.size])
 
 
 def _edges(lo: float, hi: float, breakpoints) -> np.ndarray:
@@ -128,23 +124,29 @@ def _edges(lo: float, hi: float, breakpoints) -> np.ndarray:
     return np.array([lo, *sorted({float(p) for p in breakpoints if lo < p < hi}), hi])
 
 
-def _base_cells(edges: np.ndarray, levels: int) -> np.ndarray:
-    """Cells ``(rows, ncell, 2)`` between each row's edges, the first one graded ``levels`` times."""
-    if levels:
-        width = edges[:, 1] - edges[:, 0]
-        graded = edges[:, :1] + width[:, None] * 2.0 ** (-np.arange(levels, 0, -1, dtype=float))
-        edges = np.concatenate([edges[:, :1], graded, edges[:, 1:]], axis=1)
-    return np.stack([edges[:, :-1], edges[:, 1:]], axis=-1)
+def _base_cells(edges, rows: np.ndarray, levels: int):
+    """Cells ``(n, 2)`` between the edges of each of ``rows``, the first one graded ``levels``
+    times, and the row of each cell."""
+    size = np.array([edges[i].size for i in rows])
+    flat = np.concatenate([edges[i] for i in rows])
+    lo = np.cumsum(size) - size
+    graded = flat[lo, None] + (flat[lo + 1] - flat[lo])[:, None] * 2.0 ** -np.arange(
+        levels, 0, -1, dtype=float)
+    flat = np.insert(flat, np.repeat(lo + 1, levels), graded.ravel())
+    n = size - 1 + levels  # cells per row
+    left = np.delete(np.arange(flat.size - 1), np.cumsum(n + 1)[:-1] - 1)  # not across rows
+    return np.column_stack([flat[left], flat[left + 1]]), np.repeat(rows, n)
 
 
-def _split_cells(cells: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (cells[..., 0] + cells[..., 1])
-    out = np.empty(cells.shape[:-2] + (2 * cells.shape[-2], 2), dtype=float)
-    out[..., 0::2, 0] = cells[..., 0]
-    out[..., 0::2, 1] = mid
-    out[..., 1::2, 0] = mid
-    out[..., 1::2, 1] = cells[..., 1]
-    return out
+def _halve(cells: np.ndarray, hot: np.ndarray):
+    """``cells`` with each ``hot`` one split in two in place, and the old cell of each new one."""
+    src = np.repeat(np.arange(hot.size), 1 + hot)
+    out = cells[src]
+    left = (np.cumsum(1 + hot) - 2)[hot]
+    mid = 0.5 * (cells[hot, 0] + cells[hot, 1])
+    out[left, 1] = mid
+    out[left + 1, 0] = mid
+    return out, src
 
 
 def _panel_nodes(cells: np.ndarray, order: int):
@@ -164,10 +166,10 @@ def _cell_values(f, cells: np.ndarray, order: int) -> np.ndarray:
 
 
 def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.ndarray:
+    """Log-space cell integrals; ``factor`` and ``log_weight`` get the node-major nodes."""
     x, half, w = _panel_nodes(cells, order)
-    flat = x.ravel()
-    fac = np.asarray(factor(flat), dtype=float).reshape(x.shape)
-    lw = np.asarray(log_weight(flat), dtype=float).reshape(x.shape)
+    fac = np.asarray(factor(x), dtype=float).reshape(x.shape)
+    lw = np.asarray(log_weight(x), dtype=float).reshape(x.shape)
     if np.any(fac < 0):
         raise ValueError("log_integrate requires a non-negative factor")
     coef = half * w * fac
@@ -178,7 +180,9 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.nd
         out = m + np.log((coef * np.exp(lw - shift)).sum(axis=0))
         bad = out == np.inf  # an infinite m or an overflowed sum
         if bad.any():
-            out[bad] = _logsumexp(np.log(coef[:, bad].T) + lw[:, bad].T, axis=-1)
+            terms = np.log(coef[:, bad].T) + lw[:, bad].T  # one row of nodes per cell
+            out[bad] = _segment_logsumexp(terms.ravel(), np.arange(0, terms.size, order),
+                                          np.full(terms.shape[0], order))
     return out
 
 
@@ -193,69 +197,93 @@ def panel_sums(f, edges: np.ndarray, order: int = 12) -> np.ndarray:
     return _cell_values(f, cells, order)
 
 
-def _adaptive(values, edges: np.ndarray, spec: QuadratureSpec, grade_lo: bool, log: bool):
-    """Grade toward ``lo`` if asked, then halve every panel until each row's total settles.
+def _adaptive(values, edges, spec: QuadratureSpec, grade_lo: bool, log: bool):
+    """Grade toward each row's ``lo`` if asked, then halve its cells until its total settles.
 
-    Row ``i`` integrates over ``[edges[i, 0], edges[i, -1]]`` with interior
-    breakpoints ``edges[i, 1:-1]``.  ``values(cells, rows)`` returns the
+    Row ``i`` integrates over ``[edges[i][0], edges[i][-1]]`` with interior
+    breakpoints ``edges[i][1:-1]``.  ``values(cells, rows)`` returns the
     per-cell integrals, or their logs when ``log``, of ``cells`` shaped
-    ``(len(rows), ncell, 2)`` that belong to the rows ``rows``.  Returns
-    ``(total, last_change, failed)`` arrays; a row fails when
-    ``spec.max_refinements`` halvings do not settle it, and keeps its last total.
+    ``(n, 2)`` whose rows are ``rows``.  Returns ``(total, last_change,
+    failed)`` arrays; a row fails when ``spec.max_refinements`` halvings do not
+    settle it, and keeps its last total.
     """
     if log:
-        total_of = lambda v: _logsumexp(v, axis=-1)
+        total_of = _segment_logsumexp
         tol = lambda t: spec.rel_tol
         negligible = lambda v0, t: ~np.isfinite(t) | (v0 <= t + np.log(0.1 * spec.rel_tol))
     else:
-        total_of = lambda v: v.sum(axis=-1)
+        # each row's own pairwise sum, the bits of a one-row sum (reduceat adds in order)
+        total_of = lambda v, starts, counts: np.array(
+            [v[a:a + c].sum() for a, c in zip(starts, counts)])
         # an overflowed (infinite) plain total never settles
         tol = lambda t: np.where(np.isfinite(t), max(spec.rel_tol, 1e-15) * np.abs(t), -1.0)
         negligible = lambda v0, t: np.abs(v0) <= 0.1 * (spec.rel_tol * np.abs(t))
     # equal totals, infinite ones included, have not changed
     change = lambda cur, prev: np.where(cur == prev, 0.0, np.abs(cur - prev))
+    step = max(1, _BLOCK_POINTS // spec.gauss_order)
 
-    live = edges[:, -1] > edges[:, 0]  # an empty range is 0 (-inf in log space), settled
-    total = np.full(live.size, -np.inf if log else 0.0)
-    err = np.where(live, np.inf, 0.0)
-    failed = np.zeros(live.size, dtype=bool)
-    order = spec.gauss_order
+    def evaluate(cells, row):
+        out = np.empty(row.size)
+        for i in range(0, row.size, step):
+            out[i:i + step] = values(cells[i:i + step], row[i:i + step])
+        return out
+
+    live = np.flatnonzero([e[-1] > e[0] for e in edges])  # an empty range is 0 (-inf in log)
+    total = np.full(len(edges), -np.inf if log else 0.0)
+    err = np.zeros(len(edges))
+    err[live] = np.inf
+    failed = np.zeros(len(edges), dtype=bool)
     levels0 = spec.grading_levels if grade_lo else 0
-    # (rows, grading levels, their cells, halvings done; -1 while grading)
-    blocks = [(np.flatnonzero(live), levels0, None, -1)]
+    n_cells = sum(edges[i].size - 1 + levels0 for i in live)
     with np.errstate(invalid="ignore"):
-        while blocks:
-            rows, levels, cells, k = blocks.pop()
-            if not rows.size:
-                continue
-            if k >= spec.max_refinements:
-                failed[rows] = True
-                continue
-            n_cells = edges.shape[1] - 1 + levels if k < 0 else 2 * cells.shape[1]
-            cap = max(1, _BLOCK_POINTS // (n_cells * order))
-            if rows.size > cap:
-                for i in range(0, rows.size, cap):
-                    part = slice(i, i + cap)
-                    blocks.append((rows[part], levels, None if cells is None else cells[part], k))
-                continue
-            cells = _base_cells(edges[rows], levels) if k < 0 else _split_cells(cells)
-            vals = values(cells, rows)
-            prev, cur = total[rows], total_of(vals)
-            total[rows] = cur
-            if k < 0:
-                # deepen the grading while the innermost cell still matters, unless the
-                # last deepening already settled the total
-                deeper = np.zeros(rows.size, dtype=bool)
+        for batch in np.array_split(live, -(-n_cells // _BATCH_CELLS)) if live.size else ():
+            # grading: the rows still deepening get their base cells 32 levels deeper
+            parts, pending, levels = [], batch, levels0
+            while pending.size:
+                cells, row = _base_cells(edges, pending, levels)
+                val = evaluate(cells, row)
+                starts, counts = _segments(row)
+                prev, cur = total[pending], total_of(val, starts, counts)
+                total[pending] = cur
+                deeper = np.zeros(pending.size, dtype=bool)
                 if grade_lo and levels < spec.max_grading_levels:
-                    deeper = ~negligible(vals[:, 0], cur)
+                    # deepen while the innermost cell still matters, unless the last
+                    # deepening already settled the total
+                    deeper = ~negligible(val[starts], cur)
                     if levels > levels0:
                         deeper &= ~(change(cur, prev) <= tol(cur))
-                blocks.append((rows[~deeper], levels, cells[~deeper], 0))
-                blocks.append((rows[deeper], levels + 32, None, -1))
-            else:
-                err[rows] = change(cur, prev)
-                open_ = ~(err[rows] <= tol(cur))
-                blocks.append((rows[open_], levels, cells[open_], k + 1))
+                keep = np.repeat(~deeper, counts)
+                parts.append((cells[keep], row[keep], val[keep]))
+                pending, levels = pending[deeper], levels + 32
+            cells, row, val = (np.concatenate(a) for a in zip(*parts))
+            # halving: (cells, row, val, hot, halvings done) of groups of rows
+            work = [(cells, row, val, np.ones(row.size, dtype=bool), 0)]
+            while work:
+                cells, row, val, hot, k = work.pop()
+                starts, counts = _segments(row)
+                if row.size > _BATCH_CELLS and starts.size > 1:
+                    # too many cells: go on with each half of the rows on its own,
+                    # which bounds the working set
+                    part = lambda s: (cells[s], row[s], val[s], hot[s], k)
+                    cut = starts[starts.size // 2]
+                    work += [part(slice(cut, None)), part(slice(None, cut))]
+                    continue
+                rows = row[starts]
+                if k == spec.max_refinements:
+                    failed[rows] = True
+                    continue
+                if log:  # freeze the cells too small to move their row's total
+                    hot &= val > np.repeat(total[rows] + _LOG_EPS, counts)
+                cells, src = _halve(cells, hot)
+                row, val, hot = row[src], val[src], hot[src]
+                val[hot] = evaluate(cells[hot], row[hot])
+                starts, counts = _segments(row)
+                cur = total_of(val, starts, counts)
+                err[rows] = change(cur, total[rows])
+                total[rows] = cur
+                keep = np.repeat(~(err[rows] <= tol(cur)), counts)
+                if keep.any():
+                    work.append((cells[keep], row[keep], val[keep], hot[keep], k + 1))
     return total, err, failed
 
 
@@ -263,7 +291,7 @@ def _one_row(values, lo, hi, breakpoints, spec: QuadratureSpec, grade_lo: bool, 
     """Run ``_adaptive`` on one row ``[lo, hi]``; raise :class:`QuadratureError` if it fails."""
     lo, hi = float(lo), float(hi)
     total, err, failed = _adaptive(lambda cells, rows: values(cells),
-                                   _edges(lo, hi, breakpoints)[None], spec, grade_lo, log)
+                                   [_edges(lo, hi, breakpoints)], spec, grade_lo, log)
     if failed[0]:
         raise QuadratureError(
             f"{'log-space' if log else 'panel'} quadrature on [{lo:g}, {hi:g}] "
@@ -300,21 +328,14 @@ def _log_integrate_rows(factor, log_weight, spans, spec: QuadratureSpec, grade_l
     """``log_integrate`` over many rows at once, without raising.
 
     Row ``i`` is the ``i``-th ``(lo, hi, breakpoints)`` of the iterable
-    ``spans``; ``factor(x, i)`` gets the row index of every point of ``x``.
-    Rows are blocked by their breakpoint count.  Returns ``(log_value,
-    failed)`` arrays; a failed row carries its last estimate.
+    ``spans``.  ``factor(x, i)`` gets the nodes ``x`` shaped ``(order, cells)``
+    and the row ``i`` of each cell, shaped ``(cells,)`` so that it broadcasts
+    over the nodes.  Returns ``(log_value, failed)`` arrays; a failed row
+    carries its last estimate.
     """
     edges = [_edges(float(lo), float(hi), bps) for lo, hi, bps in spans]
-    total = np.empty(len(edges))
-    failed = np.zeros(len(edges), dtype=bool)
-    order = spec.gauss_order
-    for n in sorted({e.size for e in edges}):
-        group = np.array([i for i, e in enumerate(edges) if e.size == n], dtype=np.intp)
-
-        def values(cells, rows):
-            idx = np.tile(np.repeat(group[rows], cells.shape[1]), order)  # node-major
-            return _log_cell_values(lambda x: factor(x, idx), log_weight, cells, order)
-
-        total[group], _, failed[group] = _adaptive(
-            values, np.stack([edges[i] for i in group]), spec, grade_lo, log=True)
+    total, _, failed = _adaptive(
+        lambda cells, rows: _log_cell_values(lambda x: factor(x, rows), log_weight, cells,
+                                             spec.gauss_order),
+        edges, spec, grade_lo, log=True)
     return total, failed

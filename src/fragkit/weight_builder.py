@@ -138,11 +138,9 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
     if not np.all(np.isfinite(g)):
         raise ConstructionError("below-eta0 contribution g(y) left the float range",
                                 worst_y=float(ys[~np.isfinite(g)][0]))
-    # values[n] = sup of g over [eta0, eta0 + n + 1]
-    vals = np.empty(n_bands + 1)
-    for n in range(n_bands + 1):
-        mask = ys <= eta0 + n + 1.0 + 1e-12
-        vals[n] = float(np.max(g[mask]))
+    # values[n] = sup of g over [eta0, eta0 + n + 1]: a running max read off at each band end
+    ends = np.searchsorted(ys, eta0 + np.arange(n_bands + 1) + 1.0 + 1e-12, side="right")
+    vals = np.maximum.accumulate(g)[ends - 1]
     h = MajorantH(eta0=eta0, values=vals + floor, floor=floor)
 
     rng = np.random.default_rng(1234)
@@ -169,19 +167,19 @@ def build_btilde(kernel: FragmentKernel, eta0: float, y_max: float,
     vals = np.empty(n_bands + 1)
     running = 0.0
     for n in range(n_bands + 1):
-        strip_max = 0.0
-        for s in np.linspace(max(n - 1.0, 0.0) + 1e-12, float(n) + 1.0, n_s):
-            # along x + y = s + 2 eta0 with eta0 <= x <= y
-            x_hi = eta0 + 0.5 * s
-            xs = np.linspace(eta0, x_hi, n_x)
-            ys = (s + 2.0 * eta0) - xs
-            extra = [bp for bp in kernel.breakpoints(float(ys[0])) if eta0 <= bp <= x_hi]
-            if extra:
-                xs = np.concatenate([xs, np.asarray(extra)])
-                ys = (s + 2.0 * eta0) - xs
-            vals_here = eval_kernel(kernel, xs, ys)
-            strip_max = max(strip_max, float(np.max(vals_here)) if vals_here.size else 0.0)
-        running = max(running, strip_max)
+        # the whole (s, x) lattice of the strip, along x + y = s + 2 eta0 with eta0 <= x <= y
+        s = np.linspace(max(n - 1.0, 0.0) + 1e-12, float(n) + 1.0, n_s)
+        x_hi = eta0 + 0.5 * s
+        xs = np.linspace(eta0, x_hi, n_x, axis=1)
+        ys = (s[:, None] + 2.0 * eta0) - xs
+        # the kernel's breakpoints on each line, so piecewise plateaus are hit exactly
+        extra = [(bp, si) for si, top in zip(s, x_hi)
+                 for bp in kernel.breakpoints(float((si + 2.0 * eta0) - eta0))
+                 if eta0 <= bp <= top]
+        ex, es = np.array(extra, dtype=float).reshape(-1, 2).T
+        band = eval_kernel(kernel, np.concatenate([xs.ravel(), ex]),
+                           np.concatenate([ys.ravel(), (es + 2.0 * eta0) - ex]))
+        running = float(np.max([running, np.max(band)]))  # a NaN value propagates and raises
         if not np.isfinite(running) or running > 1e300:
             raise ConstructionError(f"kernel unbounded on band {n} above eta0={eta0:g}")
         vals[n] = running

@@ -16,13 +16,13 @@ test authoring):
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fragkit.admissibility import (check, log_n_omega, log_n_samples, n_omega,
                                    ratio_curve, relative_bound)
 from fragkit.errors import QuadratureError
-from fragkit.kernels import FragmentKernel, RateFunction
+from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
 from fragkit.quadrature import QuadratureSpec
 from fragkit.weight_builder import build_h
 from fragkit.weights import Weight, compare_weights
@@ -143,6 +143,80 @@ class TestScalingInvariance:
         for attr in ("kappa_hat", "kappa1_hat", "kappa2_hat", "tail_estimate"):
             np.testing.assert_allclose(getattr(scaled, attr), getattr(base, attr),
                                        rtol=1e-12)
+
+
+    KERNELS = [HOM1, FragmentKernel.homogeneous_power(0.0), FragmentKernel.homogeneous_power(-0.5),
+               BB, CONC]
+    WEIGHTS = [Weight.power(2.0), Weight.power(0.5), W_EXP, Weight.exponential(1.5),
+               Weight.composite(Weight.power(1.0), 1.0, np.linspace(1.0, 40.0, 60),
+                                np.linspace(0.0, 30.0, 60))]
+
+    @settings(max_examples=20, deadline=None)
+    @given(kernel=st.sampled_from(KERNELS), weight=st.sampled_from(WEIGHTS),
+           log10_lam=st.floats(-200.0, 200.0))
+    def test_invariant_over_many_decades(self, kernel, weight, log10_lam):
+        # the freeze threshold is relative to each row's total, so scaling w moves nothing
+        assume(not (kernel is HOM1 and weight.log_eval(1e-300) > -1.0))  # n_w diverges
+        base = check(kernel, weight, 1.0, 30.0, n_samples=24)
+        scaled = check(kernel, weight.scaled(10.0 ** log10_lam), 1.0, 30.0, n_samples=24)
+        for attr in ("verdict_A32", "verdict_A41", "verdict_limsup", "kappa1_growing",
+                     "failed_counts"):
+            assert getattr(scaled, attr) == getattr(base, attr)
+        for a, b in ((scaled.main, base.main), (scaled.small, base.small)):
+            np.testing.assert_allclose(a.ratio, b.ratio, rtol=1e-12)
+        for attr in ("kappa_hat", "kappa1_hat", "kappa2_hat", "tail_estimate"):
+            np.testing.assert_allclose(getattr(scaled, attr), getattr(base, attr), rtol=1e-12)
+
+
+class TestFrozenCells:
+    """Cells at most eps of their row's total are never halved, and cost no accuracy."""
+
+    @staticmethod
+    def counting(kernel, xs):
+        def func(x, y):
+            xs.append(np.broadcast_to(x, np.broadcast(x, y).shape).ravel())
+            return eval_kernel(kernel, x, y)
+        return FragmentKernel.custom(func, breakpoints=kernel.breakpoints)
+
+    def test_graded_cells_below_eps_are_not_halved(self):
+        # w = x, b = 2/5 on [0, 1]: 49 graded cells, whose innermost ones are below eps
+        # of the total; halving all of them would evaluate 12 * (49 + 98) = 1,764 points
+        xs = []
+        lv = log_n_omega(self.counting(FragmentKernel.homogeneous_power(0.0), xs),
+                         Weight.power(1.0), 5.0, hi=1.0)
+        assert sum(x.size for x in xs) < 1300
+        assert abs(lv - np.log(0.2)) <= 1e-14
+
+    @staticmethod
+    def table_integral(knots, logs, a, b):
+        """Exact int_a^b of the log-linear interpolant of ``(knots, logs)``."""
+        edges = np.unique(np.clip(knots, a, b))
+        lo, hi = edges[:-1], edges[1:]
+        la, lb = np.interp(lo, knots, logs), np.interp(hi, knots, logs)
+        slope = (lb - la) / (hi - lo)
+        return float(np.sum(np.exp(la) * np.expm1(slope * (hi - lo)) / slope))
+
+    def test_boundary_binary_composite_matches_exact_integral(self):
+        # b = 1 on [0, 1] and [y - 1, y], 0 between, where every cell is dead and frozen
+        knots = np.linspace(1.0, 20.0, 200)
+        logs = 0.8 * knots + 0.3 * np.sin(knots)
+        w = Weight.composite(Weight.power(1.0), 1.0, knots, logs)
+        ys = np.array([2.5, 7.3, 15.0, 19.5])
+        want = [np.log(0.5 + self.table_integral(knots, logs, y - 1.0, y)) for y in ys]
+        assert np.all(np.abs(np.expm1(log_n_samples(BB, w, ys) - want)) <= 1e-13)
+        # each dead cell is evaluated once, at its base level: one cell per knot gap
+        xs = []
+        log_n_omega(self.counting(BB, xs), w, 15.0)
+        x = np.concatenate(xs)
+        dead = np.count_nonzero((knots > 1.0) & (knots < 14.0)) + 1
+        assert np.count_nonzero((x > 1.0) & (x < 14.0)) == 12 * dead
+
+    @pytest.mark.parametrize("nu, p", [(nu, p) for nu in (-1.5, -1.0, -0.5, 0.0)
+                                       for p in (0.5, 1.0, 2.0, 3.0) if nu + p + 1.0 > 0.0])
+    def test_homogeneous_power_matches_closed_form(self, nu, p):
+        rc = ratio_curve(FragmentKernel.homogeneous_power(nu), Weight.power(p),
+                         np.geomspace(1e-3, 100.0, 13))
+        np.testing.assert_allclose(rc.ratio, (nu + 2.0) / (nu + p + 1.0), rtol=1e-13)
 
 
 class TestConsistencyWithComparison:

@@ -349,9 +349,17 @@ y_max = 10.0
     def test_deterministic_output(self, tmp_path):
         cfg = write(tmp_path / "l.cfg", SIM)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["simulate", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
-        assert main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "7"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        # every command is deterministic, so there is no seed to pass
+        cfg = write(tmp_path / "l.cfg", SIM)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--out", str(tmp_path), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_build_weight_honors_floor(self, tmp_path):
         text = """

@@ -11,8 +11,9 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from fragkit.errors import QuadratureError
-from fragkit.quadrature import (DEFAULT_SPEC, QuadratureSpec, _log_cell_values, _logsumexp,
-                                _panel_nodes, integrate, log_integrate)
+from fragkit.quadrature import (_BATCH_CELLS, DEFAULT_SPEC, QuadratureSpec, _log_cell_values,
+                                _log_integrate_rows, _panel_nodes, _segment_logsumexp,
+                                integrate, log_integrate)
 
 
 def test_polynomial_is_exact():
@@ -66,6 +67,53 @@ def test_log_integrate_survives_huge_weights():
 def test_log_integrate_zero_factor_gives_minus_inf():
     lv, _ = log_integrate(lambda x: np.zeros_like(x), lambda x: x, 0.0, 1.0)
     assert lv == -np.inf
+
+
+def test_dead_rows_give_minus_inf_beside_live_ones():
+    # rows 0, 2, 4 have an all-zero factor; the others integrate e^x over [0, hi]
+    spans = [(0.0, 1.0 + i, ()) for i in range(6)]
+    total, failed = _log_integrate_rows(lambda x, i: np.where(i % 2, 1.0, 0.0) + 0.0 * x,
+                                        lambda x: x, spans, DEFAULT_SPEC, grade_lo=True)
+    assert not failed.any()
+    assert np.all(total[::2] == -np.inf)
+    np.testing.assert_allclose(total[1::2], np.log(np.expm1([2.0, 4.0, 6.0])), rtol=1e-14)
+
+
+def test_plain_mode_halves_every_cell():
+    # freezing is for the non-negative log-space integrands only: in plain mode the
+    # signed cells on [0, 1], 1e-20 of the total, are still halved at every level
+    points = []
+
+    def f(x):
+        points.append(x.size)
+        return np.where(x < 1.0, 1e-20 * np.sin(50.0 * x), np.sin(x))
+
+    val, _ = integrate(f, 0.0, 40.0, breakpoints=(1.0,))
+    assert points[0] == 24 and all(b == 2 * a for a, b in zip(points, points[1:]))
+    assert abs(val - (np.cos(1.0) - np.cos(40.0))) <= 1e-13
+
+
+def test_cells_above_eps_of_the_total_are_still_refined():
+    # the cell [1, 2] holds 1e-8 of the total and its 12 nodes cannot resolve
+    # cos(60 x): it must be halved like any other cell until the total settles
+    f = lambda x: np.where(x < 1.0, 1.0, 1e-8 * (1.0 + np.cos(60.0 * x)))
+    lv, _ = log_integrate(f, lambda x: 0.0 * x, 0.0, 2.0, breakpoints=(1.0,))
+    exact = 1.0 + 1e-8 * (1.0 + (np.sin(120.0) - np.sin(60.0)) / 60.0)
+    assert abs(lv - np.log(exact)) <= 1e-15
+
+
+def test_rows_that_outgrow_a_group_equal_one_row_calls_bit_for_bit():
+    # 20 oscillating rows need thousands of cells each, so their group is split by
+    # rows several times; a row is never split, and gives the bits of its own call
+    factor = lambda x, i: 1.5 + np.cos((5.0 + 0.25 * i) * x)
+    spans = [(0.0, 30.0 + 0.5 * i, (7.0,)) for i in range(20)]
+    points = []
+    lw = lambda x: (points.append(x.size), -0.1 * x)[1]
+    total, failed = _log_integrate_rows(factor, lw, spans, DEFAULT_SPEC, grade_lo=True)
+    assert not failed.any() and sum(points) > 24 * _BATCH_CELLS
+    want = [log_integrate(lambda x, i=i: factor(x, i), lw, lo, hi, breakpoints=bps,
+                          grade_lo=True)[0] for i, (lo, hi, bps) in enumerate(spans)]
+    np.testing.assert_array_equal(total, want)
 
 
 def test_nonconvergence_carries_partial_estimate():
@@ -122,18 +170,19 @@ _LSE_ELEMENTS = st.one_of(st.floats(-750.0, 750.0),
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
-                    elements=_LSE_ELEMENTS))
-def test_logsumexp_matches_scipy_bit_for_bit(a):
-    # sampled constants give ties, -inf-only rows, +inf and NaN
-    for axis in (None, -1):
-        got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
-        assert type(got) is type(want)
-        got, want = np.asarray(got), np.asarray(want)
-        assert got.shape == want.shape
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        same = ~np.isnan(want)
-        assert np.array_equal(got[same].view(np.int64), want[same].view(np.int64))
+@given(segs=st.lists(hnp.arrays(float, st.integers(1, 20), elements=_LSE_ELEMENTS),
+                     min_size=1, max_size=6))
+def test_segment_logsumexp_matches_scipy_per_segment(segs):
+    # sampled constants give ties, -inf-only segments, +inf and NaN
+    counts = np.array([seg.size for seg in segs])
+    got = _segment_logsumexp(np.concatenate(segs), np.cumsum(counts) - counts, counts)
+    want = np.array([logsumexp(seg) for seg in segs])
+    alone = [_segment_logsumexp(seg, np.array([0]), np.array([seg.size]))[0] for seg in segs]
+    assert np.array_equal(got, alone, equal_nan=True)  # the other segments do not matter
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 4e-15 + 4 * np.spacing(np.abs(want[fin])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,7 +204,7 @@ def test_one_exp_cell_matches_per_point_logsumexp(data, n_cells, widths):
     x, half, w = _panel_nodes(cells, 12)
     with np.errstate(divide="ignore"):
         terms = np.log(half * w * fac.reshape(x.shape)) + lw.reshape(x.shape)
-    want = _logsumexp(np.moveaxis(terms, 0, -1), axis=-1)
+    want = logsumexp(terms, axis=0)
     assert got.shape == want.shape == (1, n_cells)
     assert np.array_equal(got == -np.inf, want == -np.inf)
     assert np.all(got[dead[None]] == -np.inf)
@@ -174,7 +223,7 @@ def test_one_exp_cell_falls_back_where_the_sum_overflows():
     lw[1] = np.inf  # node 0 of cell 1, node-major
     got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
     x, half, w = _panel_nodes(cells, 12)
-    want0 = _logsumexp(np.log(half[0, 0] * w.ravel()) + np.log(1e308))
+    want0 = logsumexp(np.log(half[0, 0] * w.ravel()) + np.log(1e308))
     assert np.isfinite(got[0, 0]) and abs(got[0, 0] - want0) <= 1e-13
     assert got[0, 1] == np.inf
 
@@ -187,5 +236,5 @@ def test_one_exp_cell_shifts_by_the_live_nodes_only():
     lw = np.r_[700.0, np.full(11, -100.0)]
     got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
     x, half, w = _panel_nodes(cells, 12)
-    want = _logsumexp(np.log(half[0, 0] * w.ravel()[1:]) - 100.0)
+    want = logsumexp(np.log(half[0, 0] * w.ravel()[1:]) - 100.0)
     assert abs(got[0, 0] - want) <= 1e-13

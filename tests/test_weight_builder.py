@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fragkit.admissibility import log_n_samples
 from fragkit.errors import ConstructionError, StepSizeError
 from fragkit.kernels import FragmentKernel, eval_kernel
 from fragkit.quadrature import _BLOCK_POINTS, integrate
@@ -49,8 +50,19 @@ class TestBuildH:
         assert np.all(h.eval(ys) >= g - 1e-6)
 
 
+    @pytest.mark.parametrize("kern", [BB, FragmentKernel.custom(lambda x, y: y + 0.0 * x)])
+    def test_band_suprema_match_a_max_per_band(self, kern):
+        # the running max read off at each band end gives the bits of one max per band;
+        # g = y/2 rises for the custom kernel, so each supremum is the band's last sample
+        h = build_h(kern, W_X, 1.0, 6.4, samples_per_unit=16)
+        ys = np.linspace(1.0, 8.0, 7 * 16 + 1)  # 7 unit bands
+        g = np.exp(log_n_samples(kern, W_X, ys, hi=1.0))
+        want = [np.max(g[ys <= 1.0 + n + 1.0 + 1e-12]) for n in range(8)]
+        assert np.array_equal(h.values, np.array(want) + h.floor)
+
     def test_quadrature_blocks_stay_within_the_point_budget(self):
-        # rows above y = 2.5 oscillate enough that one row alone outgrows the budget
+        # rows above y = 2.5 oscillate enough that one row alone outgrows the budget,
+        # and its cells are still evaluated in chunks within it
         calls = []
 
         def counting(x, y):
@@ -59,8 +71,7 @@ class TestBuildH:
 
         build_h(FragmentKernel.custom(counting), W_X, 1.0, 3.0, samples_per_unit=16)
         points, rows = np.array(calls).T
-        assert np.all((points <= _BLOCK_POINTS) | (rows == 1))
-        assert np.any(rows > 1) and np.any(points > _BLOCK_POINTS)
+        assert np.all(points <= _BLOCK_POINTS) and np.any(rows > 1)
 
 
 class TestBuildBtilde:
@@ -93,6 +104,29 @@ class TestBuildBtilde:
     def test_cumulative_bands_nondecreasing(self):
         bt = build_btilde(FragmentKernel.concentrated(), 1.0, 12.0)
         assert np.all(np.diff(bt.band_values) >= 0)
+
+    @pytest.mark.parametrize("kern", [BB, HOM1, FragmentKernel.concentrated(),
+                                      FragmentKernel.custom(
+                                          lambda x, y: np.where(x <= 1.5, 2.0, 0.5) / y,
+                                          breakpoints=lambda y: (1.5,) if y > 1.5 else ()),
+                                      # a peak that only the breakpoint itself hits
+                                      FragmentKernel.custom(
+                                          lambda x, y: np.where(x == 1.375, 3.0, 1.0) / y,
+                                          breakpoints=lambda y: (1.375,) if y > 1.375 else ())])
+    @pytest.mark.parametrize("eta0, y_max", [(1.0, 7.3), (0.5, 4.2)])
+    def test_band_scan_matches_a_scan_per_line(self, kern, eta0, y_max):
+        # the lattice of each band in one call gives the bits of one call per line s
+        n_s, n_x = 64, 156  # the lattice of points_per_band = 10_000
+        want = []
+        for n in range(int(np.ceil(2.0 * (y_max - eta0))) + 3):
+            strip = 0.0
+            for s in np.linspace(max(n - 1.0, 0.0) + 1e-12, float(n) + 1.0, n_s):
+                xs = np.linspace(eta0, eta0 + 0.5 * s, n_x)
+                bps = kern.breakpoints(float((s + 2.0 * eta0) - xs[0]))
+                xs = np.concatenate([xs, [bp for bp in bps if eta0 <= bp <= eta0 + 0.5 * s]])
+                strip = max(strip, float(np.max(eval_kernel(kern, xs, (s + 2.0 * eta0) - xs))))
+            want.append(max(want[-1] if want else 0.0, strip))
+        assert np.array_equal(build_btilde(kern, eta0, y_max).band_values, want)
 
 
 class TestSolveVolterra:
