@@ -21,7 +21,7 @@ from .errors import (ConfigError, ConstructionError, FragkitError, InvalidInputE
 from .kernels import (FragmentKernel, MassReport, MassValue, RateFunction,
                       classify_mass, eval_kernel, eval_rate, mass_integral,
                       rate_envelope)
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, log_integrate
+from .quadrature import integrate, log_integrate
 from .simulator import (DensityState, DiscreteGenerator, Grid, Trajectory, bump,
                         column_kappa, discretize, exp_decay, expm_oracle,
                         semigroup_check, simulate, step)
@@ -35,10 +35,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "ComparisonVerdict", "ConfigError", "ConstructionError",
-    "DEFAULT_SPEC", "DensityState", "DiscreteGenerator", "ExpWeight",
+    "DensityState", "DiscreteGenerator", "ExpWeight",
     "FragkitError", "FragmentKernel", "Grid", "InvalidInputError", "InvalidKernelError",
     "MajorantB",
-    "MajorantH", "MassReport", "MassValue", "QuadratureError", "QuadratureSpec",
+    "MajorantH", "MassReport", "MassValue", "QuadratureError",
     "RateFunction", "RatioCurve", "RelativeBoundEstimate", "StepSizeError",
     "StiffnessError", "Trajectory", "VolterraSolution", "Weight",
     "WeightCertificate", "WeightDomainError", "bump", "build_btilde", "build_h",

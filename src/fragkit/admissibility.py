@@ -19,8 +19,8 @@ Three conditions on r decide how much the semigroup theory gives you:
 All ratios are computed as exp(log n_w - log w) with log-sum-exp quadrature,
 so exponential and super-exponential weights never overflow.
 
-``log_n_omega`` (one y) and ``log_n_samples`` (a grid of y) are the only code
-that samples n_w; the weight builder and the weight comparison call them.
+``log_n_samples`` (a grid of y) is the only code that samples n_w; ``log_n_omega``
+is its one-y case, and the weight builder and the weight comparison call it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .config import write_csv
 from .errors import QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _log_integrate_rows, log_integrate
+from .quadrature import _log_integrate_rows
 
 __all__ = ["log_n_omega", "log_n_samples", "n_omega", "ratio_curve", "RatioCurve",
            "AdmissibilityReport", "check", "RelativeBoundEstimate", "relative_bound",
@@ -58,26 +58,25 @@ def _span(kernel: FragmentKernel, weight, y: float, hi: float | None):
     return 0.0, top, bps
 
 
-def log_n_omega(kernel: FragmentKernel, weight, y: float,
-                spec: QuadratureSpec | None = None, hi: float | None = None) -> float:
-    """log of int_0^min(y, hi) b(x,y) w(x) dx, honoring kernel and weight breakpoints."""
-    lo, top, bps = _span(kernel, weight, y, hi)
-    val, _ = log_integrate(lambda x: kernel(x, y), weight.log_eval, lo, top,
-                           breakpoints=bps, spec=spec or DEFAULT_SPEC, grade_lo=True)
-    return val
+def log_n_omega(kernel: FragmentKernel, weight, y: float, hi: float | None = None) -> float:
+    """``log_n_samples`` at the one parent size ``y``; a failure carries a scalar ``partial``."""
+    try:
+        return float(log_n_samples(kernel, weight, [y], hi=hi)[0])
+    except QuadratureError as exc:
+        raise QuadratureError(str(exc), partial=float(exc.partial[0])) from None
 
 
-def log_n_samples(kernel: FragmentKernel, weight, ys,
-                  spec: QuadratureSpec | None = None, hi: float | None = None) -> np.ndarray:
-    """``log_n_omega`` at every y of ``ys`` in one batched quadrature, attempting every sample.
+def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -> np.ndarray:
+    """log of int_0^min(y, hi) b(x,y) w(x) dx at every y of ``ys``, honoring kernel and
+    weight breakpoints, in one batched quadrature that attempts every sample.
 
-    Gives the same bits as the one-y calls.  If any sample fails, raises
-    :class:`QuadratureError` with ``partial`` and ``failed`` arrays.
+    Each sample gives the same bits as a call on it alone.  If any sample fails,
+    raises :class:`QuadratureError` with ``partial`` and ``failed`` arrays.
     """
     ys = np.asarray(ys, dtype=float)
     log_n, failed = _log_integrate_rows(
         lambda x, i: kernel(x, ys[i]), weight.log_eval,
-        (_span(kernel, weight, float(y), hi) for y in ys), spec or DEFAULT_SPEC, grade_lo=True)
+        (_span(kernel, weight, float(y), hi) for y in ys))
     if np.any(failed):
         raise QuadratureError(
             f"n_w quadrature did not converge at {np.count_nonzero(failed)} of {ys.size} "
@@ -85,15 +84,14 @@ def log_n_samples(kernel: FragmentKernel, weight, ys,
     return log_n
 
 
-def n_omega(kernel: FragmentKernel, weight, y: float,
-            spec: QuadratureSpec | None = None, as_log: bool | None = None) -> float:
+def n_omega(kernel: FragmentKernel, weight, y: float, as_log: bool | None = None) -> float:
     """Weighted fragment mass n_w(y).
 
     Returned as a log value for exponential-class weights (where the linear
     value overflows a double on moderate y), as a plain value otherwise;
     pass ``as_log`` to force either convention.
     """
-    lv = log_n_omega(kernel, weight, y, spec=spec)
+    lv = log_n_omega(kernel, weight, y)
     if as_log is None:
         as_log = bool(getattr(weight, "exponential_class", False))
     return lv if as_log else float(np.exp(lv))
@@ -119,15 +117,14 @@ class RatioCurve:
         return iter(zip(self.y, self.ratio))
 
 
-def ratio_curve(kernel: FragmentKernel, weight, y_grid,
-                spec: QuadratureSpec | None = None) -> RatioCurve:
+def ratio_curve(kernel: FragmentKernel, weight, y_grid) -> RatioCurve:
     """r(y) = n_w(y)/w(y) along an increasing grid, via log-space subtraction."""
     ys = np.asarray(y_grid, dtype=float)
     if np.any(ys <= 0) or np.any(np.diff(ys) < 0):
         raise ValueError("y_grid must be positive and non-decreasing")
     failed = np.zeros(ys.shape, dtype=bool)
     try:
-        log_n = log_n_samples(kernel, weight, ys, spec=spec)
+        log_n = log_n_samples(kernel, weight, ys)
     except QuadratureError as exc:
         log_n, failed = exc.partial, exc.failed
     log_w = weight.log_eval(ys)
@@ -218,7 +215,7 @@ class AdmissibilityReport:
 
 
 def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
-          n_samples: int | None = None, spec: QuadratureSpec | None = None) -> AdmissibilityReport:
+          n_samples: int | None = None) -> AdmissibilityReport:
     """Sample r on both sides of eta0 and assemble every verdict.
 
     The main grid is geometric on [eta0, y_max] (64 points per decade unless
@@ -234,10 +231,10 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
         y_grid = geometric_grid(eta0, y_max)
     else:
         y_grid = np.geomspace(eta0, y_max, max(4, int(n_samples)))
-    big = ratio_curve(kernel, weight, y_grid, spec=spec)
+    big = ratio_curve(kernel, weight, y_grid)
 
     y_small = geometric_grid(eta0 * 1e-6, eta0)
-    small = ratio_curve(kernel, weight, y_small, spec=spec)
+    small = ratio_curve(kernel, weight, y_small)
 
     r_big = np.where(big.failed, -np.inf, big.ratio)
     r_small = np.where(small.failed, -np.inf, small.ratio)
@@ -303,10 +300,9 @@ class RelativeBoundEstimate:
 
 
 def relative_bound(kernel: FragmentKernel, rate: RateFunction, weight,
-                   eta0: float, y_max: float,
-                   spec: QuadratureSpec | None = None) -> RelativeBoundEstimate:
+                   eta0: float, y_max: float) -> RelativeBoundEstimate:
     """Estimate the relative-bound constants from the sampled ratio suprema."""
-    report = check(kernel, weight, eta0, y_max, spec=spec)
+    report = check(kernel, weight, eta0, y_max)
     a_sup = rate_envelope(rate, eta0)
     return RelativeBoundEstimate(alpha_hat=report.kappa2_hat,
                                  beta_hat=report.kappa1_hat * a_sup,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidKernelError, QuadratureError
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate, panel_sums
+from .quadrature import integrate, panel_sums
 
 __all__ = [
     "RateFunction", "FragmentKernel", "MassValue", "MassReport",
@@ -49,7 +49,6 @@ class RateFunction:
     level: float = 1.0
     table: np.ndarray | None = None
     func: object = None
-    local_bound_hint: float | None = None
 
     @classmethod
     def power(cls, alpha: float) -> "RateFunction":
@@ -80,8 +79,8 @@ class RateFunction:
         return cls(family="tabulated", table=tab)
 
     @classmethod
-    def custom(cls, func, local_bound_hint: float | None = None) -> "RateFunction":
-        return cls(family="custom", func=func, local_bound_hint=local_bound_hint)
+    def custom(cls, func) -> "RateFunction":
+        return cls(family="custom", func=func)
 
     def __call__(self, x):
         return eval_rate(self, x)
@@ -203,7 +202,7 @@ class FragmentKernel:
 
     # -- partial daughter mass M(s; y) = int_0^min(s,y) b(x,y) x dx -----------
 
-    def mass_partial(self, s, y: float, spec: QuadratureSpec = DEFAULT_SPEC):
+    def mass_partial(self, s, y: float):
         """Vectorized cumulative daughter mass; closed form for built-ins."""
         ss = np.clip(np.asarray(s, dtype=float), 0.0, y)
         scalar = np.ndim(s) == 0
@@ -227,11 +226,10 @@ class FragmentKernel:
         elif self.family == "custom" and self.mass_partial_fn is not None:
             out = np.asarray(self.mass_partial_fn(ss, y), dtype=float)
         else:
-            out = self._mass_partial_numeric(np.atleast_1d(ss), y, spec).reshape(ss.shape)
+            out = self._mass_partial_numeric(np.atleast_1d(ss), y).reshape(ss.shape)
         return float(out) if scalar else out
 
-    def _mass_partial_numeric(self, s_flat: np.ndarray, y: float,
-                              spec: QuadratureSpec) -> np.ndarray:
+    def _mass_partial_numeric(self, s_flat: np.ndarray, y: float) -> np.ndarray:
         """Quadrature fallback in one cumulative pass over the sorted positive s.
 
         An adaptive integral reaches the smallest one; fixed-order panels between
@@ -247,12 +245,10 @@ class FragmentKernel:
         s = s_flat[order]
         out = np.zeros_like(s_flat)
         if s.size:
-            base, _ = integrate(f, 0.0, float(s[0]), breakpoints=bps, spec=spec,
-                                grade_lo=True)
+            base, _ = integrate(f, 0.0, float(s[0]), breakpoints=bps, grade_lo=True)
             pts = np.unique(np.concatenate([s, [p for p in bps if s[0] < p < s[-1]]]))
             pts = _geometric_fill(pts)
-            increments = panel_sums(f, pts, order=spec.gauss_order) if pts.size > 1 \
-                else np.zeros(0)
+            increments = panel_sums(f, pts) if pts.size > 1 else np.zeros(0)
             cum = base + np.concatenate([[0.0], np.cumsum(increments)])
             out[order] = cum[np.searchsorted(pts, s)]
         return out
@@ -317,12 +313,11 @@ class MassValue:
     exact: bool
 
 
-def mass_integral(kernel: FragmentKernel, y: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> MassValue:
+def mass_integral(kernel: FragmentKernel, y: float) -> MassValue:
     """Daughter mass m(y) = M(y; y); closed form (exact=True) for the built-in families."""
     if y <= 0:
         raise InvalidKernelError("mass integral needs y > 0")
-    return MassValue(value=kernel.mass_partial(y, y, spec), exact=kernel.has_exact_mass())
+    return MassValue(value=kernel.mass_partial(y, y), exact=kernel.has_exact_mass())
 
 
 @dataclass(frozen=True)
@@ -353,8 +348,7 @@ class MassReport:
         return "\n".join(lines)
 
 
-def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> MassReport:
+def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassReport:
     """Classify a kernel's mass balance over positive samples ``y_samples``."""
     ys = np.asarray(y_samples, dtype=float)
     if ys.size == 0 or np.any(ys <= 0):
@@ -363,7 +357,7 @@ def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8,
     failed = []
     for i, y in enumerate(ys):
         try:
-            m[i] = mass_integral(kernel, float(y), spec=spec).value
+            m[i] = mass_integral(kernel, float(y)).value
         except QuadratureError as exc:
             m[i] = exc.partial if exc.partial is not None else np.nan
             failed.append(i)

@@ -16,20 +16,30 @@ single row:
 ``_log_integrate_rows`` runs it on many rows of the log-space integral, one per
 parent size in ``admissibility.log_n_samples``.
 
+Accuracy.  It is fixed, the same for every integral: one 12-point
+Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a total settled within
+``_REL_TOL = 1e-10``, at most ``_MAX_REFINEMENTS = 9`` halvings, and
+``_GRADING_LEVELS = 48`` geometric cells toward ``lo``, deepened 32 at a time
+up to ``_MAX_GRADING_LEVELS = 512``.
+
 Panels never straddle a supplied breakpoint, which restores spectral accuracy
 of the Gauss rule on piecewise-smooth kernels.  An integrable singularity at
 the lower endpoint is handled by geometric grading: the first cell is split at
 ``lo + (len)*2^-k``, and the grading is deepened until the innermost cell
-contributes less than ``0.1 * rel_tol`` of the running total (so rates close
+contributes less than ``0.1 * _REL_TOL`` of the running total (so rates close
 to the integrability limit still converge, or fail loudly).  Then the panels
 are halved until the total settles.
 
-The two modes differ in four places only: the total of the per-cell values
-is a sum or a log-sum-exp; it has settled within ``max(rel_tol, 1e-15)``
-relative (never while infinite) or, in log space, ``rel_tol`` absolute (the
-same relative change of the integral); the innermost cell is negligible below
-``0.1 * rel_tol`` of the total or, in log space, also when the total is not
-finite; and only log space freezes cells.
+A row fails, keeping its last total, when its total is lost (not finite; in
+log space ``-inf`` is a vanishing integral, not lost), when its innermost cell
+still matters at the deepest grading (a divergent or unresolvable tail, which
+halving cannot mend), or when ``_MAX_REFINEMENTS`` halvings do not settle it.
+
+The two modes differ in five places only: the total of the per-cell values
+is a sum or a log-sum-exp; it has settled within ``_REL_TOL`` relative or, in
+log space, ``_REL_TOL`` absolute (the same relative change of the integral);
+the innermost cell is negligible below ``0.1 * _REL_TOL`` of the total; a
+``-inf`` total is lost in plain mode only; and only log space freezes cells.
 
 Ragged rows.  The cells of all rows sit in one flat ``(cells, 2)`` array with
 the row of each cell alongside, each row's cells contiguous and in order, and
@@ -54,51 +64,30 @@ A log-space cell costs one ``exp`` per Gauss point: with ``c_j = half * w_j
 per-point log-sum-exp of ``log(c_j) + log_weight(x_j)`` to rounding.  A cell
 with no ``c_j > 0`` is ``-inf``; one where ``m`` is infinite or the sum
 overflows is recomputed in the per-point form.  The nodes are node-major,
-``(order, cells)``, so the reductions over a cell's nodes run across cells.
+``(12, cells)``, so the reductions over a cell's nodes run across cells.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
-__all__ = ["QuadratureSpec", "DEFAULT_SPEC", "integrate", "log_integrate", "panel_sums"]
+__all__ = ["integrate", "log_integrate", "panel_sums"]
 
+# accuracy of every integral (see the module docstring)
+_REL_TOL = 1e-10
+_MAX_REFINEMENTS = 9
+_GRADING_LEVELS = 48
+_MAX_GRADING_LEVELS = 512
+_NODES, _WEIGHTS = leggauss(12)
 # integrand points evaluated at once
 _BLOCK_POINTS = 1 << 13
 # cells of the rows run at once; a group that outgrows it is split by rows (a row never is)
 _BATCH_CELLS = 1 << 12
 # a log-space cell this far below its row's total cannot move it
 _LOG_EPS = float(np.log(np.finfo(float).eps))
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy and refinement knobs for the panel quadrature."""
-
-    rel_tol: float = 1e-10
-    gauss_order: int = 12
-    max_refinements: int = 9
-    grading_levels: int = 48
-    max_grading_levels: int = 512
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return _RULES[order]
-    except KeyError:
-        z, w = leggauss(order)
-        _RULES[order] = (z, w)
-        return z, w
 
 
 def _segment_logsumexp(v: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -149,25 +138,24 @@ def _halve(cells: np.ndarray, hot: np.ndarray):
     return out, src
 
 
-def _panel_nodes(cells: np.ndarray, order: int):
-    """Gauss nodes ``(order, *cells.shape[:-1])``, node-major, with half-widths and weights."""
-    z, w = _rule(order)
+def _panel_nodes(cells: np.ndarray):
+    """Gauss nodes ``(12, *cells.shape[:-1])``, node-major, with half-widths and weights."""
     half = 0.5 * (cells[..., 1] - cells[..., 0])
     mid = 0.5 * (cells[..., 0] + cells[..., 1])
-    col = (order,) + (1,) * half.ndim
-    return mid + half * z.reshape(col), half, w.reshape(col)
+    col = (_NODES.size,) + (1,) * half.ndim
+    return mid + half * _NODES.reshape(col), half, _WEIGHTS.reshape(col)
 
 
-def _cell_values(f, cells: np.ndarray, order: int) -> np.ndarray:
-    x, half, w = _panel_nodes(cells, order)
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(order, -1)
-    # the same (cells, order) matrix-vector product as a node-last layout, bit for bit
+def _cell_values(f, cells: np.ndarray) -> np.ndarray:
+    x, half, w = _panel_nodes(cells)
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(_NODES.size, -1)
+    # the same (cells, nodes) matrix-vector product as a node-last layout, bit for bit
     return half * (np.ascontiguousarray(fx.T) @ w.ravel()).reshape(half.shape)
 
 
-def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.ndarray:
+def _log_cell_values(factor, log_weight, cells: np.ndarray) -> np.ndarray:
     """Log-space cell integrals; ``factor`` and ``log_weight`` get the node-major nodes."""
-    x, half, w = _panel_nodes(cells, order)
+    x, half, w = _panel_nodes(cells)
     fac = np.asarray(factor(x), dtype=float).reshape(x.shape)
     lw = np.asarray(log_weight(x), dtype=float).reshape(x.shape)
     if np.any(fac < 0):
@@ -181,46 +169,46 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray, order: int) -> np.nd
         bad = out == np.inf  # an infinite m or an overflowed sum
         if bad.any():
             terms = np.log(coef[:, bad].T) + lw[:, bad].T  # one row of nodes per cell
-            out[bad] = _segment_logsumexp(terms.ravel(), np.arange(0, terms.size, order),
-                                          np.full(terms.shape[0], order))
+            out[bad] = _segment_logsumexp(terms.ravel(), np.arange(0, terms.size, _NODES.size),
+                                          np.full(terms.shape[0], _NODES.size))
     return out
 
 
-def panel_sums(f, edges: np.ndarray, order: int = 12) -> np.ndarray:
+def panel_sums(f, edges: np.ndarray) -> np.ndarray:
     """Fixed-order Gauss integrals of ``f`` over consecutive ``edges`` intervals.
 
     One vectorized pass, no refinement: meant for batched cumulative
     integrals of piecewise-smooth integrands whose breakpoints the caller has
     already inserted into ``edges``.
     """
-    cells = np.column_stack([edges[:-1], edges[1:]])
-    return _cell_values(f, cells, order)
+    return _cell_values(f, np.column_stack([edges[:-1], edges[1:]]))
 
 
-def _adaptive(values, edges, spec: QuadratureSpec, grade_lo: bool, log: bool):
+def _adaptive(values, edges, grade_lo: bool, log: bool):
     """Grade toward each row's ``lo`` if asked, then halve its cells until its total settles.
 
     Row ``i`` integrates over ``[edges[i][0], edges[i][-1]]`` with interior
     breakpoints ``edges[i][1:-1]``.  ``values(cells, rows)`` returns the
     per-cell integrals, or their logs when ``log``, of ``cells`` shaped
     ``(n, 2)`` whose rows are ``rows``.  Returns ``(total, last_change,
-    failed)`` arrays; a row fails when ``spec.max_refinements`` halvings do not
-    settle it, and keeps its last total.
+    failed)`` arrays; a failed row (see the module docstring) keeps its last
+    total.
     """
     if log:
         total_of = _segment_logsumexp
-        tol = lambda t: spec.rel_tol
-        negligible = lambda v0, t: ~np.isfinite(t) | (v0 <= t + np.log(0.1 * spec.rel_tol))
+        tol = lambda t: _REL_TOL
+        negligible = lambda v0, t: v0 <= t + np.log(0.1 * _REL_TOL)
+        lost = lambda t: ~(t < np.inf)  # +inf or NaN
     else:
         # each row's own pairwise sum, the bits of a one-row sum (reduceat adds in order)
         total_of = lambda v, starts, counts: np.array(
             [v[a:a + c].sum() for a, c in zip(starts, counts)])
-        # an overflowed (infinite) plain total never settles
-        tol = lambda t: np.where(np.isfinite(t), max(spec.rel_tol, 1e-15) * np.abs(t), -1.0)
-        negligible = lambda v0, t: np.abs(v0) <= 0.1 * (spec.rel_tol * np.abs(t))
+        tol = lambda t: _REL_TOL * np.abs(t)
+        negligible = lambda v0, t: np.abs(v0) <= 0.1 * (_REL_TOL * np.abs(t))
+        lost = lambda t: ~np.isfinite(t)
     # equal totals, infinite ones included, have not changed
     change = lambda cur, prev: np.where(cur == prev, 0.0, np.abs(cur - prev))
-    step = max(1, _BLOCK_POINTS // spec.gauss_order)
+    step = _BLOCK_POINTS // _NODES.size
 
     def evaluate(cells, row):
         out = np.empty(row.size)
@@ -233,7 +221,7 @@ def _adaptive(values, edges, spec: QuadratureSpec, grade_lo: bool, log: bool):
     err = np.zeros(len(edges))
     err[live] = np.inf
     failed = np.zeros(len(edges), dtype=bool)
-    levels0 = spec.grading_levels if grade_lo else 0
+    levels0 = _GRADING_LEVELS if grade_lo else 0
     n_cells = sum(edges[i].size - 1 + levels0 for i in live)
     with np.errstate(invalid="ignore"):
         for batch in np.array_split(live, -(-n_cells // _BATCH_CELLS)) if live.size else ():
@@ -245,19 +233,23 @@ def _adaptive(values, edges, spec: QuadratureSpec, grade_lo: bool, log: bool):
                 starts, counts = _segments(row)
                 prev, cur = total[pending], total_of(val, starts, counts)
                 total[pending] = cur
+                # the innermost cell still matters, unless the last deepening already
+                # settled the total
                 deeper = np.zeros(pending.size, dtype=bool)
-                if grade_lo and levels < spec.max_grading_levels:
-                    # deepen while the innermost cell still matters, unless the last
-                    # deepening already settled the total
+                if grade_lo:
                     deeper = ~negligible(val[starts], cur)
                     if levels > levels0:
                         deeper &= ~(change(cur, prev) <= tol(cur))
-                keep = np.repeat(~deeper, counts)
+                # a lost total, or a tail still open at the deepest grading, fails the row
+                out = lost(cur) | (deeper & (levels >= _MAX_GRADING_LEVELS))
+                failed[pending[out]] = True
+                keep = np.repeat(~(deeper | out), counts)
                 parts.append((cells[keep], row[keep], val[keep]))
-                pending, levels = pending[deeper], levels + 32
+                pending, levels = pending[deeper & ~out], levels + 32
             cells, row, val = (np.concatenate(a) for a in zip(*parts))
-            # halving: (cells, row, val, hot, halvings done) of groups of rows
-            work = [(cells, row, val, np.ones(row.size, dtype=bool), 0)]
+            # halving: (cells, row, val, hot, halvings done) of groups of rows, none if
+            # every row of the batch failed in grading
+            work = [(cells, row, val, np.ones(row.size, dtype=bool), 0)] if row.size else []
             while work:
                 cells, row, val, hot, k = work.pop()
                 starts, counts = _segments(row)
@@ -269,7 +261,7 @@ def _adaptive(values, edges, spec: QuadratureSpec, grade_lo: bool, log: bool):
                     work += [part(slice(cut, None)), part(slice(None, cut))]
                     continue
                 rows = row[starts]
-                if k == spec.max_refinements:
+                if k == _MAX_REFINEMENTS:
                     failed[rows] = True
                     continue
                 if log:  # freeze the cells too small to move their row's total
@@ -281,17 +273,19 @@ def _adaptive(values, edges, spec: QuadratureSpec, grade_lo: bool, log: bool):
                 cur = total_of(val, starts, counts)
                 err[rows] = change(cur, total[rows])
                 total[rows] = cur
-                keep = np.repeat(~(err[rows] <= tol(cur)), counts)
+                out = lost(cur)
+                failed[rows[out]] = True
+                keep = np.repeat(~((err[rows] <= tol(cur)) | out), counts)
                 if keep.any():
                     work.append((cells[keep], row[keep], val[keep], hot[keep], k + 1))
     return total, err, failed
 
 
-def _one_row(values, lo, hi, breakpoints, spec: QuadratureSpec, grade_lo: bool, log: bool):
+def _one_row(values, lo, hi, breakpoints, grade_lo: bool, log: bool):
     """Run ``_adaptive`` on one row ``[lo, hi]``; raise :class:`QuadratureError` if it fails."""
     lo, hi = float(lo), float(hi)
     total, err, failed = _adaptive(lambda cells, rows: values(cells),
-                                   [_edges(lo, hi, breakpoints)], spec, grade_lo, log)
+                                   [_edges(lo, hi, breakpoints)], grade_lo, log)
     if failed[0]:
         raise QuadratureError(
             f"{'log-space' if log else 'panel'} quadrature on [{lo:g}, {hi:g}] "
@@ -300,42 +294,38 @@ def _one_row(values, lo, hi, breakpoints, spec: QuadratureSpec, grade_lo: bool, 
     return float(total[0]), float(err[0])
 
 
-def integrate(f, lo, hi, *, breakpoints=(), spec: QuadratureSpec = DEFAULT_SPEC,
-              grade_lo: bool = False):
+def integrate(f, lo, hi, *, breakpoints=(), grade_lo: bool = False):
     """Integrate a vectorized ``f`` over ``[lo, hi]``.
 
     Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` with
-    the partial estimate attached when successive panel refinements fail to
-    settle within ``spec.rel_tol``.
+    the partial estimate attached when the integral fails to converge.
     """
-    return _one_row(lambda cells: _cell_values(f, cells, spec.gauss_order),
-                    lo, hi, breakpoints, spec, grade_lo, log=False)
+    return _one_row(lambda cells: _cell_values(f, cells), lo, hi, breakpoints, grade_lo,
+                    log=False)
 
 
-def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(),
-                  spec: QuadratureSpec = DEFAULT_SPEC, grade_lo: bool = False):
+def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool = False):
     """Return ``(log_value, log_error)`` for the integral of ``factor * exp(log_weight)``.
 
     ``log_value`` is ``-inf`` when the integrand vanishes.  ``log_error`` is the
     absolute change of the log between the last two refinement levels, which
     for small values equals the relative error of the integral.
     """
-    return _one_row(lambda cells: _log_cell_values(factor, log_weight, cells, spec.gauss_order),
-                    lo, hi, breakpoints, spec, grade_lo, log=True)
+    return _one_row(lambda cells: _log_cell_values(factor, log_weight, cells),
+                    lo, hi, breakpoints, grade_lo, log=True)
 
 
-def _log_integrate_rows(factor, log_weight, spans, spec: QuadratureSpec, grade_lo: bool):
-    """``log_integrate`` over many rows at once, without raising.
+def _log_integrate_rows(factor, log_weight, spans):
+    """``log_integrate`` with ``grade_lo`` over many rows at once, without raising.
 
     Row ``i`` is the ``i``-th ``(lo, hi, breakpoints)`` of the iterable
-    ``spans``.  ``factor(x, i)`` gets the nodes ``x`` shaped ``(order, cells)``
+    ``spans``.  ``factor(x, i)`` gets the nodes ``x`` shaped ``(12, cells)``
     and the row ``i`` of each cell, shaped ``(cells,)`` so that it broadcasts
     over the nodes.  Returns ``(log_value, failed)`` arrays; a failed row
     carries its last estimate.
     """
     edges = [_edges(float(lo), float(hi), bps) for lo, hi, bps in spans]
     total, _, failed = _adaptive(
-        lambda cells, rows: _log_cell_values(lambda x: factor(x, rows), log_weight, cells,
-                                             spec.gauss_order),
-        edges, spec, grade_lo, log=True)
+        lambda cells, rows: _log_cell_values(lambda x: factor(x, rows), log_weight, cells),
+        edges, grade_lo=True, log=True)
     return total, failed

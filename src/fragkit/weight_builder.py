@@ -43,7 +43,6 @@ from .admissibility import log_n_samples
 from .config import write_csv
 from .errors import ConstructionError, StepSizeError
 from .kernels import FragmentKernel, eval_kernel
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .weights import Weight
 
 __all__ = ["MajorantH", "MajorantB", "VolterraSolution", "WeightCertificate",
@@ -119,8 +118,7 @@ class MajorantB:
 
 
 def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: float,
-            samples_per_unit: int = 256, floor: float = 1e-8,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> MajorantH:
+            samples_per_unit: int = 256, floor: float = 1e-8) -> MajorantH:
     """Majorize g(y) = int_0^eta0 b(x,y) omega0(x) dx by band suprema.
 
     With eta0 = 0 the integral is empty and h is the positivity floor alone.
@@ -134,7 +132,7 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
         raise ConstructionError("omega0 is required when eta0 > 0")
 
     ys = np.linspace(eta0, eta0 + n_bands, n_bands * max(8, samples_per_unit) + 1)
-    g = np.exp(log_n_samples(kernel, omega0, ys, spec=spec, hi=eta0))
+    g = np.exp(log_n_samples(kernel, omega0, ys, hi=eta0))
     if not np.all(np.isfinite(g)):
         raise ConstructionError("below-eta0 contribution g(y) left the float range",
                                 worst_y=float(ys[~np.isfinite(g)][0]))
@@ -145,7 +143,7 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
 
     rng = np.random.default_rng(1234)
     y_check = rng.uniform(eta0, y_max, size=256)
-    g_check = np.exp(log_n_samples(kernel, omega0, y_check, spec=spec, hi=eta0))
+    g_check = np.exp(log_n_samples(kernel, omega0, y_check, hi=eta0))
     bad = g_check > h.eval(y_check) * (1.0 + 1e-9)
     if np.any(bad):
         raise ConstructionError("majorant validation failed: h < g (increase sampling density)",
@@ -291,7 +289,7 @@ class WeightCertificate:
 def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
                      kappa: float, y_max: float, *, step: float | None = None,
                      floor: float = 1e-8, n_validation: int = 200, tol: float = 1e-6,
-                     samples_per_unit: int = 256, spec: QuadratureSpec = DEFAULT_SPEC):
+                     samples_per_unit: int = 256):
     """Run the full pipeline; returns ``(weight, certificate)``.
 
     The returned weight equals omega0 exactly below eta0 and the marched
@@ -301,8 +299,7 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
     """
     if eta0 < 0 or y_max <= eta0:
         raise ValueError("need 0 <= eta0 < y_max")
-    h = build_h(kernel, omega0, eta0, y_max, samples_per_unit=samples_per_unit,
-                floor=floor, spec=spec)
+    h = build_h(kernel, omega0, eta0, y_max, samples_per_unit=samples_per_unit, floor=floor)
     bt = build_btilde(kernel, eta0, y_max)
     if step is None:
         bt_max = bt.diagonal_max(y_max)
@@ -317,7 +314,7 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
         weight = Weight.tabulated(np.maximum(sol.nodes, 1e-300), log_vals)
 
     y_check = np.linspace(eta0 if eta0 > 0 else sol.nodes[1], sol.y_max, n_validation)
-    log_lhs = log_n_samples(kernel, weight, y_check, spec=spec)
+    log_lhs = log_n_samples(kernel, weight, y_check)
     log_rhs = np.log(kappa) + weight.log_eval(y_check)
     margin = -np.expm1(log_lhs - log_rhs)  # (rhs - lhs)/rhs, overflow-safe
     passed = bool(np.all(margin >= -tol))

@@ -299,8 +299,7 @@ class ComparisonVerdict:
         return "\n".join(lines)
 
 
-def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples,
-                    spec=None) -> ComparisonVerdict:
+def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples) -> ComparisonVerdict:
     """Check the ordering hypothesis and the ratio inequality it implies.
 
     Increasing differentiable weights with (log w1)' <= (log w2)' pointwise
@@ -328,7 +327,7 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples,
     ratios = []
     for w in (w1, w2):
         try:
-            log_n = log_n_samples(kernel, w, ys, spec=spec)
+            log_n = log_n_samples(kernel, w, ys)
         except QuadratureError as exc:  # keep the partials; the verdict is inconclusive
             log_n = exc.partial
             failed |= exc.failed

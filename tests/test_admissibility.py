@@ -14,16 +14,18 @@ test authoring):
 * homogeneous h(z) = (nu+2) z^nu with w = x^p:  r = (nu+2)/(nu+p+1) for all y.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fragkit import quadrature
 from fragkit.admissibility import (check, log_n_omega, log_n_samples, n_omega,
                                    ratio_curve, relative_bound)
 from fragkit.errors import QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
-from fragkit.quadrature import QuadratureSpec
 from fragkit.weight_builder import build_h
 from fragkit.weights import Weight, compare_weights
 
@@ -219,6 +221,37 @@ class TestFrozenCells:
         np.testing.assert_allclose(rc.ratio, (nu + 2.0) / (nu + p + 1.0), rtol=1e-13)
 
 
+class TestUnresolvedTails:
+    """A row whose grading toward 0 cannot resolve the integrand there fails at once."""
+
+    def test_overflowed_kernel_is_failed_not_an_infinite_ratio(self):
+        # x^nu overflows at the graded nodes near 2^-512, so the log total is +inf;
+        # the true ratio is (nu + 2)/(nu + p + 1) = 0.833 at every y
+        rep = check(FragmentKernel.homogeneous_power(-1.95), Weight.power(1.01), 1.0, 10.0)
+        assert rep.failed_counts == (rep.y_small.size, rep.y_grid.size)
+        assert not rep.verdict_A32 and not rep.verdict_A41
+        assert rep.verdict_limsup == "inconclusive"
+
+    @pytest.mark.parametrize("nu, converges", [(-1.9, True), (-1.93, True), (-1.94, False),
+                                               (-1.95, False), (-1.97, False)])
+    def test_integrability_limit(self, nu, converges):
+        # with w = x the integrand is (nu + 2) x^(nu + 1) / y^(nu + 1): the deepest grading
+        # resolves it to 1e-11 only for nu + 1 not too close to -1
+        rc = ratio_curve(FragmentKernel.homogeneous_power(nu), Weight.power(1.0),
+                         np.geomspace(1e-3, 100.0, 9))
+        assert np.all(rc.failed != converges)
+        if converges:
+            np.testing.assert_allclose(rc.ratio, 1.0, rtol=0.0, atol=3e-11)
+
+    def test_divergent_row_fails_before_halving(self):
+        # int_0^5 x^-1 1.5^x dx diverges at 0; halving the 529 cells of its deepest
+        # grading 9 times would evaluate about 6.5 million points
+        xs = []
+        with pytest.raises(QuadratureError):
+            log_n_omega(TestFrozenCells.counting(HOM1, xs), Weight.exponential(1.5), 5.0)
+        assert sum(x.size for x in xs) < 100_000
+
+
 class TestConsistencyWithComparison:
     def test_kappa2_ordering_follows_hypothesis(self):
         # (log x)' <= (log x^2)' <= (log x^3)' everywhere
@@ -259,7 +292,14 @@ class TestSampledNOmega:
     # single refinement cannot settle any sample
     OSC = FragmentKernel.custom(lambda x, y: (1.0 + np.cos(40.0 * x / y)) * 2.0 / y,
                                 label="oscillatory")
-    COARSE = QuadratureSpec(max_refinements=1)
+
+    @staticmethod
+    @contextmanager
+    def coarse():
+        """At most one halving per row, too few to settle any ``OSC`` sample."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_MAX_REFINEMENTS", 1)
+            yield
 
     def test_samples_match_scalar_calls(self):
         ys = np.geomspace(2.0, 50.0, 7)
@@ -276,7 +316,8 @@ class TestSampledNOmega:
 
     def test_ratio_curve_marks_every_failed_sample(self):
         ys = np.geomspace(1.0, 10.0, 9)
-        rc = ratio_curve(self.OSC, Weight.power(1.0), ys, spec=self.COARSE)
+        with self.coarse():
+            rc = ratio_curve(self.OSC, Weight.power(1.0), ys)
         assert rc.failed.shape == ys.shape
         assert np.all(rc.failed)
         assert rc.log_n.shape == ys.shape
@@ -285,8 +326,8 @@ class TestSampledNOmega:
 
     def test_samples_raise_with_mask_and_partials(self):
         ys = np.geomspace(1.0, 10.0, 9)
-        with pytest.raises(QuadratureError) as exc:
-            log_n_samples(self.OSC, Weight.power(1.0), ys, spec=self.COARSE)
+        with self.coarse(), pytest.raises(QuadratureError) as exc:
+            log_n_samples(self.OSC, Weight.power(1.0), ys)
         assert exc.value.failed.shape == ys.shape
         assert exc.value.failed.dtype == bool
         assert np.all(exc.value.failed)
@@ -294,8 +335,8 @@ class TestSampledNOmega:
         assert "9 of 9" in str(exc.value)
         partials = []  # each failed row keeps the estimate its one-y call fails with
         for y in ys:
-            with pytest.raises(QuadratureError) as one:
-                log_n_omega(self.OSC, Weight.power(1.0), float(y), spec=self.COARSE)
+            with self.coarse(), pytest.raises(QuadratureError) as one:
+                log_n_omega(self.OSC, Weight.power(1.0), float(y))
             partials.append(one.value.partial)
         np.testing.assert_array_equal(exc.value.partial, partials)
 
@@ -317,25 +358,27 @@ class TestSampledNOmega:
            ys=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=60),
            hi=st.one_of(st.none(), st.floats(0.5, 5.0)))
     def test_samples_equal_one_y_calls_bit_for_bit(self, kernel, weight, ys, hi):
+        # a one-y call is a batch of one row: a row's bits do not depend on its neighbours
         got = log_n_samples(kernel, weight, ys, hi=hi)
         want = [log_n_omega(kernel, weight, y, hi=hi) for y in ys]
         np.testing.assert_array_equal(got, want)
 
     def test_strict_callers_raise_quadrature_error(self):
-        with pytest.raises(QuadratureError) as exc:
-            build_h(self.OSC, Weight.power(1.0), 1.0, 2.0, samples_per_unit=8,
-                    spec=self.COARSE)
+        with self.coarse(), pytest.raises(QuadratureError) as exc:
+            build_h(self.OSC, Weight.power(1.0), 1.0, 2.0, samples_per_unit=8)
         assert exc.value.failed.shape == exc.value.partial.shape
 
     def test_compare_weights_reports_failed_samples(self):
-        v = compare_weights(Weight.power(1.0), Weight.power(2.0), self.OSC,
-                            np.geomspace(1e-3, 10.0, 16), [2.0, 5.0], spec=self.COARSE)
+        with self.coarse():
+            v = compare_weights(Weight.power(1.0), Weight.power(2.0), self.OSC,
+                                np.geomspace(1e-3, 10.0, 16), [2.0, 5.0])
         assert v.failed.shape == (2,) and np.all(v.failed)
         assert v.inconclusive and not v.pointwise_inequality_holds
         assert "r1 >= r2:   inconclusive" in v.summary()
 
     def test_check_never_passes_on_failed_samples(self):
-        rep = check(self.OSC, Weight.power(1.0), 1.0, 10.0, spec=self.COARSE)
+        with self.coarse():
+            rep = check(self.OSC, Weight.power(1.0), 1.0, 10.0)
         below, above = rep.failed_counts
         assert (below, above) == (rep.y_small.size, rep.y_grid.size)
         assert not rep.verdict_A32 and not rep.verdict_A41

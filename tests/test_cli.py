@@ -159,12 +159,19 @@ class TestExitCodes:
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     def test_check_weight_failed_samples_inconclusive(self, tmp_path, monkeypatch, capsys):
-        from fragkit import admissibility
-        from fragkit.quadrature import QuadratureSpec
-        monkeypatch.setattr(admissibility, "DEFAULT_SPEC", QuadratureSpec(max_refinements=1))
+        from fragkit import quadrature
+        monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 1)
         cfg = write(tmp_path / "osc.cfg",
                     "[kernel]\nfamily = custom\nexpr = (1 + np.cos(40 * x / y)) * 2 / y\n\n"
                     "[weight]\nfamily = power\np = 1\n\n[params]\neta0 = 1\ny_max = 10\n")
+        assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "failed samples = 385 below / 65 above" in capsys.readouterr().out
+
+    def test_check_weight_overflowed_kernel_inconclusive(self, tmp_path, capsys):
+        # x^-1.95 overflows near 0 before the grading resolves it: every sample fails
+        cfg = write(tmp_path / "ovf.cfg",
+                    "[kernel]\nfamily = homogeneous_power\nnu = -1.95\n\n"
+                    "[weight]\nfamily = power\np = 1.01\n\n[params]\neta0 = 1\ny_max = 10\n")
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "failed samples = 385 below / 65 above" in capsys.readouterr().out
 
@@ -289,8 +296,8 @@ y_samples = 1,5,25
         from fragkit.errors import QuadratureError
         real = admissibility.log_n_samples
 
-        def failing(kernel, weight, ys, spec=None, hi=None):
-            partial = real(kernel, weight, ys, spec=spec, hi=hi)
+        def failing(kernel, weight, ys, hi=None):
+            partial = real(kernel, weight, ys, hi=hi)
             raise QuadratureError("n_w quadrature did not converge", partial=partial,
                                   failed=np.asarray(ys) == 5.0)
 

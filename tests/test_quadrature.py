@@ -1,7 +1,5 @@
 """Panel quadrature: accuracy, breakpoint handling, grading, log-space path."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +9,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from fragkit.errors import QuadratureError
-from fragkit.quadrature import (_BATCH_CELLS, DEFAULT_SPEC, QuadratureSpec, _log_cell_values,
-                                _log_integrate_rows, _panel_nodes, _segment_logsumexp,
-                                integrate, log_integrate)
+from fragkit.quadrature import (_BATCH_CELLS, _log_cell_values, _log_integrate_rows,
+                                _panel_nodes, _segment_logsumexp, integrate, log_integrate)
 
 
 def test_polynomial_is_exact():
@@ -73,7 +70,7 @@ def test_dead_rows_give_minus_inf_beside_live_ones():
     # rows 0, 2, 4 have an all-zero factor; the others integrate e^x over [0, hi]
     spans = [(0.0, 1.0 + i, ()) for i in range(6)]
     total, failed = _log_integrate_rows(lambda x, i: np.where(i % 2, 1.0, 0.0) + 0.0 * x,
-                                        lambda x: x, spans, DEFAULT_SPEC, grade_lo=True)
+                                        lambda x: x, spans)
     assert not failed.any()
     assert np.all(total[::2] == -np.inf)
     np.testing.assert_allclose(total[1::2], np.log(np.expm1([2.0, 4.0, 6.0])), rtol=1e-14)
@@ -109,7 +106,7 @@ def test_rows_that_outgrow_a_group_equal_one_row_calls_bit_for_bit():
     spans = [(0.0, 30.0 + 0.5 * i, (7.0,)) for i in range(20)]
     points = []
     lw = lambda x: (points.append(x.size), -0.1 * x)[1]
-    total, failed = _log_integrate_rows(factor, lw, spans, DEFAULT_SPEC, grade_lo=True)
+    total, failed = _log_integrate_rows(factor, lw, spans)
     assert not failed.any() and sum(points) > 24 * _BATCH_CELLS
     want = [log_integrate(lambda x, i=i: factor(x, i), lw, lo, hi, breakpoints=bps,
                           grade_lo=True)[0] for i, (lo, hi, bps) in enumerate(spans)]
@@ -124,21 +121,10 @@ def test_nonconvergence_carries_partial_estimate():
         idx = (np.abs(x) * 1e7).astype(int) % jitter.size
         return jitter[idx]
 
-    spec = QuadratureSpec(rel_tol=1e-14, max_refinements=3)
     with pytest.raises(QuadratureError) as exc:
-        integrate(noisy, 0.0, 1.0, spec=spec)
+        integrate(noisy, 0.0, 1.0)
     assert exc.value.partial is not None
     assert 0.3 < exc.value.partial < 2.0
-
-
-def test_spec_is_immutable_default():
-    assert DEFAULT_SPEC.rel_tol == 1e-10
-    with pytest.raises(Exception):
-        DEFAULT_SPEC.rel_tol = 1.0
-
-
-def test_spec_has_no_abs_tol():
-    assert "abs_tol" not in {f.name for f in dataclasses.fields(QuadratureSpec)}
 
 
 @pytest.mark.parametrize("grade_lo", [False, True])
@@ -148,8 +134,20 @@ def test_nan_or_overflowed_integrand_raises(grade_lo):
         integrate(nan, 0.0, 1.0, grade_lo=grade_lo)
     with pytest.raises(QuadratureError):
         log_integrate(nan, lambda x: 0.0 * x, 0.0, 1.0, grade_lo=grade_lo)
-    with pytest.raises(QuadratureError):  # an infinite plain total never settles
-        integrate(lambda x: np.full_like(x, np.inf), 0.0, 1.0, grade_lo=grade_lo)
+    points = []
+
+    def inf(x):
+        points.append(x.size)
+        return np.full_like(x, np.inf)
+
+    with pytest.raises(QuadratureError):  # an infinite total fails on its base cells
+        integrate(inf, 0.0, 1.0, grade_lo=grade_lo)
+    assert sum(points) == 12 * (1 + 48 * grade_lo)
+    # a +inf log total fails too, whether the base cells or a halving (the nodes below
+    # 0.008 of the cell [0, 0.5]) make it infinite
+    for f in (lambda x: np.full_like(x, np.inf), lambda x: np.where(x < 0.008, np.inf, 1.0)):
+        with pytest.raises(QuadratureError):
+            log_integrate(f, lambda x: 0.0 * x, 0.0, 1.0, grade_lo=grade_lo)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,8 +198,8 @@ def test_one_exp_cell_matches_per_point_logsumexp(data, n_cells, widths):
         st.floats(-700.0, 700.0), st.just(-np.inf))))
     dead = data.draw(hnp.arrays(bool, n_cells))
     fac = np.where(np.tile(dead, 12), 0.0, fac)  # the nodes come node-major
-    got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
-    x, half, w = _panel_nodes(cells, 12)
+    got = _log_cell_values(lambda x: fac, lambda x: lw, cells)
+    x, half, w = _panel_nodes(cells)
     with np.errstate(divide="ignore"):
         terms = np.log(half * w * fac.reshape(x.shape)) + lw.reshape(x.shape)
     want = logsumexp(terms, axis=0)
@@ -221,8 +219,8 @@ def test_one_exp_cell_falls_back_where_the_sum_overflows():
     fac = np.full(24, 1e308)
     lw = np.zeros(24)
     lw[1] = np.inf  # node 0 of cell 1, node-major
-    got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
-    x, half, w = _panel_nodes(cells, 12)
+    got = _log_cell_values(lambda x: fac, lambda x: lw, cells)
+    x, half, w = _panel_nodes(cells)
     want0 = logsumexp(np.log(half[0, 0] * w.ravel()) + np.log(1e308))
     assert np.isfinite(got[0, 0]) and abs(got[0, 0] - want0) <= 1e-13
     assert got[0, 1] == np.inf
@@ -234,7 +232,7 @@ def test_one_exp_cell_shifts_by_the_live_nodes_only():
     cells = np.array([[[0.0, 1.0]]])
     fac = np.r_[0.0, np.ones(11)]
     lw = np.r_[700.0, np.full(11, -100.0)]
-    got = _log_cell_values(lambda x: fac, lambda x: lw, cells, 12)
-    x, half, w = _panel_nodes(cells, 12)
+    got = _log_cell_values(lambda x: fac, lambda x: lw, cells)
+    x, half, w = _panel_nodes(cells)
     want = logsumexp(np.log(half[0, 0] * w.ravel()[1:]) - 100.0)
     assert abs(got[0, 0] - want) <= 1e-13

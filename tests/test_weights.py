@@ -157,8 +157,8 @@ class TestCompareWeights:
         real = admissibility.log_n_samples
         masks = iter([[False, True, False], [False, False, True]])
 
-        def failing(kernel, weight, ys, spec=None, hi=None):
-            partial = real(kernel, weight, ys, spec=spec, hi=hi)
+        def failing(kernel, weight, ys, hi=None):
+            partial = real(kernel, weight, ys, hi=hi)
             raise QuadratureError("n_w quadrature did not converge", partial=partial,
                                   failed=np.array(next(masks)))
 
