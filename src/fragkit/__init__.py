@@ -13,8 +13,7 @@ if os.environ.get("FRAGKIT_THREADS"):  # cap the BLAS pools before any submodule
         os.environ.setdefault(_var, os.environ["FRAGKIT_THREADS"])
 
 from .admissibility import (AdmissibilityReport, RatioCurve, RelativeBoundEstimate,
-                            check, log_n_omega, log_n_samples, n_omega, ratio_curve,
-                            relative_bound)
+                            check, log_n_omega, log_n_samples, ratio_curve, relative_bound)
 from .errors import (ConfigError, ConstructionError, FragkitError, InvalidInputError,
                      InvalidKernelError, QuadratureError, StepSizeError, StiffnessError,
                      WeightDomainError)
@@ -45,7 +44,7 @@ __all__ = [
     "check", "classify_mass", "column_kappa", "compare_weights", "construct_weight",
     "derived_weight", "discretize", "eval_kernel", "eval_rate", "exp_decay",
     "exp_weight_search", "expm_oracle", "gamma_monotone_check", "integrate",
-    "log_integrate", "log_n_omega", "log_n_samples", "mass_integral", "n_omega",
+    "log_integrate", "log_n_omega", "log_n_samples", "mass_integral",
     "rate_envelope", "ratio_curve", "relative_bound", "semigroup_check", "simulate",
     "solve_volterra", "step",
 ]

@@ -34,7 +34,7 @@ from .errors import QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
 from .quadrature import _log_integrate_rows
 
-__all__ = ["log_n_omega", "log_n_samples", "n_omega", "ratio_curve", "RatioCurve",
+__all__ = ["log_n_omega", "log_n_samples", "ratio_curve", "RatioCurve",
            "AdmissibilityReport", "check", "RelativeBoundEstimate", "relative_bound",
            "PASS_MARGIN"]
 
@@ -82,19 +82,6 @@ def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -
             f"n_w quadrature did not converge at {np.count_nonzero(failed)} of {ys.size} "
             f"parent sizes (first at y = {ys[failed][0]:g})", partial=log_n, failed=failed)
     return log_n
-
-
-def n_omega(kernel: FragmentKernel, weight, y: float, as_log: bool | None = None) -> float:
-    """Weighted fragment mass n_w(y).
-
-    Returned as a log value for exponential-class weights (where the linear
-    value overflows a double on moderate y), as a plain value otherwise;
-    pass ``as_log`` to force either convention.
-    """
-    lv = log_n_omega(kernel, weight, y)
-    if as_log is None:
-        as_log = bool(getattr(weight, "exponential_class", False))
-    return lv if as_log else float(np.exp(lv))
 
 
 @dataclass(frozen=True)
@@ -191,7 +178,10 @@ class AdmissibilityReport:
 
     def summary(self) -> str:
         below, above = self.failed_counts
-        verdict = lambda ok: "inconclusive" if below or above else ("pass" if ok else "fail")
+        when_converged = lambda text: "inconclusive" if below or above else text
+        verdict = lambda ok: when_converged("pass" if ok else "fail")
+        kappa1 = "pass" if not self.kappa1_growing else "flagged-growing"
+        trend = "non-increasing" if self.trend <= TREND_TOL else "increasing"
         lines = [
             f"admissibility report: kernel {self.kernel_label or '?'}, weight {self.weight_label or '?'}",
             f"eta0 = {self.eta0:g}, y_max = {self.y_max:g}, "
@@ -204,8 +194,8 @@ class AdmissibilityReport:
             f"verdict_A32    = {verdict(self.verdict_A32)} (sup ratio <= 1)",
             f"verdict_A41    = {verdict(self.verdict_A41)} (tail sup < 1, small-y sup finite)",
             f"verdict_limsup = {self.verdict_limsup}",
-            f"verdict_kappa1_bounded = {'pass' if not self.kappa1_growing else 'flagged-growing'}",
-            f"verdict_trend  = {'non-increasing' if self.trend <= TREND_TOL else 'increasing'}",
+            f"verdict_kappa1_bounded = {when_converged(kappa1)}",
+            f"verdict_trend  = {when_converged(trend)}",
         ]
         return "\n".join(lines)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidKernelError, QuadratureError
-from .quadrature import integrate, panel_sums
+from .quadrature import log_integrate, panel_sums
 
 __all__ = [
     "RateFunction", "FragmentKernel", "MassValue", "MassReport",
@@ -237,19 +237,26 @@ class FragmentKernel:
         consecutive points differ by more than a factor of 2, so every panel is
         accurate near a singular kernel; finer grids, such as the simulator's, are
         used as they are.  Results come back in input order; zeros map to 0.
+
+        The integrand is ``b(x, y) * exp(log x)``: the daughter mass is n_w with
+        w(x) = x.  A failure carries the plain partial value, not its log.
         """
-        f = lambda x: eval_kernel(self, x, y) * x
+        b = lambda x: eval_kernel(self, x, y)
         bps = self.breakpoints(y)
         order = np.argsort(s_flat)
         order = order[s_flat[order] > 0]
         s = s_flat[order]
         out = np.zeros_like(s_flat)
         if s.size:
-            base, _ = integrate(f, 0.0, float(s[0]), breakpoints=bps, grade_lo=True)
+            try:
+                log_base, _ = log_integrate(b, np.log, 0.0, float(s[0]), breakpoints=bps,
+                                            grade_lo=True)
+            except QuadratureError as exc:
+                raise QuadratureError(str(exc), partial=float(np.exp(exc.partial))) from None
             pts = np.unique(np.concatenate([s, [p for p in bps if s[0] < p < s[-1]]]))
             pts = _geometric_fill(pts)
-            increments = panel_sums(f, pts) if pts.size > 1 else np.zeros(0)
-            cum = base + np.concatenate([[0.0], np.cumsum(increments)])
+            increments = np.exp(panel_sums(b, np.log, pts)) if pts.size > 1 else np.zeros(0)
+            cum = np.exp(log_base) + np.concatenate([[0.0], np.cumsum(increments)])
             out[order] = cum[np.searchsorted(pts, s)]
         return out
 
@@ -327,7 +334,8 @@ class MassReport:
     ``classification`` is "conserving" when m(y)/y = 1 at every sample (within
     tol), "sub_conserving" when m(y)/y <= 1 + tol everywhere but not all equal
     to 1, and "violating" when some sample produces more mass than the parent.
-    Samples whose quadrature failed are listed in ``failed`` and excluded.
+    Samples whose quadrature failed are listed in ``failed`` and excluded; when
+    every sample failed it is "inconclusive" and ``max_excess`` is NaN.
     """
 
     y_samples: np.ndarray
@@ -364,10 +372,10 @@ def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassR
     ok = np.ones(ys.shape, dtype=bool)
     ok[failed] = False
     excess = m[ok] / ys[ok] - 1.0
+    max_excess = float(np.max(excess)) if excess.size else np.nan
     if excess.size == 0:
-        raise QuadratureError("mass quadrature failed at every sample", partial=None)
-    max_excess = float(np.max(excess))
-    if np.all(np.abs(excess) <= tol):
+        cls = "inconclusive"
+    elif np.all(np.abs(excess) <= tol):
         cls = "conserving"
     elif np.all(excess <= tol):
         cls = "sub_conserving"

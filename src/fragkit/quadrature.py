@@ -1,26 +1,28 @@
 """Panel Gauss-Legendre quadrature with breakpoint splitting and log-space accumulation.
 
-All weighted integrals in the toolkit go through one adaptive routine,
-``_adaptive``, which integrates many rows at once.  A row is one integral: its
-interval, its interior breakpoints and, during the run, its own cells, total,
-last change, grading depth and failed flag.  Two entry points run it on a
-single row:
+All integrals in the toolkit go through one adaptive routine, ``_adaptive``,
+which integrates many rows at once in log space.  A row is one integral: its
+interval, its interior breakpoints and, during the run, its own cells, log
+total, last change, grading depth and failed flag.  Every integrand is
+non-negative (the weighted-L1 theory asks for no other), and a negative one
+raises ``ValueError``.  Two entry points run the routine on a single row:
 
-``integrate``
-    Plain-valued integral of a vectorized integrand.
 ``log_integrate``
     Returns ``log`` of the integral of ``factor(x) * exp(log_weight(x))`` with
     ``factor >= 0``, accumulated via log-sum-exp so exponential-class weights
     (where ``exp(log_weight)`` overflows a double) stay representable.
+``integrate``
+    The plain value of the integral of a non-negative ``f``: ``log_integrate``
+    with ``log_weight = 0``.
 
-``_log_integrate_rows`` runs it on many rows of the log-space integral, one per
-parent size in ``admissibility.log_n_samples``.
+``_log_integrate_rows`` runs it on many rows, one per parent size in
+``admissibility.log_n_samples``.
 
 Accuracy.  It is fixed, the same for every integral: one 12-point
-Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a total settled within
-``_REL_TOL = 1e-10``, at most ``_MAX_REFINEMENTS = 9`` halvings, and
-``_GRADING_LEVELS = 48`` geometric cells toward ``lo``, deepened 32 at a time
-up to ``_MAX_GRADING_LEVELS = 512``.
+Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a log total settled within
+``_REL_TOL = 1e-10`` absolute (the same relative change of the integral), at
+most ``_MAX_REFINEMENTS = 9`` halvings, and ``_GRADING_LEVELS = 48`` geometric
+cells toward ``lo``, deepened 32 at a time up to ``_MAX_GRADING_LEVELS = 512``.
 
 Panels never straddle a supplied breakpoint, which restores spectral accuracy
 of the Gauss rule on piecewise-smooth kernels.  An integrable singularity at
@@ -30,35 +32,28 @@ contributes less than ``0.1 * _REL_TOL`` of the running total (so rates close
 to the integrability limit still converge, or fail loudly).  Then the panels
 are halved until the total settles.
 
-A row fails, keeping its last total, when its total is lost (not finite; in
-log space ``-inf`` is a vanishing integral, not lost), when its innermost cell
-still matters at the deepest grading (a divergent or unresolvable tail, which
-halving cannot mend), or when ``_MAX_REFINEMENTS`` halvings do not settle it.
-
-The two modes differ in five places only: the total of the per-cell values
-is a sum or a log-sum-exp; it has settled within ``_REL_TOL`` relative or, in
-log space, ``_REL_TOL`` absolute (the same relative change of the integral);
-the innermost cell is negligible below ``0.1 * _REL_TOL`` of the total; a
-``-inf`` total is lost in plain mode only; and only log space freezes cells.
+A row fails, keeping its last total, when its total is lost (``+inf`` or NaN;
+a ``-inf`` log total is a vanishing integral, not lost), when its innermost
+cell still matters at the deepest grading (a divergent or unresolvable tail,
+which halving cannot mend), or when ``_MAX_REFINEMENTS`` halvings do not
+settle it.
 
 Ragged rows.  The cells of all rows sit in one flat ``(cells, 2)`` array with
 the row of each cell alongside, each row's cells contiguous and in order, and
-row totals are segmented reductions over each row's own cells: a row's result
-does not depend on the rows that share its call.  Deepening a row's grading or
-halving its cells changes only its own cells, and a settled row leaves the
-array.  Cells are evaluated in chunks of at most ``_BLOCK_POINTS`` points, and
-rows run in groups of about ``_BATCH_CELLS`` cells, which bounds the working
-set.  Log-space evaluation is elementwise, so neither changes any bits there;
-the plain cell values come from a BLAS product, whose last bits may depend on
-the chunk.
+row totals are segmented log-sum-exps over each row's own cells: a row's
+result does not depend on the rows that share its call.  Deepening a row's
+grading or halving its cells changes only its own cells, and a settled row
+leaves the array.  Cells are evaluated in chunks of at most ``_BLOCK_POINTS``
+points, and rows run in groups of about ``_BATCH_CELLS`` cells, which bounds
+the working set.  Cell evaluation is elementwise, so neither changes any bits.
 
-Frozen cells.  In log space, before each halving, a cell at most ``eps``
-(double precision) of its row's current total is frozen: it keeps its value in
-the total and is never halved again, since no refinement of it can move the
-total.  A dead cell (``-inf``: zero factor at every node) is always frozen.
-Plain mode, whose integrands may be signed, freezes nothing.
+Frozen cells.  Before each halving, a cell at most ``eps`` (double precision)
+of its row's current total is frozen: it keeps its value in the total and is
+never halved again, since no refinement of a non-negative cell that small can
+move the total.  A dead cell (``-inf``: zero factor at every node) is always
+frozen.
 
-A log-space cell costs one ``exp`` per Gauss point: with ``c_j = half * w_j
+A cell costs one ``exp`` per Gauss point: with ``c_j = half * w_j
 * factor(x_j)`` and ``m`` the largest ``log_weight(x_j)`` over the nodes with
 ``c_j > 0``, it is ``m + log(sum_j c_j * exp(log_weight(x_j) - m))``, the
 per-point log-sum-exp of ``log(c_j) + log_weight(x_j)`` to rounding.  A cell
@@ -146,20 +141,13 @@ def _panel_nodes(cells: np.ndarray):
     return mid + half * _NODES.reshape(col), half, _WEIGHTS.reshape(col)
 
 
-def _cell_values(f, cells: np.ndarray) -> np.ndarray:
-    x, half, w = _panel_nodes(cells)
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(_NODES.size, -1)
-    # the same (cells, nodes) matrix-vector product as a node-last layout, bit for bit
-    return half * (np.ascontiguousarray(fx.T) @ w.ravel()).reshape(half.shape)
-
-
 def _log_cell_values(factor, log_weight, cells: np.ndarray) -> np.ndarray:
     """Log-space cell integrals; ``factor`` and ``log_weight`` get the node-major nodes."""
     x, half, w = _panel_nodes(cells)
     fac = np.asarray(factor(x), dtype=float).reshape(x.shape)
     lw = np.asarray(log_weight(x), dtype=float).reshape(x.shape)
     if np.any(fac < 0):
-        raise ValueError("log_integrate requires a non-negative factor")
+        raise ValueError("quadrature requires a non-negative integrand")
     coef = half * w * fac
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lw = np.where(coef > 0, lw, -np.inf)  # a point with coef = 0 adds exactly 0
@@ -174,50 +162,41 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def panel_sums(f, edges: np.ndarray) -> np.ndarray:
-    """Fixed-order Gauss integrals of ``f`` over consecutive ``edges`` intervals.
+def panel_sums(factor, log_weight, edges: np.ndarray) -> np.ndarray:
+    """Fixed-order log-space Gauss integrals of ``factor * exp(log_weight)`` over
+    consecutive ``edges`` intervals.
 
     One vectorized pass, no refinement: meant for batched cumulative
     integrals of piecewise-smooth integrands whose breakpoints the caller has
     already inserted into ``edges``.
     """
-    return _cell_values(f, np.column_stack([edges[:-1], edges[1:]]))
+    return _log_cell_values(factor, log_weight, np.column_stack([edges[:-1], edges[1:]]))
 
 
-def _adaptive(values, edges, grade_lo: bool, log: bool):
+def _adaptive(factor, log_weight, edges, grade_lo: bool):
     """Grade toward each row's ``lo`` if asked, then halve its cells until its total settles.
 
-    Row ``i`` integrates over ``[edges[i][0], edges[i][-1]]`` with interior
-    breakpoints ``edges[i][1:-1]``.  ``values(cells, rows)`` returns the
-    per-cell integrals, or their logs when ``log``, of ``cells`` shaped
-    ``(n, 2)`` whose rows are ``rows``.  Returns ``(total, last_change,
-    failed)`` arrays; a failed row (see the module docstring) keeps its last
-    total.
+    Row ``i`` integrates ``factor * exp(log_weight)`` over ``[edges[i][0],
+    edges[i][-1]]`` with interior breakpoints ``edges[i][1:-1]``.
+    ``factor(x, rows)`` gets the node-major nodes of cells whose rows are
+    ``rows``.  Returns ``(log_total, last_change, failed)`` arrays; a failed
+    row (see the module docstring) keeps its last total.
     """
-    if log:
-        total_of = _segment_logsumexp
-        tol = lambda t: _REL_TOL
-        negligible = lambda v0, t: v0 <= t + np.log(0.1 * _REL_TOL)
-        lost = lambda t: ~(t < np.inf)  # +inf or NaN
-    else:
-        # each row's own pairwise sum, the bits of a one-row sum (reduceat adds in order)
-        total_of = lambda v, starts, counts: np.array(
-            [v[a:a + c].sum() for a, c in zip(starts, counts)])
-        tol = lambda t: _REL_TOL * np.abs(t)
-        negligible = lambda v0, t: np.abs(v0) <= 0.1 * (_REL_TOL * np.abs(t))
-        lost = lambda t: ~np.isfinite(t)
     # equal totals, infinite ones included, have not changed
     change = lambda cur, prev: np.where(cur == prev, 0.0, np.abs(cur - prev))
+    lost = lambda t: ~(t < np.inf)  # +inf or NaN
     step = _BLOCK_POINTS // _NODES.size
 
     def evaluate(cells, row):
         out = np.empty(row.size)
         for i in range(0, row.size, step):
-            out[i:i + step] = values(cells[i:i + step], row[i:i + step])
+            chunk = row[i:i + step]
+            out[i:i + step] = _log_cell_values(lambda x: factor(x, chunk), log_weight,
+                                               cells[i:i + step])
         return out
 
     live = np.flatnonzero([e[-1] > e[0] for e in edges])  # an empty range is 0 (-inf in log)
-    total = np.full(len(edges), -np.inf if log else 0.0)
+    total = np.full(len(edges), -np.inf)
     err = np.zeros(len(edges))
     err[live] = np.inf
     failed = np.zeros(len(edges), dtype=bool)
@@ -231,15 +210,15 @@ def _adaptive(values, edges, grade_lo: bool, log: bool):
                 cells, row = _base_cells(edges, pending, levels)
                 val = evaluate(cells, row)
                 starts, counts = _segments(row)
-                prev, cur = total[pending], total_of(val, starts, counts)
+                prev, cur = total[pending], _segment_logsumexp(val, starts, counts)
                 total[pending] = cur
                 # the innermost cell still matters, unless the last deepening already
                 # settled the total
                 deeper = np.zeros(pending.size, dtype=bool)
                 if grade_lo:
-                    deeper = ~negligible(val[starts], cur)
+                    deeper = ~(val[starts] <= cur + np.log(0.1 * _REL_TOL))
                     if levels > levels0:
-                        deeper &= ~(change(cur, prev) <= tol(cur))
+                        deeper &= ~(change(cur, prev) <= _REL_TOL)
                 # a lost total, or a tail still open at the deepest grading, fails the row
                 out = lost(cur) | (deeper & (levels >= _MAX_GRADING_LEVELS))
                 failed[pending[out]] = True
@@ -264,44 +243,21 @@ def _adaptive(values, edges, grade_lo: bool, log: bool):
                 if k == _MAX_REFINEMENTS:
                     failed[rows] = True
                     continue
-                if log:  # freeze the cells too small to move their row's total
-                    hot &= val > np.repeat(total[rows] + _LOG_EPS, counts)
+                # freeze the cells too small to move their row's total
+                hot &= val > np.repeat(total[rows] + _LOG_EPS, counts)
                 cells, src = _halve(cells, hot)
                 row, val, hot = row[src], val[src], hot[src]
                 val[hot] = evaluate(cells[hot], row[hot])
                 starts, counts = _segments(row)
-                cur = total_of(val, starts, counts)
+                cur = _segment_logsumexp(val, starts, counts)
                 err[rows] = change(cur, total[rows])
                 total[rows] = cur
                 out = lost(cur)
                 failed[rows[out]] = True
-                keep = np.repeat(~((err[rows] <= tol(cur)) | out), counts)
+                keep = np.repeat(~((err[rows] <= _REL_TOL) | out), counts)
                 if keep.any():
                     work.append((cells[keep], row[keep], val[keep], hot[keep], k + 1))
     return total, err, failed
-
-
-def _one_row(values, lo, hi, breakpoints, grade_lo: bool, log: bool):
-    """Run ``_adaptive`` on one row ``[lo, hi]``; raise :class:`QuadratureError` if it fails."""
-    lo, hi = float(lo), float(hi)
-    total, err, failed = _adaptive(lambda cells, rows: values(cells),
-                                   [_edges(lo, hi, breakpoints)], grade_lo, log)
-    if failed[0]:
-        raise QuadratureError(
-            f"{'log-space' if log else 'panel'} quadrature on [{lo:g}, {hi:g}] "
-            f"did not converge (last change {err[0]:.3e})",
-            partial=float(total[0]), error_estimate=float(err[0]))
-    return float(total[0]), float(err[0])
-
-
-def integrate(f, lo, hi, *, breakpoints=(), grade_lo: bool = False):
-    """Integrate a vectorized ``f`` over ``[lo, hi]``.
-
-    Returns ``(value, error_estimate)``.  Raises :class:`QuadratureError` with
-    the partial estimate attached when the integral fails to converge.
-    """
-    return _one_row(lambda cells: _cell_values(f, cells), lo, hi, breakpoints, grade_lo,
-                    log=False)
 
 
 def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool = False):
@@ -309,10 +265,36 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool 
 
     ``log_value`` is ``-inf`` when the integrand vanishes.  ``log_error`` is the
     absolute change of the log between the last two refinement levels, which
-    for small values equals the relative error of the integral.
+    for small values equals the relative error of the integral.  Raises
+    :class:`QuadratureError`, with the last ``log_value`` as ``partial``, when
+    the integral fails to converge, and ``ValueError`` on a negative ``factor``.
     """
-    return _one_row(lambda cells: _log_cell_values(factor, log_weight, cells),
-                    lo, hi, breakpoints, grade_lo, log=True)
+    lo, hi = float(lo), float(hi)
+    total, err, failed = _adaptive(lambda x, rows: factor(x), log_weight,
+                                   [_edges(lo, hi, breakpoints)], grade_lo)
+    if failed[0]:
+        raise QuadratureError(
+            f"log-space quadrature on [{lo:g}, {hi:g}] did not converge "
+            f"(last change {err[0]:.3e})", partial=float(total[0]), error_estimate=float(err[0]))
+    return float(total[0]), float(err[0])
+
+
+def integrate(f, lo, hi, *, breakpoints=(), grade_lo: bool = False):
+    """Integrate a vectorized non-negative ``f`` over ``[lo, hi]``.
+
+    ``log_integrate`` with ``log_weight = 0``.  Returns ``(value,
+    error_estimate)``, the estimate being the change of the value between the
+    last two refinement levels.  Raises :class:`QuadratureError` with the
+    partial value attached when the integral fails to converge, and
+    ``ValueError`` when ``f`` is negative anywhere it is sampled.
+    """
+    try:
+        lv, lerr = log_integrate(f, np.zeros_like, lo, hi, breakpoints=breakpoints,
+                                 grade_lo=grade_lo)
+    except QuadratureError as exc:
+        raise QuadratureError(str(exc), partial=float(np.exp(exc.partial))) from None
+    value = float(np.exp(lv))
+    return value, value * float(np.expm1(lerr))
 
 
 def _log_integrate_rows(factor, log_weight, spans):
@@ -325,7 +307,5 @@ def _log_integrate_rows(factor, log_weight, spans):
     carries its last estimate.
     """
     edges = [_edges(float(lo), float(hi), bps) for lo, hi, bps in spans]
-    total, _, failed = _adaptive(
-        lambda cells, rows: _log_cell_values(lambda x: factor(x, rows), log_weight, cells),
-        edges, grade_lo=True, log=True)
+    total, _, failed = _adaptive(factor, log_weight, edges, grade_lo=True)
     return total, failed

@@ -158,14 +158,6 @@ class DensityState:
     t: float = 0.0
     dust_mass: float = 0.0
 
-    def moments(self) -> tuple[float, float]:
-        mu = self.grid.weights * self.u
-        return float(mu.sum()), float((self.grid.nodes * mu).sum())
-
-    def norm(self, weight: Weight) -> float:
-        mu = self.grid.weights * np.abs(self.u)
-        return float((weight.eval(self.grid.nodes) * mu).sum())
-
 
 def bump(grid: Grid, lo: float, hi: float) -> np.ndarray:
     """Indicator-style initial density: 1 on [lo, hi], 0 outside."""

@@ -26,8 +26,6 @@ from .kernels import RateFunction, rate_envelope
 __all__ = ["Weight", "ComparisonVerdict", "gamma_monotone_check",
            "derived_weight", "compare_weights"]
 
-_EXP_CLASS = ("exponential", "super_exponential")
-
 
 @dataclass(frozen=True)
 class Weight:
@@ -151,15 +149,6 @@ class Weight:
         return self.eval(x)
 
     # -- structure ----------------------------------------------------------------
-
-    @property
-    def exponential_class(self) -> bool:
-        """True when linear-space evaluation overflows on moderate grids."""
-        if self.family in _EXP_CLASS:
-            return True
-        if self.family in ("tabulated", "composite"):
-            return bool(np.max(self.log_values) > 500.0)
-        return False
 
     @property
     def monotone(self) -> bool:

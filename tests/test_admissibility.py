@@ -22,8 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fragkit import quadrature
-from fragkit.admissibility import (check, log_n_omega, log_n_samples, n_omega,
-                                   ratio_curve, relative_bound)
+from fragkit.admissibility import check, log_n_omega, log_n_samples, ratio_curve, relative_bound
 from fragkit.errors import QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
 from fragkit.weight_builder import build_h
@@ -47,16 +46,17 @@ class TestNOmega:
 
     def test_homogeneous_power_weight(self):
         # n(y) = y^p (nu+2)/(nu+p+1) -> 9 * 1/2 at y = 3, p = 2
-        assert n_omega(HOM1, Weight.power(2.0), 3.0) == pytest.approx(4.5, rel=1e-10)
+        assert np.exp(log_n_omega(HOM1, Weight.power(2.0), 3.0)) == pytest.approx(4.5, rel=1e-10)
 
     def test_zero_kernel(self):
-        assert n_omega(FragmentKernel.zero(), Weight.power(1.0), 2.0) == 0.0
+        assert log_n_omega(FragmentKernel.zero(), Weight.power(1.0), 2.0) == -np.inf
 
-    def test_exponential_class_returns_log(self):
-        as_log = n_omega(BB, W_EXP, 10.0)
-        assert as_log == pytest.approx(np.log(13925.100149059793), rel=1e-12)
-        forced = n_omega(BB, W_EXP, 10.0, as_log=False)
-        assert forced == pytest.approx(13925.100149059793, rel=1e-10)
+    def test_exponential_weight_stays_in_log_space(self):
+        # n(1000) = e^1000 (1 - 1/e) + e - 1 overflows a double; its log does not
+        assert log_n_omega(BB, W_EXP, 10.0) == pytest.approx(np.log(13925.100149059793),
+                                                             rel=1e-12)
+        assert log_n_omega(BB, W_EXP, 1000.0) == pytest.approx(1000.0 + np.log1p(-1.0 / np.e),
+                                                               rel=1e-14)
 
 
 class TestRatioCurve:
@@ -231,6 +231,10 @@ class TestUnresolvedTails:
         assert rep.failed_counts == (rep.y_small.size, rep.y_grid.size)
         assert not rep.verdict_A32 and not rep.verdict_A41
         assert rep.verdict_limsup == "inconclusive"
+        # no verdict line, the kappa1 and trend ones included, reads as if it converged
+        verdicts = [line for line in rep.summary().splitlines() if line.startswith("verdict_")]
+        assert len(verdicts) == 5
+        assert all(line.split("=")[1].split()[0] == "inconclusive" for line in verdicts)
 
     @pytest.mark.parametrize("nu, converges", [(-1.9, True), (-1.93, True), (-1.94, False),
                                                (-1.95, False), (-1.97, False)])
@@ -387,7 +391,7 @@ class TestSampledNOmega:
         lines = rep.summary().splitlines()
         assert f"failed samples = {below} below / {above} above" in lines
         assert sum(line.split("=")[1].split()[0] == "inconclusive"
-                   for line in lines if line.startswith("verdict_")) == 3
+                   for line in lines if line.startswith("verdict_")) == 5
         converged = check(self.OSC, Weight.power(1.0), 1.0, 10.0)
         assert converged.failed_counts == (0, 0)
         assert "failed samples" not in converged.summary()

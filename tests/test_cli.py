@@ -195,6 +195,16 @@ class TestExitCodes:
         assert main(["kernel-info", "--config", cfg]) == 3
         assert "quadrature failed at sample indices [2]" in capsys.readouterr().out
 
+    def test_kernel_info_every_sample_failed_inconclusive(self, tmp_path, capsys):
+        # homogeneous_power(-1.95) as an expr: x^-1.95 overflows near 0 at every sample
+        cfg = write(tmp_path / "ovf.cfg",
+                    "[kernel]\nfamily = custom\nexpr = (-1.95 + 2) * x**(-1.95) / y**(-0.95)\n\n"
+                    "[params]\ny_samples = 1,2,5\n")
+        assert main(["kernel-info", "--config", cfg]) == 3
+        out = capsys.readouterr().out
+        assert "mass balance: inconclusive" in out and "max excess m(y)/y - 1 = nan" in out
+        assert "quadrature failed at sample indices [0, 1, 2]" in out
+
     def test_expr_failing_at_evaluation_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "np.cfg", "[kernel]\nfamily = custom\nexpr = exp(np)\n")
         assert main(["kernel-info", "--config", cfg]) == 2
