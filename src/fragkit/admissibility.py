@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import write_csv
-from .errors import QuadratureError
+from .errors import InvalidInputError, QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
 from .quadrature import _log_integrate_rows
 
@@ -50,7 +50,7 @@ TREND_TOL = 1e-6
 def _span(kernel: FragmentKernel, weight, y: float, hi: float | None):
     """``(0, min(y, hi), breakpoints)`` of n_w(y): the kernel's and the weight's kinks."""
     if y <= 0:
-        raise ValueError("n_w needs y > 0")
+        raise InvalidInputError("n_w needs y > 0")
     top = y if hi is None else min(y, hi)
     bps = list(kernel.breakpoints(y))
     if hasattr(weight, "quad_breakpoints"):
@@ -100,15 +100,12 @@ class RatioCurve:
     def to_csv(self, path) -> None:
         write_csv(path, self.csv_columns())
 
-    def __iter__(self):
-        return iter(zip(self.y, self.ratio))
-
 
 def ratio_curve(kernel: FragmentKernel, weight, y_grid) -> RatioCurve:
     """r(y) = n_w(y)/w(y) along an increasing grid, via log-space subtraction."""
     ys = np.asarray(y_grid, dtype=float)
     if np.any(ys <= 0) or np.any(np.diff(ys) < 0):
-        raise ValueError("y_grid must be positive and non-decreasing")
+        raise InvalidInputError("y_grid must be positive and non-decreasing")
     failed = np.zeros(ys.shape, dtype=bool)
     try:
         log_n = log_n_samples(kernel, weight, ys)
@@ -160,16 +157,8 @@ class AdmissibilityReport:
         return self.main.y
 
     @property
-    def ratios(self) -> np.ndarray:
-        return self.main.ratio
-
-    @property
     def y_small(self) -> np.ndarray:
         return self.small.y
-
-    @property
-    def ratios_small(self) -> np.ndarray:
-        return self.small.ratio
 
     @property
     def failed_counts(self) -> tuple[int, int]:
@@ -215,8 +204,8 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
     failed, verdict_A32 and verdict_A41 are False and verdict_limsup is
     "inconclusive".
     """
-    if not (0 < eta0 < y_max):
-        raise ValueError("need 0 < eta0 < y_max")
+    if not (0 < eta0 < y_max < np.inf):
+        raise InvalidInputError("need 0 < eta0 < y_max < inf")
     if n_samples is None:
         y_grid = geometric_grid(eta0, y_max)
     else:
@@ -275,18 +264,24 @@ class RelativeBoundEstimate:
     """Sampled constants of the relative bound ||B f|| <= alpha ||A f|| + beta ||f||.
 
     alpha_hat = kappa2_hat and beta_hat = kappa1_hat * sup of the rate on
-    [0, eta0]; alpha_hat < 1 at the sampled horizon signals the analyticity
-    hypothesis.
+    [0, eta0]; alpha_hat < 1 at the sampled horizon is the relative-bound
+    hypothesis only, not checked against the dynamics.  With any of the
+    ``failed_counts`` (below, above eta0) the estimate is inconclusive.
     """
 
     alpha_hat: float
     beta_hat: float
     eta0: float
+    failed_counts: tuple[int, int]
 
     def summary(self) -> str:
+        below, above = self.failed_counts
+        if below or above:
+            note = f" (inconclusive: failed samples = {below} below / {above} above)"
+        else:
+            note = " (alpha_hat < 1: relative-bound hypothesis holds)" if self.alpha_hat < 1 else ""
         return (f"relative bound estimate at eta0 = {self.eta0:g}: "
-                f"alpha_hat = {self.alpha_hat:.12g}, beta_hat = {self.beta_hat:.12g}"
-                + (" (alpha_hat < 1: analytic regime at this horizon)" if self.alpha_hat < 1 else ""))
+                f"alpha_hat = {self.alpha_hat:.12g}, beta_hat = {self.beta_hat:.12g}" + note)
 
 
 def relative_bound(kernel: FragmentKernel, rate: RateFunction, weight,
@@ -296,4 +291,4 @@ def relative_bound(kernel: FragmentKernel, rate: RateFunction, weight,
     a_sup = rate_envelope(rate, eta0)
     return RelativeBoundEstimate(alpha_hat=report.kappa2_hat,
                                  beta_hat=report.kappa1_hat * a_sup,
-                                 eta0=eta0)
+                                 eta0=eta0, failed_counts=report.failed_counts)

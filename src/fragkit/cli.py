@@ -32,6 +32,10 @@ def _need(cfg: RunConfig, *attrs) -> None:
             raise ConfigError(f"this command needs a [{a}] section in the config")
 
 
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -43,7 +47,7 @@ def _outpath(args, name: str) -> str:
 
 def cmd_kernel_info(cfg: RunConfig, args) -> int:
     _need(cfg, "kernel")
-    samples = [float(v) for v in cfg.params.get("y_samples", "1,2,5,10,20,50").split(",")]
+    samples = cfg.param("y_samples", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0], cast=_floats)
     tol = args.tol if args.tol is not None else cfg.param("tol", 1e-8)
     report = classify_mass(cfg.kernel, samples, tol=tol)
     print(f"kernel family: {cfg.kernel.describe()}")
@@ -148,7 +152,7 @@ def cmd_compare_weights(cfg: RunConfig, args) -> int:
     _need(cfg, "kernel", "weight", "weight2")
     x_grid = np.geomspace(cfg.param("x_grid_min", 1e-3), cfg.param("x_grid_max", 100.0),
                           cfg.param("x_grid_n", 256, cast=lambda s: int(float(s))))
-    y_samples = [float(v) for v in cfg.params.get("y_samples", "2,5,10,20,50").split(",")]
+    y_samples = cfg.param("y_samples", [2.0, 5.0, 10.0, 20.0, 50.0], cast=_floats)
     verdict = compare_weights(cfg.weight, cfg.weight2, cfg.kernel, x_grid, y_samples)
     print(verdict.summary())
     return EXIT_INCONCLUSIVE if verdict.inconclusive else EXIT_PASS
@@ -207,10 +211,7 @@ def main(argv=None) -> int:
             raise ConfigError("--config is required")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, FragkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (FragkitError, OSError) as exc:  # a ConfigError is a FragkitError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

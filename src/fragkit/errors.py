@@ -23,10 +23,9 @@ class QuadratureError(FragkitError):
     """Quadrature did not converge.  ``partial`` carries the best available estimate;
     over a batch of samples it is the whole array and ``failed`` the per-sample mask."""
 
-    def __init__(self, message, partial=None, error_estimate=None, failed=None):
+    def __init__(self, message, partial=None, failed=None):
         super().__init__(message)
         self.partial = partial
-        self.error_estimate = error_estimate
         self.failed = failed
 
 

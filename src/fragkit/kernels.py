@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
+_ENVELOPE_SAMPLES_PER_UNIT = 512
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +114,13 @@ def eval_rate(rate: RateFunction, x):
     return out if np.ndim(x) else float(out)
 
 
-def rate_envelope(rate: RateFunction, x, samples_per_unit: int = 512):
+def rate_envelope(rate: RateFunction, x):
     """Non-decreasing majorant c(x) = sup of a over [0, x].
 
     Exact for the monotone built-in families and for tabulated rates (a
     piecewise-linear interpolant attains its running maximum at knots); custom
-    rates are sampled densely and the running maximum of the samples is
-    returned, which is exact for continuous rates up to the sampling mesh.
+    rates are sampled ``_ENVELOPE_SAMPLES_PER_UNIT`` times per unit of x and the
+    running maximum is returned, which is exact for continuous rates up to that mesh.
     """
     xs = np.asarray(x, dtype=float)
     scalar = np.ndim(x) == 0
@@ -135,7 +136,7 @@ def rate_envelope(rate: RateFunction, x, samples_per_unit: int = 512):
         out = np.maximum(below, eval_rate(rate, xs))
     else:
         hi = float(np.max(xs)) if xs.size else 0.0
-        n = max(2, int(np.ceil(samples_per_unit * max(hi, 1.0))))
+        n = max(2, int(np.ceil(_ENVELOPE_SAMPLES_PER_UNIT * max(hi, 1.0))))
         grid = np.linspace(0.0, max(hi, 1e-300), n)
         runmax = np.maximum.accumulate(eval_rate(rate, grid))
         idx = np.clip(np.searchsorted(grid, xs, side="right") - 1, 0, n - 1)

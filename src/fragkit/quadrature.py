@@ -5,7 +5,7 @@ which integrates many rows at once in log space.  A row is one integral: its
 interval, its interior breakpoints and, during the run, its own cells, log
 total, last change, grading depth and failed flag.  Every integrand is
 non-negative (the weighted-L1 theory asks for no other), and a negative one
-raises ``ValueError``.  Two entry points run the routine on a single row:
+raises ``InvalidInputError``.  Two entry points run the routine on a single row:
 
 ``log_integrate``
     Returns ``log`` of the integral of ``factor(x) * exp(log_weight(x))`` with
@@ -67,7 +67,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError
+from .errors import InvalidInputError, QuadratureError
 
 __all__ = ["integrate", "log_integrate", "panel_sums"]
 
@@ -147,7 +147,7 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray) -> np.ndarray:
     fac = np.asarray(factor(x), dtype=float).reshape(x.shape)
     lw = np.asarray(log_weight(x), dtype=float).reshape(x.shape)
     if np.any(fac < 0):
-        raise ValueError("quadrature requires a non-negative integrand")
+        raise InvalidInputError("quadrature requires a non-negative integrand")
     coef = half * w * fac
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lw = np.where(coef > 0, lw, -np.inf)  # a point with coef = 0 adds exactly 0
@@ -267,7 +267,7 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool 
     absolute change of the log between the last two refinement levels, which
     for small values equals the relative error of the integral.  Raises
     :class:`QuadratureError`, with the last ``log_value`` as ``partial``, when
-    the integral fails to converge, and ``ValueError`` on a negative ``factor``.
+    the integral fails to converge, and ``InvalidInputError`` on a negative ``factor``.
     """
     lo, hi = float(lo), float(hi)
     total, err, failed = _adaptive(lambda x, rows: factor(x), log_weight,
@@ -275,7 +275,7 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool 
     if failed[0]:
         raise QuadratureError(
             f"log-space quadrature on [{lo:g}, {hi:g}] did not converge "
-            f"(last change {err[0]:.3e})", partial=float(total[0]), error_estimate=float(err[0]))
+            f"(last change {err[0]:.3e})", partial=float(total[0]))
     return float(total[0]), float(err[0])
 
 
@@ -286,7 +286,7 @@ def integrate(f, lo, hi, *, breakpoints=(), grade_lo: bool = False):
     error_estimate)``, the estimate being the change of the value between the
     last two refinement levels.  Raises :class:`QuadratureError` with the
     partial value attached when the integral fails to converge, and
-    ``ValueError`` when ``f`` is negative anywhere it is sampled.
+    ``InvalidInputError`` when ``f`` is negative anywhere it is sampled.
     """
     try:
         lv, lerr = log_integrate(f, np.zeros_like, lo, hi, breakpoints=breakpoints,

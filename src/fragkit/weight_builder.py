@@ -20,6 +20,11 @@ is constructed in three steps:
 g(y) and the certificate's left-hand side n_w(y) are both sampled by
 ``admissibility.log_n_samples``, which tries every sample before raising.
 
+Accuracy.  The sampling densities are fixed, the same for every construction:
+``_H_SAMPLES_PER_UNIT = 256`` samples of g per unit of y, a ``_BAND_LATTICE =
+(64, 156)`` lattice in (s, x) per strip of bt, and ``_N_VALIDATION = 200``
+certificate points.  The march's residual is measured at every node.
+
 The march replaces a truncated Neumann series: one forward pass gives
 machine-precision consistency with the discretized equation, and the
 factorial series bound is used only as an a-priori growth estimate in tests.
@@ -41,7 +46,7 @@ import numpy as np
 
 from .admissibility import log_n_samples
 from .config import write_csv
-from .errors import ConstructionError, StepSizeError
+from .errors import ConstructionError, InvalidInputError, StepSizeError
 from .kernels import FragmentKernel, eval_kernel
 from .weights import Weight
 
@@ -51,10 +56,20 @@ __all__ = ["MajorantH", "MajorantB", "VolterraSolution", "WeightCertificate",
 
 logger = logging.getLogger(__name__)
 
+_H_SAMPLES_PER_UNIT = 256
+_BAND_LATTICE = (64, 156)
+_N_VALIDATION = 200
+
 
 # ---------------------------------------------------------------------------
 # majorants
 # ---------------------------------------------------------------------------
+
+def _interp_unit_knots(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Linear interpolation of ``values[n]`` at t = n, the end segments extended."""
+    n = np.clip(np.floor(t).astype(int), 0, values.size - 2)
+    return values[n] + (values[n + 1] - values[n]) * (t - n)
+
 
 @dataclass(frozen=True)
 class MajorantH:
@@ -70,14 +85,8 @@ class MajorantH:
     floor: float
 
     def eval(self, y):
-        ys = np.asarray(y, dtype=float)
-        t = ys - self.eta0
-        n = np.clip(np.floor(t).astype(int), 0, self.values.size - 2)
-        out = self.values[n] + (self.values[n + 1] - self.values[n]) * (t - n)
+        out = _interp_unit_knots(self.values, np.asarray(y, dtype=float) - self.eta0)
         return float(out) if np.ndim(y) == 0 else out
-
-    def __call__(self, y):
-        return self.eval(y)
 
 
 @dataclass(frozen=True)
@@ -105,20 +114,14 @@ class MajorantB:
     def eval_s(self, s) -> np.ndarray:
         """The majorant on the anti-diagonal ``x + y - 2 eta0 = s``."""
         s = np.asarray(s, dtype=float)
-        n = np.clip(np.floor(s).astype(int), 0, self.band_values.size - 2)
-        out = self.band_values[n] + (self.band_values[n + 1] - self.band_values[n]) * (s - n)
-        return np.where(s < 0, self.band_values[0], out)
+        return np.where(s < 0, self.band_values[0], _interp_unit_knots(self.band_values, s))
 
     def diagonal_max(self, y_max: float) -> float:
-        s = 2.0 * (y_max - self.eta0)
-        return float(self.eval(y_max, y_max)) if s >= 0 else float(self.band_values[0])
-
-    def __call__(self, x, y):
-        return self.eval(x, y)
+        return float(self.eval_s(2.0 * (y_max - self.eta0)))
 
 
 def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: float,
-            samples_per_unit: int = 256, floor: float = 1e-8) -> MajorantH:
+            floor: float = 1e-8) -> MajorantH:
     """Majorize g(y) = int_0^eta0 b(x,y) omega0(x) dx by band suprema.
 
     With eta0 = 0 the integral is empty and h is the positivity floor alone.
@@ -131,7 +134,7 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
     if omega0 is None:
         raise ConstructionError("omega0 is required when eta0 > 0")
 
-    ys = np.linspace(eta0, eta0 + n_bands, n_bands * max(8, samples_per_unit) + 1)
+    ys = np.linspace(eta0, eta0 + n_bands, n_bands * _H_SAMPLES_PER_UNIT + 1)
     g = np.exp(log_n_samples(kernel, omega0, ys, hi=eta0))
     if not np.all(np.isfinite(g)):
         raise ConstructionError("below-eta0 contribution g(y) left the float range",
@@ -146,22 +149,20 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
     g_check = np.exp(log_n_samples(kernel, omega0, y_check, hi=eta0))
     bad = g_check > h.eval(y_check) * (1.0 + 1e-9)
     if np.any(bad):
-        raise ConstructionError("majorant validation failed: h < g (increase sampling density)",
+        raise ConstructionError("majorant validation failed: h < g between its samples",
                                 worst_y=float(y_check[bad][0]))
     return h
 
 
-def build_btilde(kernel: FragmentKernel, eta0: float, y_max: float,
-                 points_per_band: int = 10_000) -> MajorantB:
+def build_btilde(kernel: FragmentKernel, eta0: float, y_max: float) -> MajorantB:
     """Band suprema of b over the anti-diagonal strips above eta0.
 
-    Each strip is scanned on a deterministic (s, x) lattice carrying about
-    ``points_per_band`` kernel evaluations, augmented with the kernel's own
+    Each strip is scanned on the deterministic ``_BAND_LATTICE`` of ``n_s``
+    lines s and ``n_x`` points x per line, augmented with the kernel's own
     breakpoints so piecewise plateaus are hit exactly.
     """
     n_bands = int(np.ceil(2.0 * (y_max - eta0))) + 2
-    n_s = max(8, int(np.sqrt(points_per_band) * 0.64))
-    n_x = max(8, int(points_per_band // n_s))
+    n_s, n_x = _BAND_LATTICE
     vals = np.empty(n_bands + 1)
     running = 0.0
     for n in range(n_bands + 1):
@@ -214,7 +215,7 @@ class VolterraSolution:
 
 
 def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
-                   step: float, residual_stride: int = 1) -> VolterraSolution:
+                   step: float) -> VolterraSolution:
     """Forward march for the second-kind Volterra equation.
 
     ``btilde`` is a :class:`MajorantB`; it is read once, on the half-step
@@ -227,7 +228,7 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     quadrature of the same equation.
     """
     if kappa <= 0 or step <= 0:
-        raise ValueError("kappa and step must be positive")
+        raise InvalidInputError("kappa and step must be positive")
     n_steps = int(np.ceil((y_max - eta0) / step - 1e-12))
     ys = eta0 + step * np.arange(n_steps + 1)
     # bt is constant along anti-diagonals, so one half-step lattice in s holds every
@@ -254,7 +255,7 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     res = 0.0
     fine = eta0 + 0.5 * step * np.arange(2 * n_steps + 1)
     w_fine = np.interp(fine, ys, w)
-    for k in range(1, n_steps + 1, max(1, residual_stride)):
+    for k in range(1, n_steps + 1):
         m = 2 * k
         row = band[m:2 * m + 1]  # bt(fine[:m + 1], ys[k])
         integral = 0.5 * step * 0.5 * float(row[0] * w_fine[0] + row[m] * w_fine[m]
@@ -288,8 +289,7 @@ class WeightCertificate:
 
 def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
                      kappa: float, y_max: float, *, step: float | None = None,
-                     floor: float = 1e-8, n_validation: int = 200, tol: float = 1e-6,
-                     samples_per_unit: int = 256):
+                     floor: float = 1e-8, tol: float = 1e-6):
     """Run the full pipeline; returns ``(weight, certificate)``.
 
     The returned weight equals omega0 exactly below eta0 and the marched
@@ -298,8 +298,8 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
     worst y; the usual cause is under-sampled majorants.
     """
     if eta0 < 0 or y_max <= eta0:
-        raise ValueError("need 0 <= eta0 < y_max")
-    h = build_h(kernel, omega0, eta0, y_max, samples_per_unit=samples_per_unit, floor=floor)
+        raise InvalidInputError("need 0 <= eta0 < y_max")
+    h = build_h(kernel, omega0, eta0, y_max, floor=floor)
     bt = build_btilde(kernel, eta0, y_max)
     if step is None:
         bt_max = bt.diagonal_max(y_max)
@@ -313,7 +313,7 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
     else:
         weight = Weight.tabulated(np.maximum(sol.nodes, 1e-300), log_vals)
 
-    y_check = np.linspace(eta0 if eta0 > 0 else sol.nodes[1], sol.y_max, n_validation)
+    y_check = np.linspace(eta0 if eta0 > 0 else sol.nodes[1], sol.y_max, _N_VALIDATION)
     log_lhs = log_n_samples(kernel, weight, y_check)
     log_rhs = np.log(kappa) + weight.log_eval(y_check)
     margin = -np.expm1(log_lhs - log_rhs)  # (rhs - lhs)/rhs, overflow-safe
@@ -324,7 +324,7 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
     if not passed:
         raise ConstructionError(
             f"certificate violated at y = {worst:g} (margin {float(np.min(margin)):.3e}); "
-            "increase majorant sampling density", worst_y=worst)
+            "the majorants are likely under-sampled", worst_y=worst)
     return weight, cert
 
 
@@ -354,7 +354,7 @@ def exp_weight_search(delta1: float, delta2: float, d: float, b_m: float) -> Exp
     Returns None (with a logged diagnostic) only when c leaves the float range.
     """
     if delta1 <= 0 or delta2 <= 0 or b_m <= 0 or d <= 1:
-        raise ValueError("need delta1, delta2, b_m > 0 and d > 1")
+        raise InvalidInputError("need delta1, delta2, b_m > 0 and d > 1")
     delta = min(delta2, 1.0 / (4.0 * b_m))
     log_c = max(np.log(2.0 * d), 2.0 / delta1, (2.0 / delta) * np.log(2.0))
     if log_c > 709.0:

@@ -26,6 +26,9 @@ from .kernels import RateFunction, rate_envelope
 __all__ = ["Weight", "ComparisonVerdict", "gamma_monotone_check",
            "derived_weight", "compare_weights"]
 
+# most knots of a tabulated weight that split one integral's panels (evenly thinned)
+_MAX_QUAD_BREAKPOINTS = 256
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -192,15 +195,15 @@ class Weight:
             raise WeightDomainError(f"unknown weight family {fam!r}")
         return float(out) if scalar else out
 
-    def quad_breakpoints(self, lo: float, hi: float, cap: int = 256) -> tuple[float, ...]:
+    def quad_breakpoints(self, lo: float, hi: float) -> tuple[float, ...]:
         """Kinks of log w inside (lo, hi) worth splitting quadrature panels at."""
         pts: list[float] = []
         if self.family == "composite" and lo < self.cutoff < hi:
             pts.append(self.cutoff)
         if self.family in ("tabulated", "composite"):
             inside = self.knots[(self.knots > lo) & (self.knots < hi)]
-            if inside.size > cap:
-                inside = inside[:: int(np.ceil(inside.size / cap))]
+            if inside.size > _MAX_QUAD_BREAKPOINTS:
+                inside = inside[:: int(np.ceil(inside.size / _MAX_QUAD_BREAKPOINTS))]
             pts.extend(float(t) for t in inside)
         return tuple(pts)
 

@@ -86,8 +86,7 @@ def test_criterion_03_concentrated_super_exponential():
 
 def test_criterion_04_construction_certificate():
     t0 = time.perf_counter()
-    weight, cert = construct_weight(BB, Weight.power(1.0), 1.0, 1.0, 50.0,
-                                    n_validation=200, tol=1e-6)
+    weight, cert = construct_weight(BB, Weight.power(1.0), 1.0, 1.0, 50.0, tol=1e-6)
     assert cert.passed
     assert cert.y.size == 200
     assert np.all(cert.lhs <= cert.rhs * (1.0 + 1e-6))
@@ -99,14 +98,12 @@ def test_criterion_04_construction_certificate():
 def test_criterion_05_volterra_order_two():
     t0 = time.perf_counter()
     bt = MajorantB.constant(1.0, 1.0, 2.0)
-    sol = solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, 1e-3,
-                         residual_stride=10**9)
+    sol = solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, 1e-3)
     err_ref = abs(sol.values[-1] - np.e) / np.e
     assert err_ref < 1e-6
 
     steps = [4e-3, 2e-3, 1e-3, 5e-4]
-    errs = [abs(solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, s,
-                               residual_stride=10**9).values[-1] - np.e) / np.e
+    errs = [abs(solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, s).values[-1] - np.e) / np.e
             for s in steps]
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.2)

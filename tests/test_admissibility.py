@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fragkit import quadrature
+from fragkit import quadrature, weight_builder
 from fragkit.admissibility import check, log_n_omega, log_n_samples, ratio_curve, relative_bound
 from fragkit.errors import QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
@@ -273,6 +273,19 @@ class TestRelativeBound:
         est = relative_bound(HOM1, RateFunction.power(1.0), Weight.power(2.0), 1.0, 100.0)
         assert est.alpha_hat == pytest.approx(0.5, abs=1e-9)
         assert est.beta_hat == pytest.approx(0.5, abs=1e-9)  # kappa1 * envelope(1) = 0.5 * 1
+        # alpha_hat < 1 is the relative-bound hypothesis; nothing here checks analyticity
+        assert est.failed_counts == (0, 0)
+        assert est.summary().endswith("(alpha_hat < 1: relative-bound hypothesis holds)")
+        assert "analytic" not in est.summary()
+
+    def test_failed_samples_make_the_estimate_inconclusive(self):
+        # every sample overflows (see TestUnresolvedTails), so alpha_hat = beta_hat = -inf
+        est = relative_bound(FragmentKernel.homogeneous_power(-1.95), RateFunction.power(1.0),
+                             Weight.power(1.01), 1.0, 10.0)
+        assert est.failed_counts == (385, 65)
+        summary = est.summary()
+        assert "inconclusive: failed samples = 385 below / 65 above" in summary
+        assert "alpha_hat < 1" not in summary and "analytic" not in summary
 
     def test_zero_kernel(self):
         est = relative_bound(FragmentKernel.zero(), RateFunction.power(1.0),
@@ -367,9 +380,10 @@ class TestSampledNOmega:
         want = [log_n_omega(kernel, weight, y, hi=hi) for y in ys]
         np.testing.assert_array_equal(got, want)
 
-    def test_strict_callers_raise_quadrature_error(self):
+    def test_strict_callers_raise_quadrature_error(self, monkeypatch):
+        monkeypatch.setattr(weight_builder, "_H_SAMPLES_PER_UNIT", 8)
         with self.coarse(), pytest.raises(QuadratureError) as exc:
-            build_h(self.OSC, Weight.power(1.0), 1.0, 2.0, samples_per_unit=8)
+            build_h(self.OSC, Weight.power(1.0), 1.0, 2.0)
         assert exc.value.failed.shape == exc.value.partial.shape
 
     def test_compare_weights_reports_failed_samples(self):

@@ -1,4 +1,4 @@
-"""The public API: every exported name resolves, and quadrature accuracy is not a parameter."""
+"""The public API: every exported name resolves, and accuracy is not a parameter."""
 
 import inspect
 
@@ -25,7 +25,24 @@ def test_every_exported_name_resolves():
     assert [name for name in fragkit.__all__ if not hasattr(fragkit, name)] == []
 
 
+# quadrature accuracy and sampling densities are private module constants
+FIXED = {"spec", "samples_per_unit", "points_per_band", "residual_stride", "n_validation", "cap"}
+
+# defaulted parameters over every exported callable and public method; a new knob
+# raises this number in the same change that adds it
+DEFAULTED_PARAMETERS = 48
+
+
 def test_no_public_callable_takes_a_spec():
     sigs = dict(public_signatures())
-    assert {"check", "FragmentKernel.mass_partial", "Weight.log_eval"} <= sigs.keys()
-    assert [name for name, sig in sigs.items() if "spec" in sig.parameters] == []
+    assert {"check", "FragmentKernel.mass_partial", "Weight.log_eval", "build_h",
+            "construct_weight", "Weight.quad_breakpoints"} <= sigs.keys()
+    assert [(name, p) for name, sig in sigs.items() for p in sig.parameters if p in FIXED] == []
+    assert "error_estimate" not in sigs["QuadratureError"].parameters
+    assert not hasattr(fragkit.QuadratureError("x"), "error_estimate")
+
+
+def test_defaulted_parameter_budget():
+    defaulted = [(name, p.name) for name, sig in public_signatures()
+                 for p in sig.parameters.values() if p.default is not p.empty]
+    assert len(defaulted) == DEFAULTED_PARAMETERS, defaulted

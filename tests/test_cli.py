@@ -252,6 +252,25 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command, sections, params", [
+        ("compare-weights", HOM_POW.replace("[params]", "[weight2]\nfamily = power\np = 1.0\n\n[params]"),
+         "y_samples = 0,2"),
+        ("check-weight", BB_EXP, "eta0 = 5\ny_max = 2"),
+        ("check-weight", BB_EXP, "eta0 = 1\ny_max = inf"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 0.5"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 2\nkappa = -1"),
+        ("find-exp-weight", "", "delta1 = 1\ndelta2 = 1\nd = 0.5\nb_m = 1"),
+        ("kernel-info", BB_EXP, "y_samples = 1,,2"),
+    ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
+            "empty_y_sample"])
+    def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
+        # the [params] of ``sections`` are replaced by ``params``
+        text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"
+        cfg = write(tmp_path / "bad.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "f.cfg", "[kernel]\nfamily = custom\nexpr =\n")
         assert main(["kernel-info", "--config", cfg]) == 2

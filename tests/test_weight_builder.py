@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fragkit import weight_builder
 from fragkit.admissibility import log_n_samples
 from fragkit.errors import ConstructionError, StepSizeError
 from fragkit.kernels import FragmentKernel, eval_kernel
@@ -47,16 +48,17 @@ class TestBuildH:
 
 
     @pytest.mark.parametrize("kern", [BB, FragmentKernel.custom(lambda x, y: y + 0.0 * x)])
-    def test_band_suprema_match_a_max_per_band(self, kern):
+    def test_band_suprema_match_a_max_per_band(self, kern, monkeypatch):
         # the running max read off at each band end gives the bits of one max per band;
         # g = y/2 rises for the custom kernel, so each supremum is the band's last sample
-        h = build_h(kern, W_X, 1.0, 6.4, samples_per_unit=16)
+        monkeypatch.setattr(weight_builder, "_H_SAMPLES_PER_UNIT", 16)
+        h = build_h(kern, W_X, 1.0, 6.4)
         ys = np.linspace(1.0, 8.0, 7 * 16 + 1)  # 7 unit bands
         g = np.exp(log_n_samples(kern, W_X, ys, hi=1.0))
         want = [np.max(g[ys <= 1.0 + n + 1.0 + 1e-12]) for n in range(8)]
         assert np.array_equal(h.values, np.array(want) + h.floor)
 
-    def test_quadrature_blocks_stay_within_the_point_budget(self):
+    def test_quadrature_blocks_stay_within_the_point_budget(self, monkeypatch):
         # rows above y = 2.5 oscillate enough that one row alone outgrows the budget,
         # and its cells are still evaluated in chunks within it
         calls = []
@@ -65,7 +67,8 @@ class TestBuildH:
             calls.append((np.size(x), np.unique(y).size))
             return (1.0 + np.cos(np.where(y > 2.5, 300.0, 3.0) * x)) / y
 
-        build_h(FragmentKernel.custom(counting), W_X, 1.0, 3.0, samples_per_unit=16)
+        monkeypatch.setattr(weight_builder, "_H_SAMPLES_PER_UNIT", 16)
+        build_h(FragmentKernel.custom(counting), W_X, 1.0, 3.0)
         points, rows = np.array(calls).T
         assert np.all(points <= _BLOCK_POINTS) and np.any(rows > 1)
 
@@ -112,7 +115,7 @@ class TestBuildBtilde:
     @pytest.mark.parametrize("eta0, y_max", [(1.0, 7.3), (0.5, 4.2)])
     def test_band_scan_matches_a_scan_per_line(self, kern, eta0, y_max):
         # the lattice of each band in one call gives the bits of one call per line s
-        n_s, n_x = 64, 156  # the lattice of points_per_band = 10_000
+        n_s, n_x = 64, 156  # weight_builder._BAND_LATTICE
         want = []
         for n in range(int(np.ceil(2.0 * (y_max - eta0))) + 3):
             strip = 0.0
@@ -147,8 +150,7 @@ class TestSolveVolterra:
     def test_second_order_convergence(self):
         bt = MajorantB.constant(1.0, 1.0, 2.0)
         steps = [4e-3, 2e-3, 1e-3, 5e-4]
-        errs = [abs(solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, s,
-                                   residual_stride=10**9).values[-1] - np.e) / np.e
+        errs = [abs(solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, s).values[-1] - np.e) / np.e
                 for s in steps]
         slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
@@ -173,11 +175,11 @@ class TestSolveVolterra:
         """The march and its residual with one majorant evaluation per row."""
         n = int(np.ceil((y_max - eta0) / step - 1e-12))
         ys = eta0 + step * np.arange(n + 1)
-        diag = bt(ys, ys)
+        diag = bt.eval(ys, ys)
         w = np.empty(n + 1)
         w[0] = f(eta0) / kappa
         for k in range(1, n + 1):
-            row = bt(ys[:k], ys[k])
+            row = bt.eval(ys[:k], ys[k])
             acc = 0.5 * row[0] * w[0] + row[1:] @ w[1:k]
             w[k] = (f(ys[k]) + step * acc) / (kappa - 0.5 * step * diag[k])
         fine = eta0 + 0.5 * step * np.arange(2 * n + 1)
@@ -185,7 +187,7 @@ class TestSolveVolterra:
         res = 0.0
         for k in range(1, n + 1):
             m = 2 * k
-            row = bt(fine[:m + 1], ys[k])
+            row = bt.eval(fine[:m + 1], ys[k])
             integral = 0.25 * step * (row[0] * w_fine[0] + row[m] * w_fine[m]
                                       + 2.0 * (row[1:m] @ w_fine[1:m]))
             res = max(res, abs(kappa * w[k] - f(ys[k]) - integral) / (kappa * w[k]))
@@ -237,7 +239,7 @@ class TestConstructWeight:
         w, cert = construct_weight(BB, W_X, 1.0, 1.0, 30.0)
         assert cert.passed == bool(np.all(cert.margin >= -cert.tol))
 
-    def test_undersampled_majorant_fails_loudly(self):
+    def test_undersampled_majorant_fails_loudly(self, monkeypatch):
         # a needle in y, confined to x < eta0, sitting between the 8-per-unit
         # h samples: either the independent h validation or the certificate
         # must refuse the construction
@@ -247,8 +249,9 @@ class TestConstructWeight:
                             np.where(x <= y, 1.0, 0.0))
 
         kern = FragmentKernel.custom(needle)
+        monkeypatch.setattr(weight_builder, "_H_SAMPLES_PER_UNIT", 8)
         with pytest.raises(ConstructionError) as exc:
-            construct_weight(kern, W_X, 1.0, 1.0, 4.0, samples_per_unit=8)
+            construct_weight(kern, W_X, 1.0, 1.0, 4.0)
         assert exc.value.worst_y is not None
 
 
