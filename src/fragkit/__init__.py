@@ -23,7 +23,7 @@ from .kernels import (FragmentKernel, MassReport, MassValue, RateFunction,
 from .quadrature import integrate, log_integrate
 from .simulator import (DensityState, DiscreteGenerator, Grid, Trajectory, bump,
                         column_kappa, discretize, exp_decay, expm_oracle,
-                        semigroup_check, simulate, step)
+                        semigroup_check, simulate)
 from .weight_builder import (ExpWeight, MajorantB, MajorantH, VolterraSolution,
                              WeightCertificate, build_btilde, build_h,
                              construct_weight, exp_weight_search, solve_volterra)
@@ -46,5 +46,5 @@ __all__ = [
     "exp_weight_search", "expm_oracle", "gamma_monotone_check", "integrate",
     "log_integrate", "log_n_omega", "log_n_samples", "mass_integral",
     "rate_envelope", "ratio_curve", "relative_bound", "semigroup_check", "simulate",
-    "solve_volterra", "step",
+    "solve_volterra",
 ]

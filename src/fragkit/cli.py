@@ -16,7 +16,7 @@ import numpy as np
 
 from . import admissibility, simulator, weight_builder
 from .config import ConfigError, RunConfig, fmt, load_config, save_weight_csv
-from .errors import ConstructionError, FragkitError, StepSizeError
+from .errors import ConstructionError, FragkitError, InvalidInputError, StepSizeError
 from .kernels import classify_mass
 from .weights import Weight, compare_weights
 
@@ -150,8 +150,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def cmd_compare_weights(cfg: RunConfig, args) -> int:
     _need(cfg, "kernel", "weight", "weight2")
-    x_grid = np.geomspace(cfg.param("x_grid_min", 1e-3), cfg.param("x_grid_max", 100.0),
-                          cfg.param("x_grid_n", 256, cast=lambda s: int(float(s))))
+    lo, hi = cfg.param("x_grid_min", 1e-3), cfg.param("x_grid_max", 100.0)
+    n = cfg.param("x_grid_n", 256, cast=lambda s: int(float(s)))
+    if not (0 < lo < hi < np.inf and n >= 2):
+        raise InvalidInputError("need 0 < x_grid_min < x_grid_max < inf and x_grid_n >= 2; got "
+                                f"{lo!r}, {hi!r}, {n!r}")
+    x_grid = np.geomspace(lo, hi, n)
     y_samples = cfg.param("y_samples", [2.0, 5.0, 10.0, 20.0, 50.0], cast=_floats)
     verdict = compare_weights(cfg.weight, cfg.weight2, cfg.kernel, x_grid, y_samples)
     print(verdict.summary())

@@ -2,42 +2,45 @@
 
 State and bookkeeping
 ---------------------
-Nodes x_1 < ... < x_N carry trapezoid weights w_i (cell widths), and the
-evolution acts on cell contents mu_i = w_i u_i, where u is the density the
-public API exposes.  The generator G = -diag(a) + B is strictly triangular in
-size ordering: fragmentation only moves content toward smaller sizes.
+Nodes x_1 < ... < x_N carry trapezoid weights w_i (cell widths).  The state
+is the vector v = (dust, mu_1, ..., mu_N): component 0 is the mass carried
+below x_1, and mu_i = w_i u_i are the cell contents of the density u the
+public API exposes.  The generator is one (N+1) x (N+1) upper-triangular
+matrix A: row 0 holds the dust flux d_j per unit cell content, the diagonal
+-a_j (0 for the dust), and the gain B_ij above it.  It is triangular because
+fragmentation only moves content toward smaller sizes, so nothing is ever
+created above x_N.
 
 The gain matrix allocates daughter *mass*: the expected daughter mass a
 parent at x_j deposits into cell i is the exact integral of b(x, x_j) x over
 the cell (closed form for the built-in families), converted to number content
 at the node by dividing by x_i, with the cell below the parent extended up to
-x_j.  Column sums of x_i B_ij then reproduce the kernel's own mass balance to
-quadrature precision, so the discrete conservation identity
+x_j; the mass below x_1 is d_j.  Each column then reproduces the kernel's own
+mass balance to quadrature precision, sum_i x_i B_ij + d_j = a_j x_j, which
+says that l = (1, x_1, ..., x_N) satisfies l A = 0.  So
 
     M1(t) + dust_mass(t) = M1(0)          (mass-conserving kernels)
 
-closes by construction rather than by accident.  Mass landing below x_1 is
-accumulated in ``dust_mass`` (flux d_j per unit cell content), never lost
-silently; nothing is ever created above x_N because the structure is
-triangular.
+holds for every propagator that is a function of A, by the matrix itself.
 
 Schemes
 -------
-``implicit_euler`` solves (I - dt G) mu+ = mu by triangular substitution; all
-substitution coefficients are non-negative, so positivity of the update is
-structural, and the per-step weighted norm is non-increasing whenever the
-gain columns satisfy the kappa <= 1 admissibility inequality; I - dt G and
-the initial state are checked for finiteness once per run.  ``rk4`` is fourth
-order: a step producing a non-finite value raises, and one producing negatives
-beyond round-off is rejected and halved (a stiffness error after 30 halvings
-points to implicit_euler).  ``expm_oracle``, the reference propagator for
-tests, is the action of the matrix exponential (Al-Mohy & Higham, SISC 2011),
-any N; it leaves numpy's global random stream as it found it.
+One matrix serves three propagators.  ``implicit_euler`` solves
+(I - dt A) v+ = v by triangular substitution; all substitution coefficients
+are non-negative, so positivity of the update is structural, and the
+per-step weighted norm is non-increasing whenever the gain columns satisfy
+the kappa <= 1 admissibility inequality; I - dt A and the initial state are
+checked for finiteness once per run.  ``rk4`` is fourth order in A v: a step
+producing a non-finite value raises, and one producing negatives beyond
+round-off is rejected and halved (a stiffness error after 30 halvings points
+to implicit_euler).  ``expm_oracle``, the reference propagator for tests, is
+the action of e^{tA} (Al-Mohy & Higham, SISC 2011), any N; it leaves numpy's
+global random stream as it found it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -48,7 +51,7 @@ from .kernels import FragmentKernel, RateFunction, eval_rate
 from .weights import Weight
 
 __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
-           "discretize", "step", "simulate", "expm_oracle", "semigroup_check",
+           "discretize", "simulate", "expm_oracle", "semigroup_check",
            "bump", "exp_decay", "column_kappa"]
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
@@ -96,20 +99,11 @@ class Grid:
 
 @dataclass(frozen=True)
 class DiscreteGenerator:
-    """loss a_i, strictly (upper-)triangular gain B, and the dust flux row d_j."""
+    """The generator A on v = (dust, mu): dust flux d_j in row 0, -a_j on the
+    diagonal, the gain B_ij above it; upper triangular, (N+1) x (N+1)."""
 
     grid: Grid
-    loss: np.ndarray
-    gain: np.ndarray
-    dust: np.ndarray
-
-    def full_matrix(self) -> np.ndarray:
-        g = self.gain.copy()
-        g[np.diag_indices_from(g)] -= self.loss
-        return g
-
-    def apply(self, mu: np.ndarray) -> np.ndarray:
-        return self.gain @ mu - self.loss * mu
+    matrix: np.ndarray
 
 
 def discretize(kernel: FragmentKernel, rate: RateFunction, grid: Grid) -> DiscreteGenerator:
@@ -117,18 +111,14 @@ def discretize(kernel: FragmentKernel, rate: RateFunction, grid: Grid) -> Discre
     x = grid.nodes
     n = grid.n
     a = np.asarray(eval_rate(rate, x), dtype=float)
-    gain = np.zeros((n, n))
-    dust = np.empty(n)
+    matrix = np.zeros((n + 1, n + 1))
     for j in range(n):
-        below = kernel.mass_partial(x[0], float(x[j]))
-        dust[j] = a[j] * below
-        if j == 0:
-            continue
-        bounds = np.append(grid.edges[:j], x[j])
-        cum = kernel.mass_partial(bounds, float(x[j]))
-        cell_mass = np.diff(cum)
-        gain[:j, j] = a[j] * cell_mass / x[:j]
-    return DiscreteGenerator(grid=grid, loss=a, gain=gain, dust=dust)
+        # edges[0] == x[0], so cum[0] is the mass below the grid: the dust flux
+        cum = kernel.mass_partial(np.append(grid.edges[:j], x[j]), float(x[j]))
+        matrix[0, j + 1] = a[j] * cum[0]
+        matrix[1:j + 1, j + 1] = a[j] * np.diff(cum) / x[:j]
+    matrix[np.arange(1, n + 1), np.arange(1, n + 1)] = -a
+    return DiscreteGenerator(grid=grid, matrix=matrix)
 
 
 def column_kappa(gen: DiscreteGenerator, weight: Weight) -> float:
@@ -138,11 +128,12 @@ def column_kappa(gen: DiscreteGenerator, weight: Weight) -> float:
     makes the implicit-Euler weighted norm non-increasing step by step.
     """
     wv = weight.eval(gen.grid.nodes)
-    active = gen.loss > 0
+    loss = -np.diagonal(gen.matrix)[1:]
+    active = loss > 0
     if not np.any(active):
         return 0.0
-    col = wv @ gen.gain
-    return float(np.max(col[active] / (gen.loss[active] * wv[active])))
+    col = wv @ gen.matrix[1:, 1:] + loss * wv  # the gain's column sums, without copying it
+    return float(np.max(col[active] / (loss[active] * wv[active])))
 
 
 # ---------------------------------------------------------------------------
@@ -168,75 +159,75 @@ def exp_decay(grid: Grid, scale: float) -> np.ndarray:
     return np.exp(-grid.nodes / scale)
 
 
+def _as_state(u0, gen: DiscreteGenerator) -> DensityState:
+    """``u0``, a density array or a DensityState, as a checked state on ``gen``'s grid."""
+    state = u0 if isinstance(u0, DensityState) else \
+        DensityState(grid=gen.grid, u=np.asarray(u0, dtype=float))
+    if state.u.shape != gen.grid.nodes.shape:
+        raise InvalidInputError(f"initial density has shape {state.u.shape}, "
+                                f"the grid {gen.grid.nodes.shape}")
+    values = np.append(state.u, state.dust_mass)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInputError("initial density has a non-finite value")
+    if np.any(values < 0):
+        raise InvalidInputError("initial density must be non-negative")
+    return state
+
+
 def _ie_matrix(gen: DiscreteGenerator, dt: float) -> np.ndarray:
-    m = -dt * gen.gain
-    m[np.diag_indices_from(m)] = 1.0 + dt * gen.loss
-    if not np.all(np.isfinite(m)):
-        raise FragkitError("the implicit-Euler matrix I - dt G has a non-finite entry")
+    m = -dt * gen.matrix
+    m[np.diag_indices_from(m)] += 1.0
+    # max and min see every NaN and inf, with no (N+1)^2 temporary left on the heap
+    if not (np.isfinite(m.max()) and np.isfinite(m.min())):
+        raise FragkitError("the implicit-Euler matrix I - dt A has a non-finite entry")
     return m
 
 
-def _ie_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float,
-             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    m = _ie_matrix(gen, dt) if matrix is None else matrix
-    out = solve_triangular(m, mu, lower=False, check_finite=False)
-    top = float(np.max(out, initial=0.0))
+def _ie_step(matrix: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+    out = solve_triangular(matrix, v, lower=False, check_finite=False)
+    mu = out[1:]
+    top = float(np.max(mu, initial=0.0))
     if not np.isfinite(top):  # the solve overflowed, or the state was not finite
         raise FragkitError("implicit Euler produced a non-finite value")
     # non-negativity is structural; anything below is round-off
-    tiny = -1e-12 * max(top, 1e-300)
-    if np.any(out < tiny):
+    low = float(np.min(mu, initial=np.inf))
+    if low < -1e-12 * max(top, 1e-300):
         raise FragkitError("implicit Euler produced a substantive negative value")
-    low = float(np.min(out, initial=np.inf))
     np.clip(out, 0.0, None, out=out)
-    return out, dt * float(gen.dust @ out), low
+    return out, low
 
 
-def _rk4_step(gen: DiscreteGenerator, mu: np.ndarray, dt: float, depth: int = 0
-              ) -> tuple[np.ndarray, float, float]:
+def _rk4_step(gen: DiscreteGenerator, v: np.ndarray, dt: float, depth: int = 0
+              ) -> tuple[np.ndarray, float]:
     if depth > 30:
         raise StiffnessError("rk4 rejected the step 30 times; use implicit_euler")
-    k1 = gen.apply(mu)
-    k2 = gen.apply(mu + 0.5 * dt * k1)
-    k3 = gen.apply(mu + 0.5 * dt * k2)
-    k4 = gen.apply(mu + dt * k3)
-    out = mu + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    scale = float(np.max(np.abs(out), initial=0.0))
+    a = gen.matrix
+    k1 = a @ v
+    k2 = a @ (v + 0.5 * dt * k1)
+    k3 = a @ (v + 0.5 * dt * k2)
+    k4 = a @ (v + dt * k3)
+    out = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    mu = out[1:]
+    scale = float(np.max(np.abs(mu), initial=0.0))
     if not np.isfinite(scale):  # the stages overflowed, or the state was not finite
         raise FragkitError("rk4 produced a non-finite value")
-    low = float(np.min(out, initial=np.inf))
+    low = float(np.min(mu, initial=np.inf))
     if low < -1e-14 * max(scale, 1e-300):
-        a, da, low_a = _rk4_step(gen, mu, 0.5 * dt, depth + 1)
-        b, db, low_b = _rk4_step(gen, a, 0.5 * dt, depth + 1)
-        return b, da + db, min(low_a, low_b)
+        half, low_a = _rk4_step(gen, v, 0.5 * dt, depth + 1)
+        out, low_b = _rk4_step(gen, half, 0.5 * dt, depth + 1)
+        return out, min(low_a, low_b)
     np.clip(out, 0.0, None, out=out)
-    d1 = float(gen.dust @ mu)
-    d2 = float(gen.dust @ (mu + 0.5 * dt * k1))
-    d3 = float(gen.dust @ (mu + 0.5 * dt * k2))
-    d4 = float(gen.dust @ (mu + dt * k3))
-    return out, dt / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4), low
+    return out, low
 
 
-def _advance(gen: DiscreteGenerator, mu: np.ndarray, dt: float, scheme: str,
-             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float, float]:
-    """One step of the cell contents: ``(mu_new, dust increment, least content before clipping)``."""
+def _advance(gen: DiscreteGenerator, v: np.ndarray, dt: float, scheme: str,
+             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """One step of v = (dust, mu): ``(v_new, least cell content before clipping)``."""
     if scheme == "implicit_euler":
-        return _ie_step(gen, mu, dt, matrix)
+        return _ie_step(_ie_matrix(gen, dt) if matrix is None else matrix, v)
     if scheme == "rk4":
-        return _rk4_step(gen, mu, dt)
+        return _rk4_step(gen, v, dt)
     raise InvalidInputError(f"unknown scheme {scheme!r}")
-
-
-def step(state: DensityState, gen: DiscreteGenerator, dt: float,
-         scheme: str = "implicit_euler") -> DensityState:
-    """Advance one step; dt = 0 is the identity."""
-    if not dt >= 0:
-        raise InvalidInputError(f"dt must be non-negative, got {dt!r}")
-    if dt == 0:
-        return state
-    mu_new, d_inc, _ = _advance(gen, state.grid.weights * state.u, dt, scheme)
-    return replace(state, u=mu_new / state.grid.weights, t=state.t + dt,
-                   dust_mass=state.dust_mass + d_inc)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +257,10 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     """Evolve u0 to t_end with fixed steps, sampling observables as it goes.
 
     ``u0`` may be a density array on the generator's grid or a DensityState.
-    The dust integral is accumulated by the same scheme as the state, so the
-    conservation identity holds at the scheme's own order.
+    The dust is state component 0, advanced by the same scheme as the cells,
+    so M1 + dust is conserved to round-off.
     """
-    if isinstance(u0, DensityState):
-        state = u0
-    else:
-        u0 = np.asarray(u0, dtype=float)
-        if np.any(u0 < 0):
-            raise InvalidInputError("initial density must be non-negative")
-        state = DensityState(grid=gen.grid, u=u0)
-    if not np.all(np.isfinite(state.u)):
-        raise InvalidInputError("initial density has a non-finite value")
+    state = _as_state(u0, gen)
     if not (0 < dt < np.inf and np.isfinite(t_end) and sample_every >= 1):
         raise InvalidInputError("need finite dt > 0 and t_end, and sample_every >= 1; got "
                                 f"dt = {dt!r}, t_end = {t_end!r}, sample_every = {sample_every!r}")
@@ -286,34 +269,37 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     x = gen.grid.nodes
     w = gen.grid.weights
 
-    n_steps = int(np.ceil((t_end - state.t) / dt - 1e-12))
+    t = state.t
+    v = np.append(state.dust_mass, w * state.u)
+    n_steps = int(np.ceil((t_end - t) / dt - 1e-12))
     matrix = _ie_matrix(gen, dt) if scheme == "implicit_euler" else None
 
     times, m0s, m1s, norms, dusts = [], [], [], [], []
 
-    def record(s: DensityState) -> None:
-        mu = w * s.u
-        times.append(s.t)
+    def record() -> None:
+        mu = v[1:]
+        times.append(t)
         m0s.append(float(mu.sum()))
         m1s.append(float((x * mu).sum()))
         norms.append(float((wv * mu).sum()))
-        dusts.append(s.dust_mass)
+        dusts.append(float(v[0]))
 
-    record(state)
-    min_content = float(np.min(w * state.u, initial=np.inf))
+    record()
+    min_content = float(np.min(v[1:], initial=np.inf))
     for k in range(n_steps):
-        h = min(dt, t_end - state.t)
+        h = min(dt, t_end - t)
         if h <= 0:
             break
-        mu_new, d_inc, low = _advance(gen, w * state.u, h, scheme, matrix if h == dt else None)
-        state = replace(state, u=mu_new / w, t=state.t + h, dust_mass=state.dust_mass + d_inc)
+        v, low = _advance(gen, v, h, scheme, matrix if h == dt else None)
+        t += h
         min_content = min(min_content, low)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            record(state)
+            record()
 
     return Trajectory(times=np.asarray(times), M0=np.asarray(m0s), M1=np.asarray(m1s),
                       norm_omega=np.asarray(norms), dust_mass=np.asarray(dusts),
-                      final=state, min_content=min_content)
+                      final=DensityState(grid=gen.grid, u=v[1:] / w, t=t, dust_mass=float(v[0])),
+                      min_content=min_content)
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +307,24 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
 # ---------------------------------------------------------------------------
 
 def expm_oracle(gen: DiscreteGenerator, t: float, u0) -> DensityState:
-    """Reference propagator: e^{tG} applied to the state by ``expm_multiply``.
+    """Reference propagator: e^{tA} applied to the state by ``expm_multiply``.
 
-    The dust integral rides along as one extra state component (dust' = d.mu),
-    so its value is exact at the oracle's own accuracy, not scheme-limited.
+    The dust is state component 0, so its value is exact at the oracle's own
+    accuracy, not scheme-limited.
     """
     # imported here: no CLI command needs it, and it adds ~40 ms (2-vCPU VM) to importing fragkit
     from scipy.sparse.linalg import expm_multiply
-    if isinstance(u0, DensityState):
-        state = u0
-    else:
-        state = DensityState(grid=gen.grid, u=np.asarray(u0, dtype=float))
-    n = gen.grid.n
+    state = _as_state(u0, gen)
+    if not 0 <= t < np.inf:
+        raise InvalidInputError(f"need finite t >= 0, got t = {t!r}")
     w = gen.grid.weights
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = gen.full_matrix()
-    aug[n, :n] = gen.dust
-    vec = np.concatenate([w * state.u, [state.dust_mass]])
     # onenormest inside expm_multiply draws from np.random; leave the caller's stream alone
     rng_state = np.random.get_state()
     try:
-        out = expm_multiply(aug * t, vec)
+        out = expm_multiply(gen.matrix * t, np.append(state.dust_mass, w * state.u))
     finally:
         np.random.set_state(rng_state)
-    return replace(state, u=out[:n] / w, t=state.t + t, dust_mass=float(out[n]))
+    return DensityState(grid=gen.grid, u=out[1:] / w, t=state.t + t, dust_mass=float(out[0]))
 
 
 def semigroup_check(gen: DiscreteGenerator, u0, t: float, s: float, *,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import QuadratureError, WeightDomainError
+from .errors import InvalidInputError, QuadratureError, WeightDomainError
 from .kernels import RateFunction, rate_envelope
 
 __all__ = ["Weight", "ComparisonVerdict", "gamma_monotone_check",
@@ -305,6 +305,8 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples) -> Compar
             raise WeightDomainError("comparison needs >= 3 knots for a finite-difference "
                                     "derivative of a tabulated weight")
     xg = np.asarray(x_grid, dtype=float)
+    if xg.size < 2:
+        raise InvalidInputError(f"x_grid needs at least 2 points, got {xg.size}")
     if np.any(xg <= 0) or np.any(np.diff(xg) <= 0):
         raise WeightDomainError("x_grid must be positive and strictly increasing")
     d1 = w1.log_derivative(xg)

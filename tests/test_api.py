@@ -1,5 +1,6 @@
 """The public API: every exported name resolves, and accuracy is not a parameter."""
 
+import dataclasses
 import inspect
 
 import fragkit
@@ -30,7 +31,7 @@ FIXED = {"spec", "samples_per_unit", "points_per_band", "residual_stride", "n_va
 
 # defaulted parameters over every exported callable and public method; a new knob
 # raises this number in the same change that adds it
-DEFAULTED_PARAMETERS = 48
+DEFAULTED_PARAMETERS = 47
 
 
 def test_no_public_callable_takes_a_spec():
@@ -46,3 +47,14 @@ def test_defaulted_parameter_budget():
     defaulted = [(name, p.name) for name, sig in public_signatures()
                  for p in sig.parameters.values() if p.default is not p.empty]
     assert len(defaulted) == DEFAULTED_PARAMETERS, defaulted
+
+
+def test_single_generator_matrix():
+    # the dust is state component 0 of one matrix: no per-piece fields and no
+    # second way to step
+    assert not hasattr(fragkit, "step") and "step" not in fragkit.__all__
+    assert [f.name for f in dataclasses.fields(fragkit.DiscreteGenerator)] == ["grid", "matrix"]
+    gen = fragkit.discretize(fragkit.FragmentKernel.homogeneous_power(0.0),
+                             fragkit.RateFunction.power(1.0), fragkit.Grid.geometric(0.1, 1.0, 4))
+    for attr in ("full_matrix", "apply", "gain", "dust", "loss"):
+        assert not hasattr(gen, attr), attr

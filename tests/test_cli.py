@@ -59,6 +59,8 @@ eta0 = 1.0
 y_max = 100.0
 """
 
+TWO_WEIGHTS = HOM_POW.replace("[params]", "[weight2]\nfamily = power\np = 1.0\n\n[params]")
+
 SIM = """
 [kernel]
 family = homogeneous_power
@@ -218,9 +220,9 @@ class TestExitCodes:
 
         def leaky(kernel, rate, grid):
             gen = real(kernel, rate, grid)
-            gain = gen.gain.copy()
-            gain[0, 1:] = -1e-20
-            return dataclasses.replace(gen, gain=gain)
+            matrix = gen.matrix.copy()
+            matrix[1, 2:] = -1e-20  # the gain into cell 0
+            return dataclasses.replace(gen, matrix=matrix)
 
         monkeypatch.setattr(simulator, "discretize", leaky)
         cfg = write(tmp_path / "sim.cfg", SIM)
@@ -253,16 +255,18 @@ class TestExitCodes:
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("command, sections, params", [
-        ("compare-weights", HOM_POW.replace("[params]", "[weight2]\nfamily = power\np = 1.0\n\n[params]"),
-         "y_samples = 0,2"),
+        ("compare-weights", TWO_WEIGHTS, "y_samples = 0,2"),
         ("check-weight", BB_EXP, "eta0 = 5\ny_max = 2"),
         ("check-weight", BB_EXP, "eta0 = 1\ny_max = inf"),
         ("build-weight", BB_POW, "eta0 = 1\ny_max = 0.5"),
         ("build-weight", BB_POW, "eta0 = 1\ny_max = 2\nkappa = -1"),
         ("find-exp-weight", "", "delta1 = 1\ndelta2 = 1\nd = 0.5\nb_m = 1"),
         ("kernel-info", BB_EXP, "y_samples = 1,,2"),
+        ("compare-weights", TWO_WEIGHTS, "x_grid_min = 0"),
+        ("compare-weights", TWO_WEIGHTS, "x_grid_min = -1"),
+        ("compare-weights", TWO_WEIGHTS, "x_grid_n = 0"),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
-            "empty_y_sample"])
+            "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0"])
     def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
         # the [params] of ``sections`` are replaced by ``params``
         text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"
@@ -348,8 +352,8 @@ y_samples = 1,5,25
         real = simulator.discretize
 
         def huge(kernel, rate, grid):
-            gen = real(kernel, rate, grid)
-            return dataclasses.replace(gen, gain=gen.gain * 1e300)
+            m = real(kernel, rate, grid).matrix  # gain and dust flux times 1e300
+            return simulator.DiscreteGenerator(grid, np.triu(m, 1) * 1e300 + np.diag(np.diagonal(m)))
 
         monkeypatch.setattr(simulator, "discretize", huge)
         cfg = write(tmp_path / "rk4.cfg",

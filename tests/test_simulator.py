@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fragkit import simulator
-from fragkit.errors import FragkitError, StiffnessError
+from fragkit.errors import FragkitError, InvalidInputError, StiffnessError
 from fragkit.kernels import FragmentKernel, RateFunction
 from fragkit.simulator import (DensityState, DiscreteGenerator, Grid, _ie_step, bump,
                                column_kappa, discretize, exp_decay, expm_oracle,
-                               semigroup_check, simulate, step)
+                               semigroup_check, simulate)
 from fragkit.weights import Weight
 
 HOM0 = FragmentKernel.homogeneous_power(0.0)
@@ -22,6 +22,22 @@ RATE_X = RateFunction.power(1.0)
 
 def _wnorm(grid, u, weight):
     return float(np.abs(weight.eval(grid.nodes) * grid.weights * u).sum())
+
+
+def _loss(gen):
+    return -np.diagonal(gen.matrix)[1:]
+
+
+def _closure(gen):
+    """l A for l = (1, x_1, ..., x_N): per column, the dust flux plus the
+    daughter mass minus the parent's mass a_j x_j."""
+    return np.append(1.0, gen.grid.nodes) @ gen.matrix
+
+
+def _gain_scaled(gen, factor):
+    """``gen`` with every entry above the diagonal (gain and dust flux) times ``factor``."""
+    m = gen.matrix
+    return dataclasses.replace(gen, matrix=np.triu(m, 1) * factor + np.diag(np.diagonal(m)))
 
 
 class TestGrid:
@@ -42,16 +58,17 @@ class TestDiscretize:
     def test_zero_kernel_is_pure_decay(self):
         g = Grid.geometric(0.1, 10.0, 32)
         gen = discretize(FragmentKernel.zero(), RATE_X, g)
-        assert np.all(gen.gain == 0)
-        assert np.all(gen.dust == 0)
-        np.testing.assert_allclose(gen.loss, g.nodes)
+        assert gen.matrix.shape == (g.n + 1, g.n + 1)
+        assert np.all(np.triu(gen.matrix, 1) == 0)  # no gain, no dust flux
+        assert gen.matrix[0, 0] == 0
+        np.testing.assert_allclose(_loss(gen), g.nodes)
 
     def test_gain_strictly_triangular_and_nonnegative(self):
         g = Grid.geometric(0.01, 10.0, 64)
         gen = discretize(HOM0, RATE_X, g)
-        assert np.all(gen.gain >= 0)
-        assert np.all(np.tril(gen.gain) == 0)  # receivers strictly below parents
-        assert np.all(gen.dust >= 0)
+        assert np.all(np.triu(gen.matrix, 1) >= 0)  # gain and dust flux
+        assert np.all(np.tril(gen.matrix, -1) == 0)  # receivers strictly below parents
+        assert gen.matrix[0, 0] == 0 and np.all(_loss(gen) > 0)
 
     def test_column_mass_identity(self):
         # spec tolerance 1e-3 on N=256 over [1e-3, 20]; the mass-allocated
@@ -61,8 +78,8 @@ class TestDiscretize:
         for kern in (HOM0, FragmentKernel.homogeneous_power(-0.5),
                      FragmentKernel.boundary_binary()):
             gen = discretize(kern, RATE_X, g)
-            act = gen.loss > 0
-            col = (x @ gen.gain)[act] / gen.loss[act] + gen.dust[act] / gen.loss[act]
+            act = _loss(gen) > 0
+            col = _closure(gen)[1:][act] / _loss(gen)[act] + x[act]
             rel = np.abs(col - x[act]) / x[act]
             assert np.max(rel) < 1e-3
             assert np.max(rel) < 1e-9  # and in fact far tighter
@@ -76,7 +93,7 @@ class TestDiscretize:
                 continue
             # cells fully inside the support gap (1, x_j - 1) receive nothing
             inside = (e[:-1] >= 1.0) & (e[1:] <= x[j] - 1.0) & (np.arange(g.n) < j - 1)
-            assert np.all(gen.gain[inside, j] == 0.0)
+            assert np.all(gen.matrix[1:, j + 1][inside] == 0.0)
 
     def test_column_kappa_mass_weight(self):
         g = Grid.geometric(1e-3, 20.0, 256)
@@ -88,13 +105,14 @@ class TestDiscretize:
            x_min=st.floats(1e-6, 1.0), span=st.floats(2.0, 1e6), n=st.integers(8, 256))
     def test_mass_closure_with_dust(self, nu, alpha, x_min, span, n):
         # a mass-conserving kernel: each column sends all of the parent's mass
-        # to the cells below it or to the dust, sum_i x_i B_ij + d_j = a_j x_j
+        # to the cells below it or to the dust, sum_i x_i B_ij + d_j = a_j x_j,
+        # that is l A = 0 for l = (1, x_1, ..., x_N)
         g = Grid.geometric(x_min, x_min * span, n)
         gen = discretize(FragmentKernel.homogeneous_power(nu), RateFunction.power(alpha), g)
-        assert np.all(gen.gain >= 0)
-        assert np.all(gen.dust >= 0)
-        np.testing.assert_allclose(g.nodes @ gen.gain + gen.dust, gen.loss * g.nodes,
-                                   rtol=1e-12, atol=0.0)
+        assert np.all(np.triu(gen.matrix, 1) >= 0)
+        closure = _closure(gen)
+        assert closure[0] == 0.0
+        assert np.all(np.abs(closure[1:]) <= 1e-12 * _loss(gen) * g.nodes)
 
     def test_custom_kernel_batched_column_mass(self):
         # m(y) = y/3 for b = x/y^2; the generic cumulative-quadrature path
@@ -103,32 +121,42 @@ class TestDiscretize:
         g = Grid.geometric(1e-2, 10.0, 96)
         gen = discretize(kern, RATE_X, g)
         x = g.nodes
-        act = gen.loss > 0
-        col = (x @ gen.gain)[act] / gen.loss[act] + gen.dust[act] / gen.loss[act]
+        act = _loss(gen) > 0
+        col = _closure(gen)[1:][act] / _loss(gen)[act] + x[act]
         np.testing.assert_allclose(col, x[act] / 3.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.custom(lambda x, y: x / y**2)],
+                             ids=["closed_form", "custom"])
+    def test_mass_partial_called_once_per_column(self, monkeypatch, kern):
+        # the first edge is the first node, so one cumulative call per parent
+        # also gives the mass below the grid
+        calls = []
+        real = FragmentKernel.mass_partial
+
+        def counting(self, s, y):
+            calls.append(y)
+            return real(self, s, y)
+
+        monkeypatch.setattr(FragmentKernel, "mass_partial", counting)
+        g = Grid.geometric(1e-2, 10.0, 24)
+        discretize(kern, RATE_X, g)
+        assert len(calls) == g.n
 
 
 class TestStep:
-    def test_zero_dt_is_identity(self):
-        g = Grid.geometric(0.1, 10.0, 32)
-        gen = discretize(HOM0, RATE_X, g)
-        st = DensityState(grid=g, u=bump(g, 1.0, 5.0))
-        assert step(st, gen, 0.0) is st
-
     def test_pure_decay_implicit_euler_formula(self):
         g = Grid.geometric(0.1, 10.0, 48)
         gen = discretize(FragmentKernel.zero(), RATE_X, g)
         u0 = exp_decay(g, 2.0)
-        st = step(DensityState(grid=g, u=u0), gen, 0.25)
+        st = simulate(u0, gen, 0.25, 0.25).final  # one step
         np.testing.assert_allclose(st.u, u0 / (1.0 + g.nodes * 0.25), rtol=1e-13)
 
     def test_implicit_euler_positivity(self):
         g = Grid.geometric(1e-3, 20.0, 128)
         gen = discretize(HOM0, RateFunction.power(2.0), g)
-        st = DensityState(grid=g, u=bump(g, 5.0, 15.0))
-        for _ in range(20):
-            st = step(st, gen, 0.05)
-            assert np.all(st.u >= 0)
+        traj = simulate(bump(g, 5.0, 15.0), gen, 1.0, 0.05)
+        assert traj.min_content >= 0  # every step, before any clipping
+        assert np.all(traj.final.u >= 0)
 
     def test_rk4_matches_implicit_euler_limit(self):
         g = Grid.geometric(0.1, 5.0, 24)
@@ -144,7 +172,7 @@ class TestStep:
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RATE_X, g)
         with pytest.raises(ValueError):
-            step(DensityState(grid=g, u=bump(g, 1.0, 2.0)), gen, 0.1, scheme="leapfrog")
+            simulate(bump(g, 1.0, 2.0), gen, 0.1, 0.1, scheme="leapfrog")
 
 
 class TestSimulate:
@@ -157,13 +185,16 @@ class TestSimulate:
         np.testing.assert_allclose(traj.M0, expected, rtol=1e-3)
 
     def test_conservation_with_dust(self):
+        # l A = 0 conserves M1 + dust under every scheme that is a function of A
         g = Grid.geometric(1e-4, 20.0, 512)
         gen = discretize(HOM0, RATE_X, g)
         u0 = bump(g, 1.0, 10.0)
-        traj = simulate(u0, gen, 1.0, 2e-3, weight=Weight.power(1.0), sample_every=50)
-        total = traj.M1 + traj.dust_mass
-        assert np.max(np.abs(total - total[0]) / total[0]) < 1e-3
-        assert np.all(np.diff(traj.dust_mass) >= 0)
+        for scheme in ("implicit_euler", "rk4"):
+            traj = simulate(u0, gen, 1.0, 2e-3, scheme=scheme, weight=Weight.power(1.0),
+                            sample_every=50)
+            total = traj.M1 + traj.dust_mass
+            assert np.max(np.abs(total - total[0]) / total[0]) < 1e-12, scheme
+            assert np.all(np.diff(traj.dust_mass) >= 0), scheme
 
     def test_substochastic_norm_decay(self):
         g = Grid.geometric(1e-4, 20.0, 256)
@@ -211,6 +242,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(-bump(g, 1.0, 2.0), gen, 0.1, 0.01)
 
+    @pytest.mark.parametrize("u, dust", [(-1.0, 0.0), (1.0, -1.0), (1.0, np.nan)],
+                             ids=["negative_density", "negative_dust", "nan_dust"])
+    def test_bad_state_rejected(self, u, dust):
+        # a DensityState passes the same checks as a density array
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        state = DensityState(grid=g, u=u * bump(g, 1.0, 2.0), dust_mass=dust)
+        with pytest.raises(InvalidInputError):
+            simulate(state, gen, 0.1, 0.01)
+
+    def test_wrong_grid_size_rejected(self):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        with pytest.raises(InvalidInputError, match="shape"):
+            simulate(bump(Grid.geometric(0.1, 5.0, 17), 1.0, 2.0), gen, 0.1, 0.01)
+
     def test_trajectory_csv(self, tmp_path):
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RATE_X, g)
@@ -224,8 +271,7 @@ class TestSimulate:
 class TestExpmOracle:
     def test_zero_generator_is_identity(self):
         g = Grid.geometric(0.1, 5.0, 16)
-        gen = DiscreteGenerator(grid=g, loss=np.zeros(16), gain=np.zeros((16, 16)),
-                                dust=np.zeros(16))
+        gen = DiscreteGenerator(grid=g, matrix=np.zeros((17, 17)))
         u0 = bump(g, 0.5, 2.0)
         st = expm_oracle(gen, 3.0, u0)
         np.testing.assert_allclose(st.u, u0, atol=1e-14)
@@ -240,9 +286,10 @@ class TestExpmOracle:
     def test_semigroup_identity_random_triangular(self):
         rng = np.random.default_rng(2024)
         g = Grid.geometric(0.1, 5.0, 24)
-        gain = np.triu(rng.uniform(0.0, 0.5, size=(24, 24)), k=1)
-        gen = DiscreteGenerator(grid=g, loss=rng.uniform(0.2, 2.0, size=24),
-                                gain=gain, dust=np.zeros(24))
+        matrix = np.zeros((25, 25))
+        matrix[1:, 1:] = np.triu(rng.uniform(0.0, 0.5, size=(24, 24)), k=1)
+        matrix[np.arange(1, 25), np.arange(1, 25)] = -rng.uniform(0.2, 2.0, size=24)
+        gen = DiscreteGenerator(grid=g, matrix=matrix)
         u0 = rng.uniform(0.0, 1.0, size=24)
         one = expm_oracle(gen, 0.5, u0)
         two = expm_oracle(gen, 0.3, expm_oracle(gen, 0.2, u0))
@@ -270,16 +317,13 @@ class TestExpmOracle:
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_matches_dense_exponential(self, n):
-        # the dense exponential of the augmented generator is the reference
+        # the dense exponential of the generator, dust included, is the reference
         g = Grid.geometric(1e-4, 20.0, n)
         gen = discretize(FragmentKernel.homogeneous_power(-0.5), RateFunction.power(1.5), g)
         u0 = bump(g, 1.0, 10.0)
-        aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = gen.full_matrix()
-        aug[n, :n] = gen.dust
-        ref = expm(aug * 0.5) @ np.append(g.weights * u0, 0.0)
+        ref = expm(gen.matrix * 0.5) @ np.append(0.0, g.weights * u0)
         st = expm_oracle(gen, 0.5, u0)
-        out = np.append(g.weights * st.u, st.dust_mass)
+        out = np.append(st.dust_mass, g.weights * st.u)
         # relative to the largest component: cells far below the bump hold
         # round-off-sized content, where a componentwise ratio means nothing
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -294,6 +338,19 @@ class TestExpmOracle:
         np.random.seed(0)
         expm_oracle(gen, 1.0, bump(g, 1.0, 4.0))
         assert np.random.rand() == want
+
+    @pytest.mark.parametrize("t, u", [(0.5, -1.0), (0.5, np.nan), (0.5, np.inf),
+                                      (-0.5, 1.0), (np.nan, 1.0), (np.inf, 1.0)],
+                             ids=["negative_density", "nan_density", "inf_density",
+                                  "negative_t", "nan_t", "inf_t"])
+    def test_bad_input_rejected(self, t, u):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 1.0, 2.0)
+        u0[4] = u
+        for given in (u0, DensityState(grid=g, u=u0)):
+            with pytest.raises(InvalidInputError):
+                expm_oracle(gen, t, given)
 
 
 class TestSemigroupCheck:
@@ -325,15 +382,13 @@ class TestFiniteness:
     def test_non_finite_gain_raises(self, bad):
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RATE_X, g)
-        gain = gen.gain.copy()
-        gain[3, 7] = bad
-        gen = dataclasses.replace(gen, gain=gain)
+        matrix = gen.matrix.copy()
+        matrix[4, 8] = bad  # cell 3 from parent 7
+        gen = dataclasses.replace(gen, matrix=matrix)
         u0 = bump(g, 0.5, 4.0)
         # the matrix check, not the per-step guard, must be what refuses it
-        with pytest.raises(FragkitError, match="matrix I - dt G has a non-finite"):
+        with pytest.raises(FragkitError, match="matrix I - dt A has a non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme="implicit_euler")
-        with pytest.raises(FragkitError, match="matrix I - dt G has a non-finite"):
-            step(DensityState(grid=g, u=u0), gen, 0.01)
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -356,20 +411,16 @@ class TestFiniteness:
         # finite but huge gain entries: the substitution overflows to inf,
         # which no input check sees; the step itself must refuse it
         g = Grid.geometric(0.1, 5.0, 64)
-        gen = discretize(HOM0, RATE_X, g)
-        gen = dataclasses.replace(gen, gain=gen.gain * 1e300)
+        gen = _gain_scaled(discretize(HOM0, RATE_X, g), 1e300)
         u0 = bump(g, 1.0, 4.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FragkitError, match="non-finite"):
-                step(DensityState(grid=g, u=u0), gen, 0.01)
-            with pytest.raises(FragkitError, match="non-finite"):
+            with pytest.raises(FragkitError, match="implicit Euler produced a non-finite"):
                 simulate(u0, gen, 0.05, 0.01)
 
     def test_overflowing_rk4_step_raises(self):
         # the same overflow inside the rk4 stages used to end in NaN M0 and M1
         g = Grid.geometric(0.1, 5.0, 16)
-        gen = discretize(HOM0, RATE_X, g)
-        gen = dataclasses.replace(gen, gain=gen.gain * 1e300)
+        gen = _gain_scaled(discretize(HOM0, RATE_X, g), 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FragkitError, match="rk4 produced a non-finite"):
                 simulate(bump(g, 1.0, 4.0), gen, 0.05, 0.01, scheme="rk4")
@@ -390,9 +441,8 @@ class TestStiffness:
         # internal halving (still positive) or raises the stiffness error
         g = Grid.geometric(0.1, 5.0, 24)
         gen = discretize(HOM0, RateFunction.constant(500.0), g)
-        st = DensityState(grid=g, u=bump(g, 0.5, 4.0))
         try:
-            out = step(st, gen, 1.0, scheme="rk4")
+            out = simulate(bump(g, 0.5, 4.0), gen, 1.0, 1.0, scheme="rk4").final
             assert np.all(out.u >= 0)
         except StiffnessError:
             pass
@@ -400,10 +450,9 @@ class TestStiffness:
 
 def test_negative_implicit_euler_step_is_a_toolkit_error():
     # a hand-built upper-triangular matrix whose solve goes negative: the
-    # leading block [[1, 1], [0, 1]] x = [0, 1] gives x = [-1, 1].  The CLI maps
-    # FragkitError to an exit code; a bare RuntimeError escaped as a traceback.
-    gen = discretize(HOM0, RATE_X, Grid.geometric(0.1, 1.0, 4))
-    matrix = np.eye(4)
-    matrix[0, 1] = 1.0
-    with pytest.raises(FragkitError):
-        _ie_step(gen, np.array([0.0, 1.0, 0.0, 0.0]), 0.1, matrix=matrix)
+    # block [[1, 1], [0, 1]] x = [0, 1] of cells 0 and 1 gives x = [-1, 1].  The
+    # CLI maps FragkitError to an exit code; a bare RuntimeError escaped as a traceback.
+    matrix = np.eye(5)
+    matrix[1, 2] = 1.0
+    with pytest.raises(FragkitError, match="substantive negative"):
+        _ie_step(matrix, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fragkit import admissibility
-from fragkit.errors import QuadratureError, WeightDomainError
+from fragkit.errors import InvalidInputError, QuadratureError, WeightDomainError
 from fragkit.kernels import FragmentKernel, RateFunction
 from fragkit.weights import (Weight, compare_weights, derived_weight,
                              gamma_monotone_check)
@@ -147,6 +147,13 @@ class TestCompareWeights:
         wt = Weight.tabulated([1.0, 2.0], [0.0, 1.0])
         with pytest.raises(WeightDomainError):
             compare_weights(wt, Weight.power(2.0), hom, [1.0, 1.5, 2.0], [2.0])
+
+    @pytest.mark.parametrize("x_grid", [[], [1.0]], ids=["empty", "one_point"])
+    def test_grid_of_fewer_than_two_points_rejected(self, x_grid):
+        # the ordering hypothesis held vacuously on an empty grid
+        hom = FragmentKernel.homogeneous_power(0.0)
+        with pytest.raises(InvalidInputError, match="at least 2 points"):
+            compare_weights(Weight.power(1.0), Weight.power(2.0), hom, x_grid, [2.0])
 
     def test_failed_samples_make_the_comparison_inconclusive(self, monkeypatch):
         # each weight's quadrature fails somewhere; the verdict keeps the partials
