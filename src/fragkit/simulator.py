@@ -26,11 +26,16 @@ holds for every propagator that is a function of A, by the matrix itself.
 Schemes
 -------
 One matrix serves three propagators.  ``implicit_euler`` solves
-(I - dt A) v+ = v by triangular substitution; all substitution coefficients
-are non-negative, so positivity of the update is structural, and the
-per-step weighted norm is non-increasing whenever the gain columns satisfy
-the kappa <= 1 admissibility inequality; I - dt A and the initial state are
-checked for finiteness once per run.  ``rk4`` is fourth order in A v: a step
+(I - dt A) v+ = v on A itself, holding no copy of it: blocks of rows are
+substituted from the bottom, each forming r_J = v_J + dt A[J, >J] v+[>J] from
+the rows already solved and then solving its own diagonal block I - dt A_JJ,
+an M-matrix whose factor is built once per run.  Every term of r_J is
+non-negative and so is the block's inverse, so positivity of the update is
+structural, and the per-step weighted norm is non-increasing whenever the
+gain columns satisfy the kappa <= 1 admissibility inequality.  dt A and the
+initial state are checked for finiteness once per run; a last step off dt by
+rounding only is taken as dt, so the run's factors serve every full step,
+and step k ends at t0 + (k + 1) dt.  ``rk4`` is fourth order in A v: a step
 producing a non-finite value raises, and one producing negatives beyond
 round-off is rejected and halved (a stiffness error after 30 halvings points
 to implicit_euler).  ``expm_oracle``, the reference propagator for tests, is
@@ -43,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 
 from .config import write_csv
 from .errors import FragkitError, InvalidInputError, StiffnessError
@@ -55,6 +60,9 @@ __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
            "bump", "exp_decay", "column_kappa"]
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
+# rows per implicit-Euler block: its diagonal factor is solved by dtrsv, the
+# coupling to the rows below it by one matrix-vector product on a view of A
+_IE_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +182,32 @@ def _as_state(u0, gen: DiscreteGenerator) -> DensityState:
     return state
 
 
-def _ie_matrix(gen: DiscreteGenerator, dt: float) -> np.ndarray:
-    m = -dt * gen.matrix
-    m[np.diag_indices_from(m)] += 1.0
-    # max and min see every NaN and inf, with no (N+1)^2 temporary left on the heap
-    if not (np.isfinite(m.max()) and np.isfinite(m.min())):
+def _ie_factors(a: np.ndarray, dt: float) -> list[np.ndarray]:
+    """The diagonal blocks of I - dt A, in Fortran order for dtrsv."""
+    # max and min see every NaN and inf, with no (N+1)^2 temporary
+    if not (np.isfinite(dt * a.max()) and np.isfinite(dt * a.min())):
         raise FragkitError("the implicit-Euler matrix I - dt A has a non-finite entry")
-    return m
+    factors = []
+    for lo in range(0, a.shape[0], _IE_BLOCK):
+        hi = min(lo + _IE_BLOCK, a.shape[0])
+        block = np.empty((hi - lo, hi - lo), order="F")
+        np.multiply(a[lo:hi, lo:hi], -dt, out=block)
+        block[np.diag_indices(hi - lo)] += 1.0
+        factors.append(block)
+    return factors
 
 
-def _ie_step(matrix: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-    out = solve_triangular(matrix, v, lower=False, check_finite=False)
+def _ie_step(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray
+             ) -> tuple[np.ndarray, float]:
+    """Solve (I - dt A) out = v by blocks of rows from the bottom."""
+    out = np.empty_like(v)
+    for k in reversed(range(len(factors))):
+        lo, hi = k * _IE_BLOCK, k * _IE_BLOCK + factors[k].shape[0]
+        r = out[lo:hi]
+        np.matmul(a[lo:hi, hi:], out[hi:], out=r)  # a view of A: nothing is copied
+        r *= dt
+        r += v[lo:hi]
+        out[lo:hi] = dtrsv(factors[k], r, overwrite_x=1)
     mu = out[1:]
     top = float(np.max(mu, initial=0.0))
     if not np.isfinite(top):  # the solve overflowed, or the state was not finite
@@ -221,13 +244,11 @@ def _rk4_step(gen: DiscreteGenerator, v: np.ndarray, dt: float, depth: int = 0
 
 
 def _advance(gen: DiscreteGenerator, v: np.ndarray, dt: float, scheme: str,
-             matrix: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+             factors: list[np.ndarray] | None) -> tuple[np.ndarray, float]:
     """One step of v = (dust, mu): ``(v_new, least cell content before clipping)``."""
     if scheme == "implicit_euler":
-        return _ie_step(_ie_matrix(gen, dt) if matrix is None else matrix, v)
-    if scheme == "rk4":
-        return _rk4_step(gen, v, dt)
-    raise InvalidInputError(f"unknown scheme {scheme!r}")
+        return _ie_step(gen.matrix, factors, dt, v)
+    return _rk4_step(gen, v, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +285,24 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     if not (0 < dt < np.inf and np.isfinite(t_end) and sample_every >= 1):
         raise InvalidInputError("need finite dt > 0 and t_end, and sample_every >= 1; got "
                                 f"dt = {dt!r}, t_end = {t_end!r}, sample_every = {sample_every!r}")
+    if scheme not in ("implicit_euler", "rk4"):
+        raise InvalidInputError(f"unknown scheme {scheme!r}; use implicit_euler or rk4")
+    if t_end < state.t:
+        raise InvalidInputError(f"t_end = {t_end!r} is before the initial time {state.t!r}")
     weight = weight or _DEFAULT_NORM_WEIGHT
     wv = weight.eval(gen.grid.nodes)
     x = gen.grid.nodes
     w = gen.grid.weights
 
-    t = state.t
+    t0 = t = state.t
     v = np.append(state.dust_mass, w * state.u)
-    n_steps = int(np.ceil((t_end - t) / dt - 1e-12))
-    matrix = _ie_matrix(gen, dt) if scheme == "implicit_euler" else None
+    n_steps = int(np.ceil((t_end - t0) / dt - 1e-12))
+    # step k ends at t0 + (k + 1) dt and the last at t_end; a last step off dt
+    # by rounding only is taken as dt, so it reuses the run's factors
+    last = t_end - (t0 + (n_steps - 1) * dt)
+    if abs(last - dt) <= 1e-12 * dt:
+        last = dt
+    factors = None
 
     times, m0s, m1s, norms, dusts = [], [], [], [], []
 
@@ -287,11 +317,11 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     record()
     min_content = float(np.min(v[1:], initial=np.inf))
     for k in range(n_steps):
-        h = min(dt, t_end - t)
-        if h <= 0:
-            break
-        v, low = _advance(gen, v, h, scheme, matrix if h == dt else None)
-        t += h
+        h = dt if k < n_steps - 1 else last
+        if scheme == "implicit_euler" and (factors is None or h != dt):
+            factors = _ie_factors(gen.matrix, h)  # once, and again for a short last step
+        v, low = _advance(gen, v, h, scheme, factors)
+        t = t0 + (k + 1) * dt if k < n_steps - 1 else t_end
         min_content = min(min_content, low)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record()

@@ -83,6 +83,7 @@ dt = 2e-3
 u0 = bump:1,10
 sample_every = 10
 """
+SIM_PARAMS = SIM.split("[params]\n")[1]
 
 
 class TestConfigParsing:
@@ -265,8 +266,12 @@ class TestExitCodes:
         ("compare-weights", TWO_WEIGHTS, "x_grid_min = 0"),
         ("compare-weights", TWO_WEIGHTS, "x_grid_min = -1"),
         ("compare-weights", TWO_WEIGHTS, "x_grid_n = 0"),
+        # these two ran no step and exited 0
+        ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = -1")),
+        ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = 0\nscheme = leapfrog")),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
-            "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0"])
+            "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0",
+            "t_end_negative", "unknown_scheme_no_step"])
     def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
         # the [params] of ``sections`` are replaced by ``params``
         text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"

@@ -1,19 +1,20 @@
 """Discretization and time stepping: conservation, positivity, oracle agreement."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 
 from fragkit import simulator
 from fragkit.errors import FragkitError, InvalidInputError, StiffnessError
 from fragkit.kernels import FragmentKernel, RateFunction
-from fragkit.simulator import (DensityState, DiscreteGenerator, Grid, _ie_step, bump,
-                               column_kappa, discretize, exp_decay, expm_oracle,
-                               semigroup_check, simulate)
+from fragkit.simulator import (_IE_BLOCK, DensityState, DiscreteGenerator, Grid, _ie_factors,
+                               _ie_step, bump, column_kappa, discretize, exp_decay,
+                               expm_oracle, semigroup_check, simulate)
 from fragkit.weights import Weight
 
 HOM0 = FragmentKernel.homogeneous_power(0.0)
@@ -173,6 +174,65 @@ class TestStep:
         gen = discretize(HOM0, RATE_X, g)
         with pytest.raises(ValueError):
             simulate(bump(g, 1.0, 2.0), gen, 0.1, 0.1, scheme="leapfrog")
+
+    @pytest.mark.parametrize("t0, t_end, scheme", [(0.0, -1.0, "implicit_euler"),
+                                                   (0.0, 0.0, "leapfrog"),
+                                                   (1.0, 0.5, "rk4")],
+                             ids=["negative_t_end", "unknown_scheme_no_step", "t_end_before_t0"])
+    def test_bad_input_that_runs_no_step_rejected(self, monkeypatch, t0, t_end, scheme):
+        # both used to return a one-row trajectory: the scheme was read only
+        # when stepping, and an end before the start ran no step
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped on bad input")
+
+        monkeypatch.setattr(simulator, "_advance", no_step)
+        with pytest.raises(InvalidInputError):
+            simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, 0.01,
+                     scheme=scheme)
+
+    def test_one_factor_build_per_run(self, monkeypatch):
+        # 0.2 - 99 * 2e-3 is 2e-3 plus 1.8e-18: that last step reuses the run's factors
+        builds = []
+        real = simulator._ie_factors
+        monkeypatch.setattr(simulator, "_ie_factors",
+                            lambda a, dt: builds.append(dt) or real(a, dt))
+        g = Grid.geometric(1e-4, 20.0, 64)
+        gen = discretize(HOM0, RATE_X, g)
+        traj = simulate(bump(g, 1.0, 10.0), gen, 0.2, 2e-3)
+        assert builds == [2e-3]
+        assert traj.times.size == 101
+        assert abs(traj.times[-1] - 0.2) <= 1e-12
+
+    def test_a_short_last_step_gets_its_own_factors(self, monkeypatch):
+        builds = []
+        real = simulator._ie_factors
+        monkeypatch.setattr(simulator, "_ie_factors",
+                            lambda a, dt: builds.append(dt) or real(a, dt))
+        g = Grid.geometric(0.1, 10.0, 32)
+        gen = discretize(FragmentKernel.zero(), RATE_X, g)
+        u0 = exp_decay(g, 2.0)
+        traj = simulate(u0, gen, 0.25, 0.1)
+        assert builds[0] == 0.1 and len(builds) == 2
+        assert builds[1] == pytest.approx(0.05, rel=1e-12)
+        np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.25], rtol=1e-15)
+        want = u0 / (1.0 + 0.1 * g.nodes) ** 2 / (1.0 + 0.05 * g.nodes)
+        np.testing.assert_allclose(traj.final.u, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    def test_step_times_do_not_drift(self, scheme):
+        # step k ends at t0 + (k + 1) dt, not at a running sum of the steps
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        t0, dt = 0.1, 1e-3
+        traj = simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, 0.4, dt,
+                        scheme=scheme)
+        assert traj.times.size == 301
+        np.testing.assert_array_equal(traj.times[:-1], t0 + np.arange(300) * dt)
+        assert abs(traj.times[-1] - 0.4) <= 1e-12
+        assert traj.final.t == traj.times[-1]
 
 
 class TestSimulate:
@@ -449,10 +509,45 @@ class TestStiffness:
 
 
 def test_negative_implicit_euler_step_is_a_toolkit_error():
-    # a hand-built upper-triangular matrix whose solve goes negative: the
+    # a hand-built generator whose solve goes negative: dt = 1 and A[1, 2] = -1
+    # (a negative gain) make I - dt A the identity with a 1 at (1, 2), whose
     # block [[1, 1], [0, 1]] x = [0, 1] of cells 0 and 1 gives x = [-1, 1].  The
     # CLI maps FragkitError to an exit code; a bare RuntimeError escaped as a traceback.
-    matrix = np.eye(5)
-    matrix[1, 2] = 1.0
+    a = np.zeros((5, 5))
+    a[1, 2] = -1.0
     with pytest.raises(FragkitError, match="substantive negative"):
-        _ie_step(matrix, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        _ie_step(a, _ie_factors(a, 1.0), 1.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+
+
+class TestBlockedImplicitEuler:
+    """The step substitutes blocks of _IE_BLOCK rows on A itself."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, _IE_BLOCK - 1, _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK + 1]),
+           seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 10.0))
+    def test_matches_one_triangular_solve(self, size, seed, dt):
+        # a random non-negative gain above a non-positive diagonal; scaled by
+        # 1 / size so the solution stays far from overflow at dt = 10
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(0.0, 1.0, (size, size)), 1) / size
+        a[np.diag_indices(size)] = -rng.uniform(0.0, 2.0, size)
+        v = rng.uniform(0.0, 1.0, size)
+        want = solve_triangular(np.eye(size) - dt * a, v)
+        got, low = _ie_step(a, _ie_factors(a, dt), dt, v)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert low >= 0
+
+    def test_holds_no_copy_of_the_generator(self):
+        # numpy reports its buffers to tracemalloc; I - dt A as a whole would
+        # be one more (N + 1)^2 array, the diagonal factors are a quarter of one
+        g = Grid.geometric(1e-4, 20.0, 2048)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 1.0, 10.0)
+        tracemalloc.start()
+        try:
+            traj = simulate(u0, gen, 3e-3, 1e-3, scheme="implicit_euler")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 4
+        assert peak < 0.5 * gen.matrix.nbytes
