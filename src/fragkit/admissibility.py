@@ -49,8 +49,8 @@ TREND_TOL = 1e-6
 
 def _span(kernel: FragmentKernel, weight, y: float, hi: float | None):
     """``(0, min(y, hi), breakpoints)`` of n_w(y): the kernel's and the weight's kinks."""
-    if y <= 0:
-        raise InvalidInputError("n_w needs y > 0")
+    if not 0 < y < np.inf:  # NaN fails both
+        raise InvalidInputError(f"n_w needs 0 < y < inf, got y = {y!r}")
     top = y if hi is None else min(y, hi)
     bps = list(kernel.breakpoints(y))
     if hasattr(weight, "quad_breakpoints"):

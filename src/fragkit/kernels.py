@@ -203,47 +203,59 @@ class FragmentKernel:
 
     # -- partial daughter mass M(s; y) = int_0^min(s,y) b(x,y) x dx -----------
 
-    def mass_partial(self, s, y: float):
-        """Vectorized cumulative daughter mass; closed form for built-ins."""
-        ss = np.clip(np.asarray(s, dtype=float), 0.0, y)
-        scalar = np.ndim(s) == 0
+    def mass_partial(self, s, y):
+        """Cumulative daughter mass M(s; y); ``s`` and ``y`` broadcast.
+
+        The built-in families evaluate their closed form on the whole table.  A
+        custom kernel's ``mass_partial`` callback, or the quadrature fallback,
+        gets one scalar y at a time, with the s values it broadcasts against.
+        Every y must be positive and finite.
+        """
+        ys = np.asarray(y, dtype=float)
+        if not np.all((ys > 0) & (ys < np.inf)):  # NaN fails both
+            raise InvalidKernelError("parent size y must be positive and finite")
+        ss = np.clip(np.asarray(s, dtype=float), 0.0, ys)
+        scalar = np.ndim(s) == 0 and np.ndim(y) == 0
         if self.family == "homogeneous_power":
-            out = y * (ss / y) ** (self.nu + 2.0)
+            out = ys * (ss / ys) ** (self.nu + 2.0)
         elif self.family == "boundary_binary":
-            if y <= 2.0:
-                out = ss ** 2 / y
-            else:
-                out = np.where(ss <= 1.0, 0.5 * ss ** 2,
-                               np.where(ss <= y - 1.0, 0.5,
-                                        0.5 + 0.5 * (ss ** 2 - (y - 1.0) ** 2)))
+            out = np.where(ys <= 2.0, ss ** 2 / ys,
+                           np.where(ss <= 1.0, 0.5 * ss ** 2,
+                                    np.where(ss <= ys - 1.0, 0.5,
+                                             0.5 + 0.5 * (ss ** 2 - _libm_square(ys - 1.0)))))
         elif self.family == "concentrated":
-            if y <= _SQRT2:
-                out = ss ** 2 / y
-            else:
-                c = 0.5 / y
-                out = np.where(ss <= 1.0 / y, 0.5 * y * ss ** 2,
-                               np.where(ss <= y - 1.0 / y, c,
-                                        c + 0.5 * y * (ss ** 2 - (y - 1.0 / y) ** 2)))
-        elif self.family == "custom" and self.mass_partial_fn is not None:
-            out = np.asarray(self.mass_partial_fn(ss, y), dtype=float)
+            c = 0.5 / ys
+            out = np.where(ys <= _SQRT2, ss ** 2 / ys,
+                           np.where(ss <= 1.0 / ys, 0.5 * ys * ss ** 2,
+                                    np.where(ss <= ys - 1.0 / ys, c,
+                                             c + 0.5 * ys * (ss ** 2 - _libm_square(ys - 1.0 / ys)))))
         else:
-            out = self._mass_partial_numeric(np.atleast_1d(ss), y).reshape(ss.shape)
+            # one call per element of y, with the s values that element broadcasts against
+            out = np.empty(ss.shape)
+            yb = ys.reshape((1,) * (ss.ndim - ys.ndim) + ys.shape)
+            for k in np.ndindex(yb.shape):
+                at = tuple(slice(None) if n == 1 else i for i, n in zip(k, yb.shape))
+                y_k = float(yb[k])
+                out[at] = self._mass_partial_numeric(ss[at], y_k) \
+                    if self.mass_partial_fn is None else self.mass_partial_fn(ss[at], y_k)
         return float(out) if scalar else out
 
-    def _mass_partial_numeric(self, s_flat: np.ndarray, y: float) -> np.ndarray:
+    def _mass_partial_numeric(self, s, y: float) -> np.ndarray:
         """Quadrature fallback in one cumulative pass over the sorted positive s.
 
         An adaptive integral reaches the smallest one; fixed-order panels between
         consecutive points add the rest.  Geometric points are inserted where two
         consecutive points differ by more than a factor of 2, so every panel is
         accurate near a singular kernel; finer grids, such as the simulator's, are
-        used as they are.  Results come back in input order; zeros map to 0.
+        used as they are.  Results come back in the shape and order of ``s``; zeros
+        map to 0.
 
         The integrand is ``b(x, y) * exp(log x)``: the daughter mass is n_w with
         w(x) = x.  A failure carries the plain partial value, not its log.
         """
         b = lambda x: eval_kernel(self, x, y)
         bps = self.breakpoints(y)
+        shape, s_flat = np.shape(s), np.ravel(s)
         order = np.argsort(s_flat)
         order = order[s_flat[order] > 0]
         s = s_flat[order]
@@ -259,7 +271,7 @@ class FragmentKernel:
             increments = np.exp(panel_sums(b, np.log, pts)) if pts.size > 1 else np.zeros(0)
             cum = np.exp(log_base) + np.concatenate([[0.0], np.cumsum(increments)])
             out[order] = cum[np.searchsorted(pts, s)]
-        return out
+        return out.reshape(shape)
 
     def has_exact_mass(self) -> bool:
         return self.family in ("homogeneous_power", "boundary_binary", "concentrated") \
@@ -267,6 +279,13 @@ class FragmentKernel:
 
     def describe(self) -> str:
         return self.label or self.family
+
+
+# t ** 2 by the C library's pow, as a Python float squares: pow is now and
+# then one ulp off numpy's t * t, and the closed forms subtract this square
+# from s^2, which magnifies the ulp.  Squaring their y-only terms by pow gives
+# M(s; y) the bits of the same formula in Python floats, for any shape of y.
+_libm_square = np.vectorize(lambda t: t ** 2, otypes=[float])
 
 
 def _geometric_fill(pts: np.ndarray) -> np.ndarray:
@@ -323,8 +342,6 @@ class MassValue:
 
 def mass_integral(kernel: FragmentKernel, y: float) -> MassValue:
     """Daughter mass m(y) = M(y; y); closed form (exact=True) for the built-in families."""
-    if y <= 0:
-        raise InvalidKernelError("mass integral needs y > 0")
     return MassValue(value=kernel.mass_partial(y, y), exact=kernel.has_exact_mass())
 
 
@@ -358,10 +375,10 @@ class MassReport:
 
 
 def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassReport:
-    """Classify a kernel's mass balance over positive samples ``y_samples``."""
+    """Classify a kernel's mass balance over positive, finite samples ``y_samples``."""
     ys = np.asarray(y_samples, dtype=float)
-    if ys.size == 0 or np.any(ys <= 0):
-        raise InvalidKernelError("y_samples must be non-empty and positive")
+    if ys.size == 0 or not np.all((ys > 0) & (ys < np.inf)):  # NaN fails both
+        raise InvalidKernelError("y_samples must be non-empty, positive and finite")
     m = np.empty_like(ys)
     failed = []
     for i, y in enumerate(ys):

@@ -269,9 +269,14 @@ class TestExitCodes:
         # these two ran no step and exited 0
         ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = -1")),
         ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = 0\nscheme = leapfrog")),
+        # these three printed a verdict on a NaN or infinite parent size and exited 0
+        ("kernel-info", BB_EXP, "y_samples = 1,nan,5"),
+        ("kernel-info", BB_EXP, "y_samples = 1,inf,5"),
+        ("compare-weights", TWO_WEIGHTS, "y_samples = 2,nan,10"),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
             "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0",
-            "t_end_negative", "unknown_scheme_no_step"])
+            "t_end_negative", "unknown_scheme_no_step",
+            "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan"])
     def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
         # the [params] of ``sections`` are replaced by ``params``
         text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"

@@ -9,6 +9,10 @@ from fragkit.errors import InvalidKernelError
 from fragkit.kernels import (FragmentKernel, RateFunction, classify_mass,
                              eval_kernel, eval_rate, mass_integral, rate_envelope)
 
+BUILT_INS = [FragmentKernel.homogeneous_power(-0.5), FragmentKernel.boundary_binary(),
+             FragmentKernel.concentrated()]
+BUILT_IN_IDS = ["homogeneous", "boundary_binary", "concentrated"]
+
 
 class TestRateEvaluation:
     def test_power_identity(self):
@@ -177,6 +181,33 @@ class TestMassIntegral:
         assert got == pytest.approx(hom.mass_partial(scalar, y), rel=1e-10)
 
 
+class TestMassPartialOverArraysOfY:
+    # 19.144 and 1.8747171664109912 (a node of Grid.geometric(1e-4, 20, 2048))
+    # are parent sizes where libm's pow(t, 2) of the closed forms' y-only term,
+    # t = y - 1 and t = y - 1/y, is one ulp off t * t
+    YS = np.concatenate([np.geomspace(0.3, 30.0, 41), [19.144, 1.8747171664109912]])
+
+    @pytest.mark.parametrize("kern", BUILT_INS, ids=BUILT_IN_IDS)
+    def test_array_y_is_the_stacked_scalar_calls(self, kern):
+        s = np.linspace(0.0, 31.0, 157)
+        got = kern.mass_partial(s[:, None], self.YS)
+        ref = np.stack([kern.mass_partial(s, float(y)) for y in self.YS], axis=1)
+        assert np.array_equal(got, ref)
+        assert isinstance(kern.mass_partial(1.0, 3.0), float)
+
+    @pytest.mark.parametrize("kern", BUILT_INS + [FragmentKernel.custom(lambda x, y: x / y**2)],
+                             ids=BUILT_IN_IDS + ["custom"])
+    @pytest.mark.parametrize("y", [-1.0, 0.0, np.nan, np.inf, [1.0, np.nan], [2.0, -1.0]],
+                             ids=["negative", "zero", "nan", "inf", "array_nan", "array_negative"])
+    def test_parent_size_outside_the_domain_rejected(self, kern, y):
+        # np.clip with min > max once returned -1 at y = -1, and y = 0 gave NaN
+        with pytest.raises(InvalidKernelError):
+            kern.mass_partial(np.array([0.5, 1.0]), y)
+        if np.ndim(y) == 0:
+            with pytest.raises(InvalidKernelError):
+                mass_integral(kern, y)
+
+
 class TestClassifyMass:
     def test_boundary_binary_conserving(self):
         rep = classify_mass(FragmentKernel.boundary_binary(), [3.0, 5.0, 10.0], tol=1e-8)
@@ -205,3 +236,11 @@ class TestClassifyMass:
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidKernelError):
             classify_mass(FragmentKernel.boundary_binary(), [])
+
+    @pytest.mark.parametrize("ys", [[1.0, 0.0], [1.0, np.nan, 5.0], [1.0, np.inf, 5.0]],
+                             ids=["zero", "nan", "inf"])
+    def test_samples_outside_the_domain_rejected(self, ys):
+        # NaN once classified as "violating" with max excess NaN, and inf as
+        # "sub_conserving" with m(inf) = 0.5
+        with pytest.raises(InvalidKernelError):
+            classify_mass(FragmentKernel.boundary_binary(), ys)

@@ -1,6 +1,7 @@
 """Discretization and time stepping: conservation, positivity, oracle agreement."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,9 @@ from scipy.linalg import expm, solve_triangular
 
 from fragkit import simulator
 from fragkit.errors import FragkitError, InvalidInputError, StiffnessError
-from fragkit.kernels import FragmentKernel, RateFunction
-from fragkit.simulator import (_IE_BLOCK, DensityState, DiscreteGenerator, Grid, _ie_factors,
-                               _ie_step, bump, column_kappa, discretize, exp_decay,
+from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
+from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, DensityState, DiscreteGenerator, Grid,
+                               _ie_factors, _ie_step, bump, column_kappa, discretize, exp_decay,
                                expm_oracle, semigroup_check, simulate)
 from fragkit.weights import Weight
 
@@ -33,6 +34,27 @@ def _closure(gen):
     """l A for l = (1, x_1, ..., x_N): per column, the dust flux plus the
     daughter mass minus the parent's mass a_j x_j."""
     return np.append(1.0, gen.grid.nodes) @ gen.matrix
+
+
+def _per_column_matrix(kernel, rate, grid):
+    """The generator assembled one column at a time, one mass_partial call per
+    parent size: the reference the blocked assembly must equal bit for bit."""
+    x = grid.nodes
+    n = grid.n
+    a = np.asarray(eval_rate(rate, x), dtype=float)
+    matrix = np.zeros((n + 1, n + 1))
+    for j in range(n):
+        cum = kernel.mass_partial(np.append(grid.edges[:j], x[j]), float(x[j]))
+        matrix[0, j + 1] = a[j] * cum[0]
+        matrix[1:j + 1, j + 1] = a[j] * np.diff(cum) / x[:j]
+    matrix[np.arange(1, n + 1), np.arange(1, n + 1)] = -a
+    return matrix
+
+
+# a_j = 0 up to x = 0.5: those columns hold no gain, no dust flux and no loss
+RATE_ZERO_HEAD = RateFunction.tabulated([[0.0, 0.0], [0.5, 0.0], [1.0, 2.0]])
+BLOCK_SIZES = [4, _ASSEMBLY_BLOCK - 1, _ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK + 1,
+               2 * _ASSEMBLY_BLOCK + 3]
 
 
 def _gain_scaled(gen, factor):
@@ -126,22 +148,70 @@ class TestDiscretize:
         col = _closure(gen)[1:][act] / _loss(gen)[act] + x[act]
         np.testing.assert_allclose(col, x[act] / 3.0, rtol=1e-8)
 
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(["homogeneous_power", "boundary_binary", "concentrated"]),
+           nu=st.floats(-1.9, 0.0), x_min=st.floats(1e-3, 1.3), x_max=st.floats(2.5, 50.0),
+           n=st.sampled_from(BLOCK_SIZES), rate=st.sampled_from([RATE_X, RATE_ZERO_HEAD]))
+    def test_blocked_assembly_is_the_per_column_one(self, family, nu, x_min, x_max, n, rate):
+        # the grid crosses y = sqrt(2) and y = 2, where the closed forms switch
+        kern = FragmentKernel.homogeneous_power(nu) if family == "homogeneous_power" \
+            else getattr(FragmentKernel, family)()
+        g = Grid.geometric(x_min, x_max, n)
+        gen = discretize(kern, rate, g)
+        assert np.array_equal(gen.matrix, _per_column_matrix(kern, rate, g))
+        assert np.all(np.tril(gen.matrix, -1) == 0)
+
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_blocked_assembly_is_the_per_column_one_custom(self, n):
+        kern = FragmentKernel.custom(lambda x, y: x / y**2)
+        g = Grid.geometric(1e-2, 10.0, n)
+        gen = discretize(kern, RATE_ZERO_HEAD, g)
+        assert np.array_equal(gen.matrix, _per_column_matrix(kern, RATE_ZERO_HEAD, g))
+        assert np.all(np.tril(gen.matrix, -1) == 0)
+
     @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.custom(lambda x, y: x / y**2)],
                              ids=["closed_form", "custom"])
-    def test_mass_partial_called_once_per_column(self, monkeypatch, kern):
-        # the first edge is the first node, so one cumulative call per parent
-        # also gives the mass below the grid
-        calls = []
-        real = FragmentKernel.mass_partial
+    def test_mass_partial_called_once_per_block(self, monkeypatch, kern):
+        # the first edge is the first node, so one call per block of columns
+        # also gives the mass below the grid; a custom kernel's quadrature
+        # still runs once per parent size, with that size as a float
+        calls, per_y = [], []
+        real, real_numeric = FragmentKernel.mass_partial, FragmentKernel._mass_partial_numeric
 
         def counting(self, s, y):
             calls.append(y)
             return real(self, s, y)
 
+        def counting_numeric(self, s, y):
+            per_y.append(y)
+            return real_numeric(self, s, y)
+
         monkeypatch.setattr(FragmentKernel, "mass_partial", counting)
-        g = Grid.geometric(1e-2, 10.0, 24)
+        monkeypatch.setattr(FragmentKernel, "_mass_partial_numeric", counting_numeric)
+        g = Grid.geometric(1e-2, 10.0, 2 * _ASSEMBLY_BLOCK + 3)
         discretize(kern, RATE_X, g)
-        assert len(calls) == g.n
+        assert len(calls) == math.ceil(g.n / _ASSEMBLY_BLOCK) == 3
+        if kern.family == "custom":
+            assert per_y == g.nodes.tolist()
+            assert all(type(y) is float for y in per_y)
+        else:
+            assert per_y == []
+
+    @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.boundary_binary(),
+                                      FragmentKernel.concentrated()],
+                             ids=["homogeneous", "boundary_binary", "concentrated"])
+    def test_assembly_needs_less_room_than_the_ie_factors(self, kern):
+        # numpy reports its buffers to tracemalloc; beyond the generator itself,
+        # assembling may hold no more than the implicit-Euler diagonal factors,
+        # a quarter of it, so it does not raise a simulation's peak memory
+        g = Grid.geometric(1e-4, 20.0, 2048)
+        tracemalloc.start()
+        try:
+            gen = discretize(kern, RATE_X, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - gen.matrix.nbytes < gen.matrix.nbytes / 4
 
 
 class TestStep:
