@@ -13,13 +13,12 @@ if os.environ.get("FRAGKIT_THREADS"):  # cap the BLAS pools before any submodule
         os.environ.setdefault(_var, os.environ["FRAGKIT_THREADS"])
 
 from .admissibility import (AdmissibilityReport, RatioCurve, RelativeBoundEstimate,
-                            check, log_n_omega, log_n_samples, ratio_curve, relative_bound)
+                            check, log_n_samples, ratio_curve, relative_bound)
 from .errors import (ConfigError, ConstructionError, FragkitError, InvalidInputError,
                      InvalidKernelError, QuadratureError, StepSizeError, StiffnessError,
                      WeightDomainError)
-from .kernels import (FragmentKernel, MassReport, MassValue, RateFunction,
-                      classify_mass, eval_kernel, eval_rate, mass_integral,
-                      rate_envelope)
+from .kernels import (FragmentKernel, MassReport, RateFunction, classify_mass,
+                      eval_kernel, eval_rate, rate_envelope)
 from .quadrature import integrate, log_integrate
 from .simulator import (DensityState, DiscreteGenerator, Grid, Trajectory, bump,
                         column_kappa, discretize, exp_decay, expm_oracle,
@@ -36,15 +35,13 @@ __all__ = [
     "AdmissibilityReport", "ComparisonVerdict", "ConfigError", "ConstructionError",
     "DensityState", "DiscreteGenerator", "ExpWeight",
     "FragkitError", "FragmentKernel", "Grid", "InvalidInputError", "InvalidKernelError",
-    "MajorantB",
-    "MajorantH", "MassReport", "MassValue", "QuadratureError",
+    "MajorantB", "MajorantH", "MassReport", "QuadratureError",
     "RateFunction", "RatioCurve", "RelativeBoundEstimate", "StepSizeError",
     "StiffnessError", "Trajectory", "VolterraSolution", "Weight",
     "WeightCertificate", "WeightDomainError", "bump", "build_btilde", "build_h",
     "check", "classify_mass", "column_kappa", "compare_weights", "construct_weight",
     "derived_weight", "discretize", "eval_kernel", "eval_rate", "exp_decay",
     "exp_weight_search", "expm_oracle", "gamma_monotone_check", "integrate",
-    "log_integrate", "log_n_omega", "log_n_samples", "mass_integral",
-    "rate_envelope", "ratio_curve", "relative_bound", "semigroup_check", "simulate",
-    "solve_volterra",
+    "log_integrate", "log_n_samples", "rate_envelope", "ratio_curve", "relative_bound",
+    "semigroup_check", "simulate", "solve_volterra",
 ]

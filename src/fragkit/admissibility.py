@@ -19,8 +19,8 @@ Three conditions on r decide how much the semigroup theory gives you:
 All ratios are computed as exp(log n_w - log w) with log-sum-exp quadrature,
 so exponential and super-exponential weights never overflow.
 
-``log_n_samples`` (a grid of y) is the only code that samples n_w; ``log_n_omega``
-is its one-y case, and the weight builder and the weight comparison call it.
+``log_n_samples`` (a grid of y) is the only code that samples n_w: the ratio
+curves here, the weight builder and the weight comparison all call it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import InvalidInputError, QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
 from .quadrature import _log_integrate_rows
 
-__all__ = ["log_n_omega", "log_n_samples", "ratio_curve", "RatioCurve",
+__all__ = ["log_n_samples", "ratio_curve", "RatioCurve",
            "AdmissibilityReport", "check", "RelativeBoundEstimate", "relative_bound",
            "PASS_MARGIN"]
 
@@ -52,18 +52,7 @@ def _span(kernel: FragmentKernel, weight, y: float, hi: float | None):
     if not 0 < y < np.inf:  # NaN fails both
         raise InvalidInputError(f"n_w needs 0 < y < inf, got y = {y!r}")
     top = y if hi is None else min(y, hi)
-    bps = list(kernel.breakpoints(y))
-    if hasattr(weight, "quad_breakpoints"):
-        bps.extend(weight.quad_breakpoints(0.0, top))
-    return 0.0, top, bps
-
-
-def log_n_omega(kernel: FragmentKernel, weight, y: float, hi: float | None = None) -> float:
-    """``log_n_samples`` at the one parent size ``y``; a failure carries a scalar ``partial``."""
-    try:
-        return float(log_n_samples(kernel, weight, [y], hi=hi)[0])
-    except QuadratureError as exc:
-        raise QuadratureError(str(exc), partial=float(exc.partial[0])) from None
+    return 0.0, top, [*kernel.breakpoints(y), *weight.quad_breakpoints(0.0, top)]
 
 
 def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -> np.ndarray:
@@ -249,7 +238,7 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
         verdict_A32=verdict_a32, verdict_A41=verdict_a41, verdict_limsup=limsup,
         kappa1_growing=kappa1_growing,
         kernel_label=kernel.describe(),
-        weight_label=weight.describe() if hasattr(weight, "describe") else "")
+        weight_label=weight.describe())
 
 
 def _slope_per_decade(y: np.ndarray, r: np.ndarray) -> float:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import admissibility, simulator, weight_builder
 from .config import ConfigError, RunConfig, fmt, load_config, save_weight_csv
-from .errors import ConstructionError, FragkitError, InvalidInputError, StepSizeError
+from .errors import (ConstructionError, FragkitError, InvalidInputError, QuadratureError,
+                     StepSizeError)
 from .kernels import classify_mass
 from .weights import Weight, compare_weights
 
@@ -215,6 +216,9 @@ def main(argv=None) -> int:
             raise ConfigError("--config is required")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
+    except QuadratureError as exc:  # an integral that did not converge decides nothing
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (FragkitError, OSError) as exc:  # a ConfigError is a FragkitError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

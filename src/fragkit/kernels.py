@@ -29,8 +29,8 @@ from .errors import InvalidKernelError, QuadratureError
 from .quadrature import log_integrate, panel_sums
 
 __all__ = [
-    "RateFunction", "FragmentKernel", "MassValue", "MassReport",
-    "eval_rate", "rate_envelope", "eval_kernel", "mass_integral", "classify_mass",
+    "RateFunction", "FragmentKernel", "MassReport",
+    "eval_rate", "rate_envelope", "eval_kernel", "classify_mass",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -212,23 +212,22 @@ class FragmentKernel:
         Every y must be positive and finite.
         """
         ys = np.asarray(y, dtype=float)
-        if not np.all((ys > 0) & (ys < np.inf)):  # NaN fails both
-            raise InvalidKernelError("parent size y must be positive and finite")
+        _check_parent_sizes(ys)
         ss = np.clip(np.asarray(s, dtype=float), 0.0, ys)
         scalar = np.ndim(s) == 0 and np.ndim(y) == 0
         if self.family == "homogeneous_power":
             out = ys * (ss / ys) ** (self.nu + 2.0)
         elif self.family == "boundary_binary":
+            # top band as (s - t)(s + t): s^2 - t^2 would cancel near the parent
+            t = ys - 1.0
             out = np.where(ys <= 2.0, ss ** 2 / ys,
                            np.where(ss <= 1.0, 0.5 * ss ** 2,
-                                    np.where(ss <= ys - 1.0, 0.5,
-                                             0.5 + 0.5 * (ss ** 2 - _libm_square(ys - 1.0)))))
+                                    np.where(ss <= t, 0.5, 0.5 + 0.5 * (ss - t) * (ss + t))))
         elif self.family == "concentrated":
-            c = 0.5 / ys
+            c, t = 0.5 / ys, ys - 1.0 / ys
             out = np.where(ys <= _SQRT2, ss ** 2 / ys,
                            np.where(ss <= 1.0 / ys, 0.5 * ys * ss ** 2,
-                                    np.where(ss <= ys - 1.0 / ys, c,
-                                             c + 0.5 * ys * (ss ** 2 - _libm_square(ys - 1.0 / ys)))))
+                                    np.where(ss <= t, c, c + 0.5 * ys * (ss - t) * (ss + t))))
         else:
             # one call per element of y, with the s values that element broadcasts against
             out = np.empty(ss.shape)
@@ -273,19 +272,8 @@ class FragmentKernel:
             out[order] = cum[np.searchsorted(pts, s)]
         return out.reshape(shape)
 
-    def has_exact_mass(self) -> bool:
-        return self.family in ("homogeneous_power", "boundary_binary", "concentrated") \
-            or self.mass_partial_fn is not None
-
     def describe(self) -> str:
         return self.label or self.family
-
-
-# t ** 2 by the C library's pow, as a Python float squares: pow is now and
-# then one ulp off numpy's t * t, and the closed forms subtract this square
-# from s^2, which magnifies the ulp.  Squaring their y-only terms by pow gives
-# M(s; y) the bits of the same formula in Python floats, for any shape of y.
-_libm_square = np.vectorize(lambda t: t ** 2, otypes=[float])
 
 
 def _geometric_fill(pts: np.ndarray) -> np.ndarray:
@@ -296,15 +284,20 @@ def _geometric_fill(pts: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([pts, *fill])) if fill else pts
 
 
+def _check_parent_sizes(ys: np.ndarray) -> None:
+    if ys.size and not (ys.min() > 0 and ys.max() < np.inf):  # a NaN makes min NaN
+        raise InvalidKernelError("parent size y must be positive and finite")
+
+
 def eval_kernel(kernel: FragmentKernel, x, y):
     """Evaluate b(x, y); x and y broadcast, zero on the unsupported region x > y.
 
-    Custom kernels must broadcast over numpy arrays the same way.
+    Custom kernels must broadcast over numpy arrays the same way.  Every y must
+    be positive and finite.
     """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
-    if np.any(ys <= 0):
-        raise InvalidKernelError("parent size y must be positive")
+    _check_parent_sizes(ys)
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     if kernel.family == "homogeneous_power":
         nu = kernel.nu
@@ -331,19 +324,6 @@ def eval_kernel(kernel: FragmentKernel, x, y):
 # ---------------------------------------------------------------------------
 # mass bookkeeping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MassValue:
-    """One daughter-mass integral m(y) = int_0^y b(x,y) x dx."""
-
-    value: float
-    exact: bool
-
-
-def mass_integral(kernel: FragmentKernel, y: float) -> MassValue:
-    """Daughter mass m(y) = M(y; y); closed form (exact=True) for the built-in families."""
-    return MassValue(value=kernel.mass_partial(y, y), exact=kernel.has_exact_mass())
-
 
 @dataclass(frozen=True)
 class MassReport:
@@ -383,7 +363,7 @@ def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassR
     failed = []
     for i, y in enumerate(ys):
         try:
-            m[i] = mass_integral(kernel, float(y)).value
+            m[i] = kernel.mass_partial(y, y)
         except QuadratureError as exc:
             m[i] = exc.partial if exc.partial is not None else np.nan
             failed.append(i)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from fragkit.admissibility import check, log_n_omega, ratio_curve
+from fragkit.admissibility import check, log_n_samples, ratio_curve
 from fragkit.kernels import FragmentKernel, RateFunction
 from fragkit.simulator import (Grid, bump, column_kappa, discretize, expm_oracle,
                                simulate)
@@ -72,7 +72,7 @@ def test_criterion_03_concentrated_super_exponential():
     assert rc.ratio[0] == pytest.approx(expected_8, abs=1e-3)
 
     # log-space is mandatory: the linear-space value already overflows here
-    ln = log_n_omega(CONC, w_sup, 30.0)
+    ln = log_n_samples(CONC, w_sup, [30.0])[0]
     assert np.isfinite(ln)
     with np.errstate(over="ignore"):
         assert np.exp(ln) == np.inf

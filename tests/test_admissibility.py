@@ -22,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fragkit import quadrature, weight_builder
-from fragkit.admissibility import check, log_n_omega, log_n_samples, ratio_curve, relative_bound
+from fragkit.admissibility import check, log_n_samples, ratio_curve, relative_bound
 from fragkit.errors import QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
 from fragkit.weight_builder import build_h
@@ -41,22 +41,22 @@ def r_bb_exp(y):
 
 class TestNOmega:
     def test_boundary_binary_exponential(self):
-        val = np.exp(log_n_omega(BB, W_EXP, 10.0))
+        val = np.exp(log_n_samples(BB, W_EXP, [10.0])[0])
         assert val == pytest.approx(13925.100149059793, rel=1e-10)
 
     def test_homogeneous_power_weight(self):
         # n(y) = y^p (nu+2)/(nu+p+1) -> 9 * 1/2 at y = 3, p = 2
-        assert np.exp(log_n_omega(HOM1, Weight.power(2.0), 3.0)) == pytest.approx(4.5, rel=1e-10)
+        assert np.exp(log_n_samples(HOM1, Weight.power(2.0), [3.0])[0]) == pytest.approx(4.5, rel=1e-10)
 
     def test_zero_kernel(self):
-        assert log_n_omega(FragmentKernel.zero(), Weight.power(1.0), 2.0) == -np.inf
+        assert log_n_samples(FragmentKernel.zero(), Weight.power(1.0), [2.0])[0] == -np.inf
 
     def test_exponential_weight_stays_in_log_space(self):
         # n(1000) = e^1000 (1 - 1/e) + e - 1 overflows a double; its log does not
-        assert log_n_omega(BB, W_EXP, 10.0) == pytest.approx(np.log(13925.100149059793),
-                                                             rel=1e-12)
-        assert log_n_omega(BB, W_EXP, 1000.0) == pytest.approx(1000.0 + np.log1p(-1.0 / np.e),
-                                                               rel=1e-14)
+        assert log_n_samples(BB, W_EXP, [10.0])[0] == pytest.approx(np.log(13925.100149059793),
+                                                                  rel=1e-12)
+        assert log_n_samples(BB, W_EXP, [1000.0])[0] == pytest.approx(1000.0 + np.log1p(-1.0 / np.e),
+                                                                    rel=1e-14)
 
 
 class TestRatioCurve:
@@ -184,8 +184,8 @@ class TestFrozenCells:
         # w = x, b = 2/5 on [0, 1]: 49 graded cells, whose innermost ones are below eps
         # of the total; halving all of them would evaluate 12 * (49 + 98) = 1,764 points
         xs = []
-        lv = log_n_omega(self.counting(FragmentKernel.homogeneous_power(0.0), xs),
-                         Weight.power(1.0), 5.0, hi=1.0)
+        lv = log_n_samples(self.counting(FragmentKernel.homogeneous_power(0.0), xs),
+                           Weight.power(1.0), [5.0], hi=1.0)[0]
         assert sum(x.size for x in xs) < 1300
         assert abs(lv - np.log(0.2)) <= 1e-14
 
@@ -208,7 +208,7 @@ class TestFrozenCells:
         assert np.all(np.abs(np.expm1(log_n_samples(BB, w, ys) - want)) <= 1e-13)
         # each dead cell is evaluated once, at its base level: one cell per knot gap
         xs = []
-        log_n_omega(self.counting(BB, xs), w, 15.0)
+        log_n_samples(self.counting(BB, xs), w, [15.0])
         x = np.concatenate(xs)
         dead = np.count_nonzero((knots > 1.0) & (knots < 14.0)) + 1
         assert np.count_nonzero((x > 1.0) & (x < 14.0)) == 12 * dead
@@ -252,7 +252,7 @@ class TestUnresolvedTails:
         # grading 9 times would evaluate about 6.5 million points
         xs = []
         with pytest.raises(QuadratureError):
-            log_n_omega(TestFrozenCells.counting(HOM1, xs), Weight.exponential(1.5), 5.0)
+            log_n_samples(TestFrozenCells.counting(HOM1, xs), Weight.exponential(1.5), [5.0])
         assert sum(x.size for x in xs) < 100_000
 
 
@@ -321,15 +321,15 @@ class TestSampledNOmega:
     def test_samples_match_scalar_calls(self):
         ys = np.geomspace(2.0, 50.0, 7)
         np.testing.assert_array_equal(log_n_samples(BB, W_EXP, ys),
-                                      [log_n_omega(BB, W_EXP, float(y)) for y in ys])
+                                      [log_n_samples(BB, W_EXP, [y])[0] for y in ys])
 
     def test_cutoff(self):
         # homogeneous nu = 0: b = 2/y, so int_0^hi 2x/y dx = hi^2 / y
         hom0 = FragmentKernel.homogeneous_power(0.0)
-        assert np.exp(log_n_omega(hom0, Weight.power(1.0), 3.0, hi=1.0)) == \
+        assert np.exp(log_n_samples(hom0, Weight.power(1.0), [3.0], hi=1.0)[0]) == \
             pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert log_n_omega(hom0, Weight.power(1.0), 0.5, hi=1.0) == \
-            log_n_omega(hom0, Weight.power(1.0), 0.5)
+        assert log_n_samples(hom0, Weight.power(1.0), [0.5], hi=1.0)[0] == \
+            log_n_samples(hom0, Weight.power(1.0), [0.5])[0]
 
     def test_ratio_curve_marks_every_failed_sample(self):
         ys = np.geomspace(1.0, 10.0, 9)
@@ -353,8 +353,8 @@ class TestSampledNOmega:
         partials = []  # each failed row keeps the estimate its one-y call fails with
         for y in ys:
             with self.coarse(), pytest.raises(QuadratureError) as one:
-                log_n_omega(self.OSC, Weight.power(1.0), float(y))
-            partials.append(one.value.partial)
+                log_n_samples(self.OSC, Weight.power(1.0), [y])
+            partials.append(one.value.partial[0])
         np.testing.assert_array_equal(exc.value.partial, partials)
 
     # custom kernels with 0, 1 (for y > 1) and 2 (for y > 2) breakpoints, so a
@@ -377,7 +377,7 @@ class TestSampledNOmega:
     def test_samples_equal_one_y_calls_bit_for_bit(self, kernel, weight, ys, hi):
         # a one-y call is a batch of one row: a row's bits do not depend on its neighbours
         got = log_n_samples(kernel, weight, ys, hi=hi)
-        want = [log_n_omega(kernel, weight, y, hi=hi) for y in ys]
+        want = [log_n_samples(kernel, weight, [y], hi=hi)[0] for y in ys]
         np.testing.assert_array_equal(got, want)
 
     def test_strict_callers_raise_quadrature_error(self, monkeypatch):

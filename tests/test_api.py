@@ -31,7 +31,7 @@ FIXED = {"spec", "samples_per_unit", "points_per_band", "residual_stride", "n_va
 
 # defaulted parameters over every exported callable and public method; a new knob
 # raises this number in the same change that adds it
-DEFAULTED_PARAMETERS = 47
+DEFAULTED_PARAMETERS = 46
 
 
 def test_no_public_callable_takes_a_spec():
@@ -58,3 +58,13 @@ def test_single_generator_matrix():
                              fragkit.RateFunction.power(1.0), fragkit.Grid.geometric(0.1, 1.0, 4))
     for attr in ("full_matrix", "apply", "gain", "dust", "loss"):
         assert not hasattr(gen, attr), attr
+
+
+def test_one_entry_per_integral():
+    # n_w is sampled through log_n_samples only, and the daughter mass comes from
+    # FragmentKernel.mass_partial only
+    for module, name in ((fragkit.admissibility, "log_n_omega"),
+                         (fragkit.kernels, "mass_integral"), (fragkit.kernels, "MassValue")):
+        assert not hasattr(fragkit, name) and name not in fragkit.__all__, name
+        assert not hasattr(module, name), name
+    assert not hasattr(fragkit.FragmentKernel, "has_exact_mass")

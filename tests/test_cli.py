@@ -170,6 +170,20 @@ class TestExitCodes:
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "failed samples = 385 below / 65 above" in capsys.readouterr().out
 
+    def test_build_weight_failed_quadrature_inconclusive(self, tmp_path, monkeypatch, capsys):
+        # build_h needs every n_w sample below eta0; one that does not converge leaves
+        # the construction undecided, not the input invalid
+        from fragkit import quadrature
+        monkeypatch.setattr(quadrature, "_MAX_REFINEMENTS", 1)
+        cfg = write(tmp_path / "osc.cfg",
+                    "[kernel]\nfamily = custom\nexpr = (1 + np.cos(40 * x / y)) * 2 / y\n\n"
+                    "[weight]\nfamily = power\np = 1\n\n"
+                    "[params]\neta0 = 1\nkappa = 1\ny_max = 3\n")
+        assert main(["build-weight", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: n_w quadrature did not converge at ")
+        assert not (tmp_path / "out" / "weight.csv").exists()
+
     def test_check_weight_overflowed_kernel_inconclusive(self, tmp_path, capsys):
         # x^-1.95 overflows near 0 before the grading resolves it: every sample fails
         cfg = write(tmp_path / "ovf.cfg",

@@ -1,5 +1,7 @@
 """Kernels and rates: pointwise values, mass balance, envelopes, invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from fragkit.errors import InvalidKernelError
 from fragkit.kernels import (FragmentKernel, RateFunction, classify_mass,
-                             eval_kernel, eval_rate, mass_integral, rate_envelope)
+                             eval_kernel, eval_rate, rate_envelope)
 
 BUILT_INS = [FragmentKernel.homogeneous_power(-0.5), FragmentKernel.boundary_binary(),
              FragmentKernel.concentrated()]
@@ -110,27 +112,25 @@ class TestKernelEvaluation:
 
 class TestMassIntegral:
     def test_boundary_binary_conserves(self):
-        m = mass_integral(FragmentKernel.boundary_binary(), 5.0)
-        assert m.exact
-        assert m.value == pytest.approx(5.0, rel=1e-14)
+        m = FragmentKernel.boundary_binary().mass_partial(5.0, 5.0)
+        assert m == pytest.approx(5.0, rel=1e-14)
 
     def test_homogeneous_conserves(self):
-        m = mass_integral(FragmentKernel.homogeneous_power(-1.0), 2.0)
-        assert m.value == pytest.approx(2.0, rel=1e-14)
+        m = FragmentKernel.homogeneous_power(-1.0).mass_partial(2.0, 2.0)
+        assert m == pytest.approx(2.0, rel=1e-14)
 
     def test_zero_kernel(self):
-        m = mass_integral(FragmentKernel.zero(), 3.0)
-        assert m.value == pytest.approx(0.0, abs=1e-15)
+        m = FragmentKernel.zero().mass_partial(3.0, 3.0)
+        assert m == pytest.approx(0.0, abs=1e-15)
 
     def test_quadrature_path_matches_closed_form(self):
         # force the generic path by a custom clone of the homogeneous kernel
         nu = -0.5
         clone = FragmentKernel.custom(
             lambda x, y: (nu + 2.0) * np.where(x > 0, x, np.nan) ** nu / y ** (nu + 1.0))
-        m = mass_integral(clone, 3.0)
-        assert not m.exact
-        assert m.value == pytest.approx(3.0, rel=1e-9)
-        assert m.value == clone.mass_partial(3.0, 3.0)
+        m = clone.mass_partial(3.0, 3.0)
+        assert m == pytest.approx(3.0, rel=1e-9)
+        assert classify_mass(clone, [3.0]).m_values[0] == m
 
     def test_numeric_partial_mass_across_a_wide_gap(self):
         # one fixed panel over [1e-4, 1] missed 2.6% of the mass of x^-1.5
@@ -146,8 +146,8 @@ class TestMassIntegral:
         for _ in range(20):
             y = rng.uniform(0.1, 5.0)
             lam = rng.uniform(0.5, 20.0)
-            m1 = mass_integral(hom, lam * y).value
-            m2 = lam * mass_integral(hom, y).value
+            m1 = hom.mass_partial(lam * y, lam * y)
+            m2 = lam * hom.mass_partial(y, y)
             np.testing.assert_allclose(m1, m2, rtol=1e-12)
 
     def test_partial_mass_matches_quadrature(self):
@@ -160,6 +160,24 @@ class TestMassIntegral:
                                        breakpoints=kern.breakpoints(y), grade_lo=True)
                     np.testing.assert_allclose(kern.mass_partial(s, y), ref,
                                                rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("kern", BUILT_INS[1:], ids=BUILT_IN_IDS[1:])
+    def test_top_band_closed_form_against_exact_arithmetic(self, kern):
+        # on [t, y], M(s; y) = c + (h/2)(s^2 - t^2): t = y - 1, c = 1/2 and h = 1 for
+        # boundary_binary, t = y - 1/y, c = 1/(2y) and h = y for concentrated.  Exact
+        # rational arithmetic on the same floats s, y and t measures the rounding alone.
+        bb = kern.family == "boundary_binary"
+        rng = np.random.default_rng(15)
+        y = np.exp(rng.uniform(np.log(2.0 if bb else np.sqrt(2.0)), np.log(1e3), 10_000))
+        t = y - 1.0 if bb else y - 1.0 / y
+        s = np.minimum(t + rng.uniform(0.0, 1.0, y.size) * (y - t), y)
+        worst = 0
+        for s_k, y_k, t_k, m_k in zip(s, y, t, kern.mass_partial(s, y)):
+            s_k, y_k, t_k = Fraction(s_k), Fraction(y_k), Fraction(t_k)
+            c, h = (Fraction(1, 2), 1) if bb else (1 / (2 * y_k), y_k)
+            want = c + h * (s_k - t_k) * (s_k + t_k) / 2
+            worst = max(worst, abs(Fraction(m_k) - want) / want)
+        assert worst <= 1e-15
 
     @settings(max_examples=30, deadline=None)
     @given(nu=st.floats(-1.9, 0.0), y=st.floats(0.01, 100.0), ratio=st.floats(1.01, 4.0),
@@ -205,7 +223,9 @@ class TestMassPartialOverArraysOfY:
             kern.mass_partial(np.array([0.5, 1.0]), y)
         if np.ndim(y) == 0:
             with pytest.raises(InvalidKernelError):
-                mass_integral(kern, y)
+                kern.mass_partial(y, y)
+        with pytest.raises(InvalidKernelError):  # eval_kernel once returned 1.0 at y = nan
+            eval_kernel(kern, np.array([0.5, 1.0]), y)
 
 
 class TestClassifyMass:
