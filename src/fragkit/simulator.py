@@ -33,21 +33,28 @@ time, so the matrix does not depend on the block width.
 Schemes
 -------
 One matrix serves three propagators.  ``implicit_euler`` solves
-(I - dt A) v+ = v on A itself, holding no copy of it: blocks of rows are
-substituted from the bottom, each forming r_J = v_J + dt A[J, >J] v+[>J] from
-the rows already solved and then solving its own diagonal block I - dt A_JJ,
-an M-matrix whose factor is built once per run.  Every term of r_J is
+(I - dt A) v+ = v on A itself, holding no copy of it.  Because A is upper
+triangular, block J of a step needs only the rows below it, so a chunk of
+``_IE_CHUNK`` steps is solved from the bottom one block of rows at a time:
+the block's coupling dt A[J, >J] v+[>J] for every step of the chunk is one
+matrix product on a view of A, so A is read once per chunk, not once per
+step, and then each step solves the diagonal block I - dt A_JJ, an M-matrix
+whose factor is built once per run.  Every term of the right-hand side is
 non-negative and so is the block's inverse, so positivity of the update is
 structural, and the per-step weighted norm is non-increasing whenever the
-gain columns satisfy the kappa <= 1 admissibility inequality.  dt A and the
-initial state are checked for finiteness once per run; a last step off dt by
-rounding only is taken as dt, so the run's factors serve every full step,
-and step k ends at t0 + (k + 1) dt.  ``rk4`` is fourth order in A v: a step
-producing a non-finite value raises, and one producing negatives beyond
-round-off is rejected and halved (a stiffness error after 30 halvings points
-to implicit_euler).  ``expm_oracle``, the reference propagator for tests, is
-the action of e^{tA} (Al-Mohy & Higham, SISC 2011), any N; it leaves numpy's
-global random stream as it found it.
+gain columns satisfy the kappa <= 1 admissibility inequality.  Each step is
+checked for finiteness and for negatives beyond round-off, and clipped at 0
+before the next step reads it.  dt A and the initial state are checked for
+finiteness once per run; a last step off dt by rounding only is taken as dt,
+so the run's factors serve every full step, and step k ends at
+t0 + (k + 1) dt.  ``rk4`` is fourth order in A v: a step producing a
+non-finite value raises, and one producing negatives beyond round-off is
+rejected and halved (a stiffness error after 30 halvings points to
+implicit_euler).  Both schemes record a chunk of states at once: the sampled
+observables are one product of the states with (1, x, w) on the cells.
+``expm_oracle``, the reference propagator for tests, is the action of
+e^{tA} (Al-Mohy & Higham, SISC 2011), any N; it leaves numpy's global random
+stream as it found it.
 """
 
 from __future__ import annotations
@@ -67,11 +74,17 @@ __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
            "bump", "exp_decay", "column_kappa"]
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
-# rows per implicit-Euler block: its diagonal factor is solved by dtrsv, the
-# coupling to the rows below it by one matrix-vector product on a view of A
-_IE_BLOCK = 512
+# rows per implicit-Euler block (the top block takes the rest, up to twice as
+# many): its diagonal factor is solved by dtrsv, the coupling to the rows
+# below it by one matrix product per chunk on a view of A.  On a 2-vCPU VM
+# 512 rows took half as long again at N = 2048 and 512; 128 were no faster
+_IE_BLOCK = 256
+# implicit-Euler steps per chunk: A is read once per chunk.  The chunk's
+# states, (_IE_CHUNK, N + 1), are half the size of the diagonal factors;
+# 256 steps were no faster and need twice the room
+_IE_CHUNK = 128
 # generator columns per mass_partial call: the block's temporaries, a few
-# (N, 32) tables, stay well below the implicit-Euler factors (8.4 MB at
+# (N, 32) tables, stay well below the implicit-Euler factors (4.2 MB at
 # N = 2048), so assembling does not raise a run's peak memory; 64 columns are
 # no faster and need twice the room
 _ASSEMBLY_BLOCK = 32
@@ -200,13 +213,16 @@ def _as_state(u0, gen: DiscreteGenerator) -> DensityState:
 
 
 def _ie_factors(a: np.ndarray, dt: float) -> list[np.ndarray]:
-    """The diagonal blocks of I - dt A, in Fortran order for dtrsv."""
+    """The diagonal blocks of I - dt A, top to bottom, in Fortran order for dtrsv."""
     # max and min see every NaN and inf, with no (N+1)^2 temporary
     if not (np.isfinite(dt * a.max()) and np.isfinite(dt * a.min())):
         raise FragkitError("the implicit-Euler matrix I - dt A has a non-finite entry")
+    n = a.shape[0]
+    # whole blocks from the bottom, the rest in the top one: on a grid of 2^k
+    # nodes the dust row would otherwise be a block, and a solve per step, alone
+    cuts = [0, *range(n - (max(n // _IE_BLOCK, 1) - 1) * _IE_BLOCK, n + 1, _IE_BLOCK)]
     factors = []
-    for lo in range(0, a.shape[0], _IE_BLOCK):
-        hi = min(lo + _IE_BLOCK, a.shape[0])
+    for lo, hi in zip(cuts, cuts[1:]):
         block = np.empty((hi - lo, hi - lo), order="F")
         np.multiply(a[lo:hi, lo:hi], -dt, out=block)
         block[np.diag_indices(hi - lo)] += 1.0
@@ -214,27 +230,43 @@ def _ie_factors(a: np.ndarray, dt: float) -> list[np.ndarray]:
     return factors
 
 
-def _ie_step(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray
-             ) -> tuple[np.ndarray, float]:
-    """Solve (I - dt A) out = v by blocks of rows from the bottom."""
-    out = np.empty_like(v)
-    for k in reversed(range(len(factors))):
-        lo, hi = k * _IE_BLOCK, k * _IE_BLOCK + factors[k].shape[0]
-        r = out[lo:hi]
-        np.matmul(a[lo:hi, hi:], out[hi:], out=r)  # a view of A: nothing is copied
-        r *= dt
-        r += v[lo:hi]
-        out[lo:hi] = dtrsv(factors[k], r, overwrite_x=1)
-    mu = out[1:]
-    top = float(np.max(mu, initial=0.0))
-    if not np.isfinite(top):  # the solve overflowed, or the state was not finite
-        raise FragkitError("implicit Euler produced a non-finite value")
-    # non-negativity is structural; anything below is round-off
-    low = float(np.min(mu, initial=np.inf))
-    if low < -1e-12 * max(top, 1e-300):
-        raise FragkitError("implicit Euler produced a substantive negative value")
-    np.clip(out, 0.0, None, out=out)
-    return out, low
+def _ie_chunk(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray, m: int
+              ) -> tuple[np.ndarray, float]:
+    """m implicit-Euler steps from v: ``(states, low)``, row k of states the state
+    after step k + 1, clipped at 0, and low the least cell content before clipping.
+
+    Block J of a step needs only the rows below it, so each block is solved for
+    all m steps before the one above it: its coupling A[J, >J] out[>J] for the
+    whole chunk is one matrix product on a view of A, which is read once per
+    chunk, not once per step.  The products read each step's unclipped rows,
+    the solves the previous step's clipped ones.
+    """
+    states = np.empty((m, v.size))
+    hi = v.size
+    for f in reversed(factors):
+        lo = hi - f.shape[0]
+        c = np.empty((m, hi - lo))
+        np.matmul(states[:, hi:], a[lo:hi, hi:].T, out=c)  # views of A: nothing is copied
+        c *= dt
+        prev = v[lo:hi]
+        for k in range(m):
+            x = c[k]
+            x += prev
+            x = dtrsv(f, x, overwrite_x=1)
+            states[k, lo:hi] = x
+            prev = np.maximum(x, 0.0, out=x)
+        hi = lo
+    mu = states[:, 1:]
+    top = mu.max(axis=1, initial=0.0)
+    lows = mu.min(axis=1, initial=np.inf)
+    for k in range(m):  # step by step, so the first bad step decides the error
+        if not np.isfinite(top[k]):  # the solve overflowed, or the state was not finite
+            raise FragkitError("implicit Euler produced a non-finite value")
+        # non-negativity is structural; anything below is round-off
+        if lows[k] < -1e-12 * max(top[k], 1e-300):
+            raise FragkitError("implicit Euler produced a substantive negative value")
+    np.clip(states, 0.0, None, out=states)
+    return states, float(lows.min())
 
 
 def _rk4_step(gen: DiscreteGenerator, v: np.ndarray, dt: float, depth: int = 0
@@ -258,14 +290,6 @@ def _rk4_step(gen: DiscreteGenerator, v: np.ndarray, dt: float, depth: int = 0
         return out, min(low_a, low_b)
     np.clip(out, 0.0, None, out=out)
     return out, low
-
-
-def _advance(gen: DiscreteGenerator, v: np.ndarray, dt: float, scheme: str,
-             factors: list[np.ndarray] | None) -> tuple[np.ndarray, float]:
-    """One step of v = (dust, mu): ``(v_new, least cell content before clipping)``."""
-    if scheme == "implicit_euler":
-        return _ie_step(gen.matrix, factors, dt, v)
-    return _rk4_step(gen, v, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +331,14 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     if t_end < state.t:
         raise InvalidInputError(f"t_end = {t_end!r} is before the initial time {state.t!r}")
     weight = weight or _DEFAULT_NORM_WEIGHT
-    wv = weight.eval(gen.grid.nodes)
-    x = gen.grid.nodes
     w = gen.grid.weights
+    # the observables (dust, M0, M1, norm_omega) of a block of states, as one product
+    probe = np.zeros((gen.grid.n + 1, 4))
+    probe[0, 0] = 1.0
+    probe[1:, 1:] = np.column_stack([np.ones(gen.grid.n), gen.grid.nodes,
+                                     weight.eval(gen.grid.nodes)])
 
-    t0 = t = state.t
+    t0 = state.t
     v = np.append(state.dust_mass, w * state.u)
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-12))
     # step k ends at t0 + (k + 1) dt and the last at t_end; a last step off dt
@@ -319,33 +346,42 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     last = t_end - (t0 + (n_steps - 1) * dt)
     if abs(last - dt) <= 1e-12 * dt:
         last = dt
-    factors = None
+    full = n_steps if last == dt else n_steps - 1
+    # chunks of full steps, then a short last step on its own factors
+    chunks = [(dt, min(_IE_CHUNK, full - k)) for k in range(0, full, _IE_CHUNK)]
+    if full < n_steps:
+        chunks.append((last, 1))
+    # samples after these many steps: the start, every sample_every-th and the last
+    sampled = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    times = t0 + sampled * dt
+    if n_steps:
+        times[-1] = t_end
 
-    times, m0s, m1s, norms, dusts = [], [], [], [], []
-
-    def record() -> None:
-        mu = v[1:]
-        times.append(t)
-        m0s.append(float(mu.sum()))
-        m1s.append(float((x * mu).sum()))
-        norms.append(float((wv * mu).sum()))
-        dusts.append(float(v[0]))
-
-    record()
+    obs = [v[None, :] @ probe]
     min_content = float(np.min(v[1:], initial=np.inf))
-    for k in range(n_steps):
-        h = dt if k < n_steps - 1 else last
-        if scheme == "implicit_euler" and (factors is None or h != dt):
-            factors = _ie_factors(gen.matrix, h)  # once, and again for a short last step
-        v, low = _advance(gen, v, h, scheme, factors)
-        t = t0 + (k + 1) * dt if k < n_steps - 1 else t_end
+    done = 0
+    factors = None
+    for h, m in chunks:
+        if scheme == "implicit_euler":
+            if factors is None or h != dt:
+                factors = _ie_factors(gen.matrix, h)  # once, and again for a short last step
+            states, low = _ie_chunk(gen.matrix, factors, h, v, m)
+        else:
+            states, low = np.empty((m, v.size)), np.inf
+            for k in range(m):
+                v, step_low = _rk4_step(gen, v, h)
+                states[k], low = v, min(low, step_low)
         min_content = min(min_content, low)
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            record()
+        rows = sampled[(sampled > done) & (sampled <= done + m)] - done - 1
+        obs.append((states @ probe)[rows])  # every row, so a row's values do not depend on sample_every
+        v = states[-1].copy()
+        del states  # so the next chunk's states replace these, not join them
+        done += m
 
-    return Trajectory(times=np.asarray(times), M0=np.asarray(m0s), M1=np.asarray(m1s),
-                      norm_omega=np.asarray(norms), dust_mass=np.asarray(dusts),
-                      final=DensityState(grid=gen.grid, u=v[1:] / w, t=t, dust_mass=float(v[0])),
+    dust, m0, m1, norm = np.concatenate(obs).T.copy()
+    return Trajectory(times=times, M0=m0, M1=m1, norm_omega=norm, dust_mass=dust,
+                      final=DensityState(grid=gen.grid, u=v[1:] / w, t=float(times[-1]),
+                                         dust_mass=float(v[0])),
                       min_content=min_content)
 
 
@@ -377,16 +413,20 @@ def expm_oracle(gen: DiscreteGenerator, t: float, u0) -> DensityState:
 def semigroup_check(gen: DiscreteGenerator, u0, t: float, s: float, *,
                     scheme: str = "implicit_euler", dt: float = 1e-3,
                     weight: Weight | None = None) -> float:
-    """Relative weighted-norm deviation of the one-hop vs two-hop evolution."""
+    """Relative weighted-norm deviation of the one-hop vs two-hop evolution.
+
+    ``u0`` may be a density array or a DensityState; both hops start at its clock.
+    """
     weight = weight or _DEFAULT_NORM_WEIGHT
-    u0 = np.asarray(u0, dtype=float)
+    state = _as_state(u0, gen)
+    t0 = state.t
     if scheme == "expm":
-        one = expm_oracle(gen, t + s, u0)
-        two = expm_oracle(gen, t, expm_oracle(gen, s, u0))
+        one = expm_oracle(gen, t + s, state)
+        two = expm_oracle(gen, t, expm_oracle(gen, s, state))
     else:
-        one = simulate(u0, gen, t + s, dt, scheme=scheme, weight=weight).final
-        half = simulate(u0, gen, s, dt, scheme=scheme, weight=weight).final
-        two = simulate(half, gen, s + t, dt, scheme=scheme, weight=weight).final
+        one = simulate(state, gen, t0 + t + s, dt, scheme=scheme, weight=weight).final
+        half = simulate(state, gen, t0 + s, dt, scheme=scheme, weight=weight).final
+        two = simulate(half, gen, t0 + s + t, dt, scheme=scheme, weight=weight).final
     wv = weight.eval(gen.grid.nodes)
     mu_diff = gen.grid.weights * (one.u - two.u)
     denom = float(np.abs(wv * gen.grid.weights * one.u).sum())

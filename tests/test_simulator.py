@@ -13,9 +13,9 @@ from scipy.linalg import expm, solve_triangular
 from fragkit import simulator
 from fragkit.errors import FragkitError, InvalidInputError, StiffnessError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
-from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, DensityState, DiscreteGenerator, Grid,
-                               _ie_factors, _ie_step, bump, column_kappa, discretize, exp_decay,
-                               expm_oracle, semigroup_check, simulate)
+from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, DensityState,
+                               DiscreteGenerator, Grid, _ie_chunk, _ie_factors, bump, column_kappa,
+                               discretize, exp_decay, expm_oracle, semigroup_check, simulate)
 from fragkit.weights import Weight
 
 HOM0 = FragmentKernel.homogeneous_power(0.0)
@@ -203,7 +203,7 @@ class TestDiscretize:
     def test_assembly_needs_less_room_than_the_ie_factors(self, kern):
         # numpy reports its buffers to tracemalloc; beyond the generator itself,
         # assembling may hold no more than the implicit-Euler diagonal factors,
-        # a quarter of it, so it does not raise a simulation's peak memory
+        # an eighth of it, so it does not raise a simulation's peak memory
         g = Grid.geometric(1e-4, 20.0, 2048)
         tracemalloc.start()
         try:
@@ -211,7 +211,7 @@ class TestDiscretize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - gen.matrix.nbytes < gen.matrix.nbytes / 4
+        assert peak - gen.matrix.nbytes < gen.matrix.nbytes / 8
 
 
 class TestStep:
@@ -258,7 +258,8 @@ class TestStep:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped on bad input")
 
-        monkeypatch.setattr(simulator, "_advance", no_step)
+        monkeypatch.setattr(simulator, "_ie_chunk", no_step)
+        monkeypatch.setattr(simulator, "_rk4_step", no_step)
         with pytest.raises(InvalidInputError):
             simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, 0.01,
                      scheme=scheme)
@@ -388,6 +389,26 @@ class TestSimulate:
         with pytest.raises(InvalidInputError, match="shape"):
             simulate(bump(Grid.geometric(0.1, 5.0, 17), 1.0, 2.0), gen, 0.1, 0.01)
 
+    @pytest.mark.parametrize("sample_every", [7, 10])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    def test_sampling_across_chunks(self, scheme, sample_every):
+        # 2 _IE_CHUNK + 3 steps, the last a half step: three chunks of full
+        # steps and one short one, none of whose edges may drop or repeat a
+        # sample; the last step is a multiple of 7 but not of 10
+        g = Grid.geometric(0.1, 5.0, 32)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.5, 4.0)
+        n_steps, dt = 2 * _IE_CHUNK + 3, 2.0**-10
+        t_end = (n_steps - 0.5) * dt
+        every = simulate(u0, gen, t_end, dt, scheme=scheme)
+        some = simulate(u0, gen, t_end, dt, scheme=scheme, sample_every=sample_every)
+        rows = np.union1d(np.arange(0, n_steps + 1, sample_every), [n_steps])
+        assert every.times.size == n_steps + 1
+        for name in ("times", "M0", "M1", "norm_omega", "dust_mass"):
+            np.testing.assert_array_equal(getattr(some, name), getattr(every, name)[rows], name)
+        assert some.times[-1] == t_end
+        np.testing.assert_array_equal(some.final.u, every.final.u)
+
     def test_trajectory_csv(self, tmp_path):
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RATE_X, g)
@@ -503,6 +524,18 @@ class TestSemigroupCheck:
         dev = semigroup_check(gen, bump(g, 0.2, 1.5), 0.3, 0.2, scheme="expm")
         assert dev < 1e-9
 
+    @pytest.mark.parametrize("scheme", ["expm", "implicit_euler"])
+    def test_density_state_runs_from_its_clock(self, scheme):
+        # a DensityState used to raise a bare TypeError; at t0 = 0.6 the hops
+        # must end at 0.8 and 1.1, not at 0.2 and 0.5, before the state's clock
+        g = Grid.geometric(0.05, 3.0, 32)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.2, 1.5)
+        dev = semigroup_check(gen, u0, 0.3, 0.2, scheme=scheme)
+        assert semigroup_check(gen, DensityState(grid=g, u=u0), 0.3, 0.2, scheme=scheme) == dev
+        later = semigroup_check(gen, DensityState(grid=g, u=u0, t=0.6), 0.3, 0.2, scheme=scheme)
+        assert later == pytest.approx(dev, rel=1e-6)
+
 
 class TestFiniteness:
     """The implicit-Euler matrix is checked once per run and the initial state
@@ -531,7 +564,8 @@ class TestFiniteness:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped a non-finite state")
 
-        monkeypatch.setattr(simulator, "_advance", no_step)
+        monkeypatch.setattr(simulator, "_ie_chunk", no_step)
+        monkeypatch.setattr(simulator, "_rk4_step", no_step)
         with pytest.raises(FragkitError, match="non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme=scheme)
         with pytest.raises(FragkitError, match="non-finite"):
@@ -586,38 +620,44 @@ def test_negative_implicit_euler_step_is_a_toolkit_error():
     a = np.zeros((5, 5))
     a[1, 2] = -1.0
     with pytest.raises(FragkitError, match="substantive negative"):
-        _ie_step(a, _ie_factors(a, 1.0), 1.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+        _ie_chunk(a, _ie_factors(a, 1.0), 1.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
 
 
 class TestBlockedImplicitEuler:
-    """The step substitutes blocks of _IE_BLOCK rows on A itself."""
+    """A chunk of steps substitutes blocks of _IE_BLOCK rows on A itself."""
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.sampled_from([1, _IE_BLOCK - 1, _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK + 1]),
+           m=st.sampled_from([1, _IE_CHUNK - 1, _IE_CHUNK, _IE_CHUNK + 1]),
            seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 10.0))
-    def test_matches_one_triangular_solve(self, size, seed, dt):
+    def test_matches_repeated_triangular_solves(self, size, m, seed, dt):
         # a random non-negative gain above a non-positive diagonal; scaled by
         # 1 / size so the solution stays far from overflow at dt = 10
         rng = np.random.default_rng(seed)
         a = np.triu(rng.uniform(0.0, 1.0, (size, size)), 1) / size
         a[np.diag_indices(size)] = -rng.uniform(0.0, 2.0, size)
-        v = rng.uniform(0.0, 1.0, size)
-        want = solve_triangular(np.eye(size) - dt * a, v)
-        got, low = _ie_step(a, _ie_factors(a, dt), dt, v)
+        v0 = rng.uniform(0.0, 1.0, size)
+        want = np.empty((m, size))
+        v = v0
+        for k in range(m):
+            want[k] = v = solve_triangular(np.eye(size) - dt * a, v)
+        got, low = _ie_chunk(a, _ie_factors(a, dt), dt, v0, m)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         assert low >= 0
 
     def test_holds_no_copy_of_the_generator(self):
         # numpy reports its buffers to tracemalloc; I - dt A as a whole would
-        # be one more (N + 1)^2 array, the diagonal factors are a quarter of one
+        # be one more (N + 1)^2 array, the diagonal factors are an eighth of
+        # one and a chunk's states a sixteenth; three chunks, the last of one step
         g = Grid.geometric(1e-4, 20.0, 2048)
         gen = discretize(HOM0, RATE_X, g)
         u0 = bump(g, 1.0, 10.0)
+        n_steps, dt = 2 * _IE_CHUNK + 1, 2.0**-10
         tracemalloc.start()
         try:
-            traj = simulate(u0, gen, 3e-3, 1e-3, scheme="implicit_euler")
+            traj = simulate(u0, gen, n_steps * dt, dt, scheme="implicit_euler")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traj.times.size == 4
+        assert traj.times.size == n_steps + 1
         assert peak < 0.5 * gen.matrix.nbytes
