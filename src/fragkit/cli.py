@@ -37,6 +37,14 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+def _whole(text: str) -> int:
+    """An integer parameter: 512, 512.0 and 1e3 pass, 16.7 does not."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -60,7 +68,7 @@ def cmd_check_weight(cfg: RunConfig, args) -> int:
     _need(cfg, "kernel", "weight")
     eta0 = cfg.param("eta0", 1.0)
     y_max = cfg.param("y_max", 1000.0 * eta0)
-    n_samples = cfg.param("n_samples", 0, cast=lambda s: int(float(s))) or None
+    n_samples = cfg.param("n_samples", 0, cast=_whole) or None
     report = admissibility.check(cfg.kernel, cfg.weight, eta0, y_max, n_samples=n_samples)
     print(report.summary())
     report.to_csv(_outpath(args, "admissibility.csv"))
@@ -111,7 +119,7 @@ def cmd_find_exp_weight(cfg: RunConfig, args) -> int:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     _need(cfg, "kernel", "rate")
     grid = simulator.Grid.geometric(cfg.param("x_min", 1e-4), cfg.param("x_max", 20.0),
-                                    cfg.param("n_nodes", 512, cast=lambda s: int(float(s))))
+                                    cfg.param("n_nodes", 512, cast=_whole))
     gen = simulator.discretize(cfg.kernel, cfg.rate, grid)
     u0 = _initial_condition(cfg.params.get("u0", "bump:1,10"), grid)
     weight = cfg.weight or Weight.power_shifted(1.0)
@@ -119,7 +127,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         u0, gen, cfg.param("t_end", 1.0), cfg.param("dt", 1e-3),
         scheme=cfg.params.get("scheme", "implicit_euler").strip() or "implicit_euler",
         weight=weight,
-        sample_every=cfg.param("sample_every", 1, cast=lambda s: int(float(s))))
+        sample_every=cfg.param("sample_every", 1, cast=_whole))
     traj.to_csv(_outpath(args, "trajectory.csv"))
     print(f"simulated to t = {fmt(traj.times[-1])}: "
           f"M0 = {fmt(traj.M0[-1])}, M1 = {fmt(traj.M1[-1])}, "
@@ -152,7 +160,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_compare_weights(cfg: RunConfig, args) -> int:
     _need(cfg, "kernel", "weight", "weight2")
     lo, hi = cfg.param("x_grid_min", 1e-3), cfg.param("x_grid_max", 100.0)
-    n = cfg.param("x_grid_n", 256, cast=lambda s: int(float(s)))
+    n = cfg.param("x_grid_n", 256, cast=_whole)
     if not (0 < lo < hi < np.inf and n >= 2):
         raise InvalidInputError("need 0 < x_grid_min < x_grid_max < inf and x_grid_n >= 2; got "
                                 f"{lo!r}, {hi!r}, {n!r}")
@@ -173,6 +181,9 @@ def _initial_condition(spec: str, grid) -> np.ndarray:
             return simulator.exp_decay(grid, float(spec[10:]))
         if spec.startswith("csv:"):
             data = np.loadtxt(spec[4:], delimiter=",", skiprows=1, ndmin=2)
+            if not np.all(np.diff(data[:, 0]) > 0):  # np.interp would read it wrongly, silently
+                raise ConfigError(f"initial condition table {spec[4:]!r}: "
+                                  "the x column is not strictly increasing")
             return np.interp(grid.nodes, data[:, 0], data[:, 1], left=0.0, right=0.0)
     except (ValueError, IndexError) as exc:  # malformed numbers or a table without two columns
         raise ConfigError(f"initial condition {spec!r}: {exc}") from exc

@@ -47,11 +47,22 @@ checked for finiteness and for negatives beyond round-off, and clipped at 0
 before the next step reads it.  dt A and the initial state are checked for
 finiteness once per run; a last step off dt by rounding only is taken as dt,
 so the run's factors serve every full step, and step k ends at
-t0 + (k + 1) dt.  ``rk4`` is fourth order in A v: a step producing a
-non-finite value raises, and one producing negatives beyond round-off is
-rejected and halved (a stiffness error after 30 halvings points to
-implicit_euler).  Both schemes record a chunk of states at once: the sampled
-observables are one product of the states with (1, x, w) on the cells.
+t0 + (k + 1) dt.  ``rk4`` takes v+ = R(dt A) v with
+R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which for this linear, autonomous
+system is exactly the classical four-stage step.  Like the factors, R is
+built once per run and again for a short last step, by Horner on the
+triangles, and it is applied by the same sweep: per chunk, one matrix
+product per block for its coupling to the rows below, then per step one
+product with the block's diagonal part.  This holds one more (N+1)^2 array
+(two while it is built), and the build costs about as much as N / 30 to
+N / 20 stage-form steps, so a shorter run is slower than stepping stage by
+stage would be.  A step producing a non-finite value raises; the first one
+producing negatives beyond round-off is redone as two stage-form half steps,
+which halve again as needed (a stiffness error after 30 halvings points to
+implicit_euler), and the rest of the chunk resumes from there through R.
+Both schemes clip each step at 0 before the next step reads it, and record a
+chunk of states at once: the sampled observables are one product of the
+states with (1, x, w) on the cells.
 ``expm_oracle``, the reference propagator for tests, is the action of
 e^{tA} (Al-Mohy & Higham, SISC 2011), any N; it leaves numpy's global random
 stream as it found it.
@@ -74,14 +85,16 @@ __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
            "bump", "exp_decay", "column_kappa"]
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
-# rows per implicit-Euler block (the top block takes the rest, up to twice as
-# many): its diagonal factor is solved by dtrsv, the coupling to the rows
-# below it by one matrix product per chunk on a view of A.  On a 2-vCPU VM
-# 512 rows took half as long again at N = 2048 and 512; 128 were no faster
+# rows per block of the triangular sweeps of both schemes (the top block takes
+# the rest, up to twice as many): implicit Euler solves the block's diagonal
+# factor by dtrsv, rk4 multiplies by its diagonal part of R(dt A), and both
+# couple it to the rows below by one matrix product per chunk.  For implicit
+# Euler on a 2-vCPU VM 512 rows took half as long again at N = 2048 and 512;
+# 128 were no faster
 _IE_BLOCK = 256
-# implicit-Euler steps per chunk: A is read once per chunk.  The chunk's
-# states, (_IE_CHUNK, N + 1), are half the size of the diagonal factors;
-# 256 steps were no faster and need twice the room
+# steps per chunk of both schemes: A, or R(dt A), is read once per chunk.  The
+# chunk's states, (_IE_CHUNK, N + 1), are half the size of the implicit-Euler
+# diagonal factors; 256 steps were no faster and need twice the room
 _IE_CHUNK = 128
 # generator columns per mass_partial call: the block's temporaries, a few
 # (N, 32) tables, stay well below the implicit-Euler factors (4.2 MB at
@@ -212,15 +225,19 @@ def _as_state(u0, gen: DiscreteGenerator) -> DensityState:
     return state
 
 
+def _cuts(n: int) -> list[int]:
+    """Bounds of the row blocks of an n-row triangular sweep, top to bottom."""
+    # whole blocks from the bottom, the rest in the top one: on a grid of 2^k
+    # nodes the dust row would otherwise be a block, and a product per step, alone
+    return [0, *range(n - (max(n // _IE_BLOCK, 1) - 1) * _IE_BLOCK, n + 1, _IE_BLOCK)]
+
+
 def _ie_factors(a: np.ndarray, dt: float) -> list[np.ndarray]:
     """The diagonal blocks of I - dt A, top to bottom, in Fortran order for dtrsv."""
     # max and min see every NaN and inf, with no (N+1)^2 temporary
     if not (np.isfinite(dt * a.max()) and np.isfinite(dt * a.min())):
         raise FragkitError("the implicit-Euler matrix I - dt A has a non-finite entry")
-    n = a.shape[0]
-    # whole blocks from the bottom, the rest in the top one: on a grid of 2^k
-    # nodes the dust row would otherwise be a block, and a solve per step, alone
-    cuts = [0, *range(n - (max(n // _IE_BLOCK, 1) - 1) * _IE_BLOCK, n + 1, _IE_BLOCK)]
+    cuts = _cuts(a.shape[0])
     factors = []
     for lo, hi in zip(cuts, cuts[1:]):
         block = np.empty((hi - lo, hi - lo), order="F")
@@ -267,6 +284,80 @@ def _ie_chunk(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray
             raise FragkitError("implicit Euler produced a substantive negative value")
     np.clip(states, 0.0, None, out=states)
     return states, float(lows.min())
+
+
+def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
+    """R(dt A) = I + dt A + (dt A)^2 / 2 + (dt A)^3 / 6 + (dt A)^4 / 24, the rk4 step.
+
+    By Horner, P <- I + (dt / c) A P for c = 4, 3, 2, 1 from P = I.  Both factors
+    are upper triangular, so row block J of A P is A[J, >=J] P[>=J, >=J]; the
+    two buffers take turns and their lower triangles stay 0.
+    """
+    n = a.shape[0]
+    cuts = _cuts(n)
+    diag = np.diag_indices(n)
+    p = a * (dt / 4.0)
+    p[diag] += 1.0
+    q = np.zeros_like(p)
+    for c in (3.0, 2.0, 1.0):
+        for lo, hi in zip(cuts, cuts[1:]):
+            out = q[lo:hi, lo:]
+            np.matmul(a[lo:hi, lo:], p[lo:, lo:], out=out)
+            out *= dt / c
+        q[diag] += 1.0
+        p, q = q, p
+    return p
+
+
+def _rk4_chunk(gen: DiscreteGenerator, r: np.ndarray, dt: float, v: np.ndarray, m: int
+               ) -> tuple[np.ndarray, float]:
+    """m rk4 steps from v by R = R(dt A): ``(states, low)`` as ``_ie_chunk`` gives them.
+
+    Block J of a step needs only the rows below it, so each block is advanced
+    for all m steps before the one above it: its coupling R[J, >J] v[>J] for
+    the whole chunk is one matrix product on the steps' clipped states, and
+    each step adds R_JJ times the block's previous clipped state.  The first
+    step with negatives beyond round-off is redone as two stage-form half
+    steps, and the rest of the chunk resumes from there through R.
+    """
+    cuts = _cuts(v.size)
+    states = np.empty((m + 1, v.size))  # row 0 is v, row k the state after step k
+    states[0] = v
+    low, k0, span = np.inf, 0, m
+    while k0 < m:
+        steps = min(span, m - k0)
+        run = states[k0:k0 + steps + 1]  # run[0] is the last accepted state
+        lows, tops = np.full(steps, np.inf), np.zeros(steps)
+        hi = v.size
+        for lo in reversed(cuts[:-1]):
+            # row k becomes step k + 1's block, unclipped, once R_JJ times its state is added
+            c = run[:-1, hi:] @ r[lo:hi, hi:].T
+            d = r[lo:hi, lo:hi]
+            for k in range(steps):
+                x = c[k]
+                x += d @ run[k, lo:hi]
+                np.maximum(x, 0.0, out=run[k + 1, lo:hi])
+            cells = c[:, 1:] if lo == 0 else c  # the dust is not a cell
+            np.minimum(lows, cells.min(axis=1, initial=np.inf), out=lows)
+            np.maximum(tops, np.abs(cells).max(axis=1, initial=0.0), out=tops)
+            hi = lo
+        for k in range(steps):  # step by step, so the first bad step decides
+            if not np.isfinite(tops[k]):  # R overflowed, or the state was not finite
+                raise FragkitError("rk4 produced a non-finite value")
+            if lows[k] < -1e-14 * max(tops[k], 1e-300):
+                break
+        else:
+            low = min(low, float(lows.min()))
+            k0, span = k0 + steps, 2 * span
+            continue
+        # the steps before k stand; step k is redone in two halves
+        half, low_a = _rk4_step(gen, run[k], 0.5 * dt, 1)
+        run[k + 1], low_b = _rk4_step(gen, half, 0.5 * dt, 1)
+        low = min(low, float(lows[:k].min(initial=np.inf)), low_a, low_b)
+        # the next sweep goes no further than twice the steps this one kept,
+        # so rejections that come every few steps do not sweep the chunk again each time
+        k0, span = k0 + k + 1, 2 * (k + 1)
+    return states[1:], low
 
 
 def _rk4_step(gen: DiscreteGenerator, v: np.ndarray, dt: float, depth: int = 0
@@ -323,8 +414,9 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     so M1 + dust is conserved to round-off.
     """
     state = _as_state(u0, gen)
-    if not (0 < dt < np.inf and np.isfinite(t_end) and sample_every >= 1):
-        raise InvalidInputError("need finite dt > 0 and t_end, and sample_every >= 1; got "
+    if not (0 < dt < np.inf and np.isfinite(t_end)
+            and isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
+        raise InvalidInputError("need finite dt > 0 and t_end, and an integer sample_every >= 1; got "
                                 f"dt = {dt!r}, t_end = {t_end!r}, sample_every = {sample_every!r}")
     if scheme not in ("implicit_euler", "rk4"):
         raise InvalidInputError(f"unknown scheme {scheme!r}; use implicit_euler or rk4")
@@ -360,17 +452,15 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     obs = [v[None, :] @ probe]
     min_content = float(np.min(v[1:], initial=np.inf))
     done = 0
-    factors = None
+    step_op = None  # the implicit-Euler factors or R(dt A): once, and again for a short last step
     for h, m in chunks:
+        if step_op is None or h != dt:
+            step_op = None  # released before its successor is built
+            step_op = (_ie_factors if scheme == "implicit_euler" else _rk4_matrix)(gen.matrix, h)
         if scheme == "implicit_euler":
-            if factors is None or h != dt:
-                factors = _ie_factors(gen.matrix, h)  # once, and again for a short last step
-            states, low = _ie_chunk(gen.matrix, factors, h, v, m)
+            states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
         else:
-            states, low = np.empty((m, v.size)), np.inf
-            for k in range(m):
-                v, step_low = _rk4_step(gen, v, h)
-                states[k], low = v, min(low, step_low)
+            states, low = _rk4_chunk(gen, step_op, h, v, m)
         min_content = min(min_content, low)
         rows = sampled[(sampled > done) & (sampled <= done + m)] - done - 1
         obs.append((states @ probe)[rows])  # every row, so a row's values do not depend on sample_every

@@ -257,6 +257,8 @@ class TestExitCodes:
         {"n_nodes": "2"},
         {"u0": "bump:1"},
         {"u0": "csv:{tmp}/text.csv"},           # a value that is not a number
+        {"sample_every": "2.5"},                # these two were truncated to 2 and 16
+        {"n_nodes": "16.7"},
     ], ids=lambda p: ",".join(f"{k}={v.split('/')[-1]}" for k, v in p.items()))
     def test_simulate_bad_input_exit_2(self, tmp_path, capsys, params):
         (tmp_path / "neg.csv").write_text("x,u\n0.5,1\n2,-1\n5,1\n")
@@ -280,6 +282,7 @@ class TestExitCodes:
         ("compare-weights", TWO_WEIGHTS, "x_grid_min = 0"),
         ("compare-weights", TWO_WEIGHTS, "x_grid_min = -1"),
         ("compare-weights", TWO_WEIGHTS, "x_grid_n = 0"),
+        ("compare-weights", TWO_WEIGHTS, "x_grid_n = 2.5"),
         # these two ran no step and exited 0
         ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = -1")),
         ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = 0\nscheme = leapfrog")),
@@ -288,7 +291,7 @@ class TestExitCodes:
         ("kernel-info", BB_EXP, "y_samples = 1,inf,5"),
         ("compare-weights", TWO_WEIGHTS, "y_samples = 2,nan,10"),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
-            "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0",
+            "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0", "x_grid_n_2.5",
             "t_end_negative", "unknown_scheme_no_step",
             "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan"])
     def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
@@ -298,6 +301,29 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unsorted_initial_table_named(self, tmp_path, capsys):
+        # np.interp needs increasing x: this table gave u0 = 0, and the run exited 0
+        (tmp_path / "u0.csv").write_text("x,u\n5,1\n2,1\n0.5,1\n")
+        cfg = write(tmp_path / "sim.cfg", SIM.replace("bump:1,10", f"csv:{tmp_path}/u0.csv"))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "u0.csv" in err and "strictly increasing" in err
+        (tmp_path / "u0.csv").write_text("x,u\n0.5,1\n2,1\n5,1\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert "M0 = 0," not in capsys.readouterr().out
+
+    def test_whole_numbers_in_any_spelling(self, tmp_path):
+        # 128.0 and 1.28e2 are 128; only a value with a fraction is refused
+        outs = []
+        for n_nodes, every in (("128", "10"), ("1.28e2", "10.0")):
+            text = SIM.replace("n_nodes = 128", f"n_nodes = {n_nodes}") \
+                      .replace("sample_every = 10", f"sample_every = {every}")
+            out = tmp_path / n_nodes
+            assert main(["simulate", "--config", write(tmp_path / "s.cfg", text),
+                         "--out", str(out)]) == 0
+            outs.append((out / "trajectory.csv").read_bytes())
+        assert outs[0] == outs[1]
 
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "f.cfg", "[kernel]\nfamily = custom\nexpr =\n")

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_triangular
 
@@ -14,8 +14,9 @@ from fragkit import simulator
 from fragkit.errors import FragkitError, InvalidInputError, StiffnessError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
 from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, DensityState,
-                               DiscreteGenerator, Grid, _ie_chunk, _ie_factors, bump, column_kappa,
-                               discretize, exp_decay, expm_oracle, semigroup_check, simulate)
+                               DiscreteGenerator, Grid, _ie_chunk, _ie_factors, _rk4_chunk,
+                               _rk4_matrix, _rk4_step, bump, column_kappa, discretize, exp_decay,
+                               expm_oracle, semigroup_check, simulate)
 from fragkit.weights import Weight
 
 HOM0 = FragmentKernel.homogeneous_power(0.0)
@@ -258,8 +259,8 @@ class TestStep:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped on bad input")
 
-        monkeypatch.setattr(simulator, "_ie_chunk", no_step)
-        monkeypatch.setattr(simulator, "_rk4_step", no_step)
+        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_step"):
+            monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(InvalidInputError):
             simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, 0.01,
                      scheme=scheme)
@@ -408,6 +409,23 @@ class TestSimulate:
             np.testing.assert_array_equal(getattr(some, name), getattr(every, name)[rows], name)
         assert some.times[-1] == t_end
         np.testing.assert_array_equal(some.final.u, every.final.u)
+
+    @pytest.mark.parametrize("every", [2.5, 3.0, "3", None])
+    def test_sample_every_must_be_an_integer(self, every):
+        # 2.5 and 3.0 ended in a bare IndexError from the sample indices
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        with pytest.raises(InvalidInputError, match="integer sample_every"):
+            simulate(bump(g, 0.5, 4.0), gen, 0.1, 0.01, sample_every=every)
+
+    def test_numpy_integer_sample_every(self):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.5, 4.0)
+        want = simulate(u0, gen, 0.1, 0.01, sample_every=3)
+        got = simulate(u0, gen, 0.1, 0.01, sample_every=np.int64(3))
+        np.testing.assert_array_equal(got.times, want.times)
+        np.testing.assert_array_equal(got.M1, want.M1)
 
     def test_trajectory_csv(self, tmp_path):
         g = Grid.geometric(0.1, 5.0, 16)
@@ -564,8 +582,8 @@ class TestFiniteness:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped a non-finite state")
 
-        monkeypatch.setattr(simulator, "_ie_chunk", no_step)
-        monkeypatch.setattr(simulator, "_rk4_step", no_step)
+        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_step"):
+            monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(FragkitError, match="non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme=scheme)
         with pytest.raises(FragkitError, match="non-finite"):
@@ -661,3 +679,134 @@ class TestBlockedImplicitEuler:
             tracemalloc.stop()
         assert traj.times.size == n_steps + 1
         assert peak < 0.5 * gen.matrix.nbytes
+
+
+class TestBlockedRk4:
+    """rk4 applies R(dt A), built once per run, by the implicit-Euler sweep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, _IE_BLOCK - 1, _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK + 1]),
+           m=st.sampled_from([1, _IE_CHUNK - 1, _IE_CHUNK, _IE_CHUNK + 1]),
+           seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 1.0))
+    def test_matches_the_stage_form(self, size, m, seed, dt):
+        # the generator of TestBlockedImplicitEuler; |dt a_jj| <= 2 is inside
+        # rk4's stability interval, and few steps go negative
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(0.0, 1.0, (size, size)), 1) / size
+        a[np.diag_indices(size)] = -rng.uniform(0.0, 2.0, size)
+        gen = DiscreteGenerator(grid=None, matrix=a)
+        v0 = rng.uniform(0.0, 1.0, size)
+        want, lows, v = np.empty((m, size)), [], v0
+        for k in range(m):
+            try:  # at depth 30 a rejected step raises where it would halve
+                v, low = _rk4_step(gen, v, dt, 30)
+            except StiffnessError:
+                assume(False)
+            want[k] = v
+            lows.append(low)
+        # nor one whose reference clips a negative: a cell that crosses 0 is a
+        # cancellation, 1e-30 or less of the largest cell, in the steps before
+        # it, where R's rounding, the same each step, and the stages' rounding,
+        # new each step, part by more than rtol, with R rounded from long
+        # double too.  Clipped steps are compared in the hand-built test below
+        assume(min(lows) >= 0)
+        got, low = _rk4_chunk(gen, _rk4_matrix(a, dt), dt, v0, m)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(low, min(lows), rtol=1e-12)
+
+    @pytest.mark.parametrize("level, rejected", [
+        (40.0, [0, 2, 4, 6, 8, 10, 12, 14, 16, 17, 19]),
+        (60.0, [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18]),
+    ])
+    def test_rejected_steps_match_the_stage_form(self, monkeypatch, level, rejected):
+        # dt a = 2 and 3: the stage form rejects most of the 20 steps, with
+        # accepted ones in between, so the sweep resumes through R many times
+        g = Grid.geometric(0.1, 5.0, 24)
+        gen = discretize(HOM0, RateFunction.constant(level), g)
+        u0, dt = bump(g, 0.5, 4.0), 0.05
+        traj = simulate(u0, gen, 20 * dt, dt, scheme="rk4")
+        real, depths = _rk4_step, []
+        monkeypatch.setattr(simulator, "_rk4_step",
+                            lambda gen, v, dt, depth: depths.append(depth) or real(gen, v, dt, depth))
+        v = np.append(0.0, g.weights * u0)
+        states, lows, got_rejected = [v], [float(v[1:].min())], []
+        for k in range(20):
+            calls = len(depths)
+            v, low = real(gen, v, dt)  # its halves call the recording patch
+            states.append(v)
+            lows.append(low)
+            if len(depths) > calls:
+                got_rejected.append(k)
+        assert got_rejected == rejected
+        states = np.array(states)
+        np.testing.assert_allclose(traj.dust_mass, states[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(traj.M0, states[:, 1:].sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(traj.M1, states[:, 1:] @ g.nodes, rtol=1e-12)
+        np.testing.assert_allclose(traj.final.u, states[-1, 1:] / g.weights, rtol=1e-12)
+        np.testing.assert_allclose(traj.min_content, min(lows), rtol=1e-12)
+
+    def test_accepted_steps_before_a_rejection_count(self, monkeypatch):
+        # a hand-built generator: the chain 7 -> 6 -> 5 -> 4 -> 3 feeds the
+        # stiff pair 3 -> 2 (dt a = 5), whose entry of R is negative, so every
+        # other step from step 1 on is rejected.  A gain of -1e-14 from 7 into
+        # cell 1 puts a negative within round-off into each step, half as large
+        # in a half step: the accepted steps before each rejection hold the
+        # least content, and each step reads cell 1 clipped
+        a = np.zeros((8, 8))
+        a[np.arange(3, 7), np.arange(4, 8)] = 1.0
+        a[2, 3] = 1.0
+        a[2, 2] = a[3, 3] = -10.0
+        a[1, 7] = -1e-14
+        gen = DiscreteGenerator(grid=None, matrix=a)
+        v0 = np.zeros(8)
+        v0[7] = 1.0
+        dt, m = 0.5, 6
+        real, depths = _rk4_step, []
+        monkeypatch.setattr(simulator, "_rk4_step",
+                            lambda gen, v, dt, depth: depths.append(depth) or real(gen, v, dt, depth))
+        want, lows, rejected, v = [], [], [], v0
+        for k in range(m):
+            calls = len(depths)
+            v, low = real(gen, v, dt)
+            want.append(v)
+            lows.append(low)
+            if len(depths) > calls:
+                rejected.append(k)
+        assert rejected == [1, 3, 5]
+        got, low = _rk4_chunk(gen, _rk4_matrix(a, dt), dt, v0, m)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got[:, 1], 0.0)
+        assert low == pytest.approx(-5e-15, rel=1e-12)
+        np.testing.assert_allclose(low, min(lows), rtol=1e-12)
+
+    def test_one_matrix_build_per_run(self, monkeypatch):
+        builds = []
+        real = simulator._rk4_matrix
+        monkeypatch.setattr(simulator, "_rk4_matrix",
+                            lambda a, dt: builds.append(dt) or real(a, dt))
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.5, 4.0)
+        dt = 2.0**-10
+        traj = simulate(u0, gen, (2 * _IE_CHUNK + 1) * dt, dt, scheme="rk4")  # three chunks
+        assert builds == [dt] and traj.times.size == 2 * _IE_CHUNK + 2
+        builds.clear()
+        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # and one for a short last step
+        assert len(builds) == 2 and builds[0] == 0.1
+        assert builds[1] == pytest.approx(0.05, rel=1e-12)
+
+    def test_holds_one_step_matrix(self):
+        # numpy reports its buffers to tracemalloc; R(dt A) is one more
+        # (N + 1)^2 array, and its build holds two; three chunks, the last of one step
+        g = Grid.geometric(1e-4, 20.0, 2048)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 1.0, 10.0)
+        n_steps, dt = 2 * _IE_CHUNK + 1, 2.0**-10
+        tracemalloc.start()
+        try:
+            traj = simulate(u0, gen, n_steps * dt, dt, scheme="rk4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == n_steps + 1
+        assert peak < 2.25 * gen.matrix.nbytes
