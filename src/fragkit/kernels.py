@@ -224,10 +224,13 @@ class FragmentKernel:
                            np.where(ss <= 1.0, 0.5 * ss ** 2,
                                     np.where(ss <= t, 0.5, 0.5 + 0.5 * (ss - t) * (ss + t))))
         elif self.family == "concentrated":
+            # top band as ((s - y) + 1/y)(s + t): s - y is exact (Sterbenz), where
+            # s - t would carry t's rounding, times y t, into M(y; y) = y
             c, t = 0.5 / ys, ys - 1.0 / ys
             out = np.where(ys <= _SQRT2, ss ** 2 / ys,
                            np.where(ss <= 1.0 / ys, 0.5 * ys * ss ** 2,
-                                    np.where(ss <= t, c, c + 0.5 * ys * (ss - t) * (ss + t))))
+                                    np.where(ss <= t, c,
+                                             c + 0.5 * ys * ((ss - ys) + 1.0 / ys) * (ss + t))))
         else:
             # one call per element of y, with the s values that element broadcasts against
             out = np.empty(ss.shape)

@@ -50,8 +50,8 @@ so the run's factors serve every full step, and step k ends at
 t0 + (k + 1) dt.  ``rk4`` takes v+ = R(dt A) v with
 R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which for this linear, autonomous
 system is exactly the classical four-stage step.  Like the factors, R is
-built once per run and again for a short last step, by Horner on the
-triangles, and it is applied by the same sweep: per chunk, one matrix
+built once per run, by Horner on the triangles (a short last step is taken
+in stage form), and it is applied by the same sweep: per chunk, one matrix
 product per block for its coupling to the rows below, then per step one
 product with the block's diagonal part.  This holds one more (N+1)^2 array
 (two while it is built), and the build costs about as much as N / 30 to
@@ -63,13 +63,23 @@ implicit_euler), and the rest of the chunk resumes from there through R.
 Both schemes clip each step at 0 before the next step reads it, and record a
 chunk of states at once: the sampled observables are one product of the
 states with (1, x, w) on the cells.
-``expm_oracle``, the reference propagator for tests, is the action of
-e^{tA} (Al-Mohy & Higham, SISC 2011), any N; it leaves numpy's global random
-stream as it found it.
+``expm_oracle``, the reference propagator for tests, applies e^{tA} by
+uniformization (Jensen 1953; Moler & Van Loan, SIAM Rev. 2003, sec. 4).  With
+sigma = max_j a_j, P = I + A / sigma has no negative entry, so
+e^{tA} v = sum_k e^{-sigma t} (sigma t)^k / k! P^k v is a sum of non-negative
+vectors, and each conserves l v when l A = 0.  t is split into hops with
+sigma t rho <= _HOP, where rho = ||P||_l comes from one product l A (1 for a
+conservative kernel, above 1 for a mass-gaining one), and a hop's series stops
+once its Poisson tail bound is below 2^-53 of the weight summed.  Each power
+is one product with A itself, so the oracle holds a few vectors and no copy of
+A, scaled or not.  It refuses a negative entry off the diagonal
+(InvalidInputError) and a non-finite entry (FragkitError), both checked once
+per call with no (N+1)^2 temporary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,12 +95,12 @@ __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
            "bump", "exp_decay", "column_kappa"]
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
-# rows per block of the triangular sweeps of both schemes (the top block takes
-# the rest, up to twice as many): implicit Euler solves the block's diagonal
-# factor by dtrsv, rk4 multiplies by its diagonal part of R(dt A), and both
-# couple it to the rows below by one matrix product per chunk.  For implicit
-# Euler on a 2-vCPU VM 512 rows took half as long again at N = 2048 and 512;
-# 128 were no faster
+# rows per block of the triangular sweeps of both schemes and of the oracle's
+# products (the top block takes the rest, up to twice as many): implicit Euler
+# solves the block's diagonal factor by dtrsv, rk4 multiplies by its diagonal
+# part of R(dt A), and both couple it to the rows below by one matrix product
+# per chunk.  For implicit Euler on a 2-vCPU VM 512 rows took half as long
+# again at N = 2048 and 512; 128 were no faster
 _IE_BLOCK = 256
 # steps per chunk of both schemes: A, or R(dt A), is read once per chunk.  The
 # chunk's states, (_IE_CHUNK, N + 1), are half the size of the implicit-Euler
@@ -101,6 +111,12 @@ _IE_CHUNK = 128
 # N = 2048), so assembling does not raise a run's peak memory; 64 columns are
 # no faster and need twice the room
 _ASSEMBLY_BLOCK = 32
+# the oracle's hops: each has lam rho <= _HOP, so e^-lam stays far from
+# underflow (below about e^-745), and rho^k <= 2^k far from overflow over the
+# hop's terms, about _HOP + 9 sqrt(_HOP) of them
+_HOP = 512.0
+# the oracle's series stops once its tail bound is below this share of the weight summed
+_TAIL = 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +455,8 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     if abs(last - dt) <= 1e-12 * dt:
         last = dt
     full = n_steps if last == dt else n_steps - 1
-    # chunks of full steps, then a short last step on its own factors
+    # chunks of full steps, then a short last step: implicit Euler on its own
+    # factors, rk4 in stage form, since a second R(h A) would cost N / 30 steps
     chunks = [(dt, min(_IE_CHUNK, full - k)) for k in range(0, full, _IE_CHUNK)]
     if full < n_steps:
         chunks.append((last, 1))
@@ -452,15 +469,19 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     obs = [v[None, :] @ probe]
     min_content = float(np.min(v[1:], initial=np.inf))
     done = 0
-    step_op = None  # the implicit-Euler factors or R(dt A): once, and again for a short last step
+    step_op = None  # the implicit-Euler factors or R(dt A), once per run
     for h, m in chunks:
-        if step_op is None or h != dt:
-            step_op = None  # released before its successor is built
-            step_op = (_ie_factors if scheme == "implicit_euler" else _rk4_matrix)(gen.matrix, h)
-        if scheme == "implicit_euler":
-            states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
+        if scheme == "rk4" and h != dt:
+            out, low = _rk4_step(gen, v, h)
+            states = out[None, :]
         else:
-            states, low = _rk4_chunk(gen, step_op, h, v, m)
+            if step_op is None or h != dt:
+                step_op = None  # released before its successor is built
+                step_op = (_ie_factors if scheme == "implicit_euler" else _rk4_matrix)(gen.matrix, h)
+            if scheme == "implicit_euler":
+                states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
+            else:
+                states, low = _rk4_chunk(gen, step_op, h, v, m)
         min_content = min(min_content, low)
         rows = sampled[(sampled > done) & (sampled <= done + m)] - done - 1
         obs.append((states @ probe)[rows])  # every row, so a row's values do not depend on sample_every
@@ -480,24 +501,83 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
 # ---------------------------------------------------------------------------
 
 def expm_oracle(gen: DiscreteGenerator, t: float, u0) -> DensityState:
-    """Reference propagator: e^{tA} applied to the state by ``expm_multiply``.
+    """Reference propagator: e^{tA} applied to the state by uniformization.
 
-    The dust is state component 0, so its value is exact at the oracle's own
-    accuracy, not scheme-limited.
+    With P = I + A / sigma, e^{tA} v = sum_k e^{-sigma t} (sigma t)^k / k! P^k v,
+    a sum of non-negative terms when A has no negative entry off its diagonal,
+    which is refused otherwise.  The dust is state component 0, so its value is
+    exact at the oracle's own accuracy, not scheme-limited.
     """
-    # imported here: no CLI command needs it, and it adds ~40 ms (2-vCPU VM) to importing fragkit
-    from scipy.sparse.linalg import expm_multiply
     state = _as_state(u0, gen)
     if not 0 <= t < np.inf:
         raise InvalidInputError(f"need finite t >= 0, got t = {t!r}")
-    w = gen.grid.weights
-    # onenormest inside expm_multiply draws from np.random; leave the caller's stream alone
-    rng_state = np.random.get_state()
-    try:
-        out = expm_multiply(gen.matrix * t, np.append(state.dust_mass, w * state.u))
-    finally:
-        np.random.set_state(rng_state)
-    return DensityState(grid=gen.grid, u=out[1:] / w, t=state.t + t, dust_mass=float(out[0]))
+    a = gen.matrix
+    n = a.shape[0]
+    ell = np.append(1.0, gen.grid.nodes)
+    # l A sees every NaN and inf, since l > 0; the off-diagonal entries are a
+    # strided view of A's flat buffer, so neither check makes an (N+1)^2 temporary
+    growth = ell @ a
+    if not np.all(np.isfinite(growth)):
+        raise FragkitError("the generator has a non-finite entry")
+    if a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].min(initial=0.0) < 0:
+        raise InvalidInputError("the generator has a negative entry off its diagonal")
+    # the largest growth rate of l v, 0 when every column conserves mass (the
+    # dust column is 0); taking sigma at least that bounds rho = ||P||_l by 2
+    growth = float(np.max(growth / ell))
+    sigma = max(-float(np.diagonal(a).min()), growth)
+    v = np.append(state.dust_mass, gen.grid.weights * state.u)
+    if sigma > 0:  # else A is 0: l A = 0 with no negative entry
+        rho = 1.0 + growth / sigma
+        if not sigma * t * rho < np.inf:
+            raise InvalidInputError(f"sigma t = {sigma * t!r} is too large for the oracle")
+        hops = max(math.ceil(sigma * t * rho / _HOP), 1)
+        for _ in range(hops):
+            v = _uniformized_hop(a, sigma, sigma * t / hops, rho, v)
+        if not np.all(np.isfinite(v)):
+            raise FragkitError("the oracle produced a non-finite value")
+    return DensityState(grid=gen.grid, u=v[1:] / gen.grid.weights, t=state.t + t,
+                        dust_mass=float(v[0]))
+
+
+def _uniformized_hop(a: np.ndarray, sigma: float, lam: float, rho: float, v: np.ndarray
+                     ) -> np.ndarray:
+    """e^{lam (P - I)} v = sum_k pois_k(lam) P^k v for P = I + a / sigma, ||P||_l <= rho.
+
+    Each power is taken as P^k v + (a @ P^k v) / sigma and clipped at 0, which
+    only removes round-off; a is upper triangular, so the product is taken on
+    its triangle, row block J times the rows >= J.  The series stops once the
+    tail bound sum_{k > K} pois_k rho^k, a geometric series past k = lam rho,
+    is below 2^-53 of the weight summed so far, sum_{k <= K} pois_k rho^k; the
+    weights come from pois_{k+1} = pois_k lam / (k + 1), and the result is
+    divided by their sum, which is 1 to that bound, so their rounding drops out.
+    """
+    cuts = _cuts(v.size)
+    term = v.copy()
+    prod = np.empty_like(v)
+    pois = math.exp(-lam)
+    out = pois * term
+    total = pois  # sum_{k <= K} pois_k
+    r = r_total = pois  # pois_K rho^K, and its sum over k <= K
+    mean = lam * rho
+    k = 0
+    while True:
+        r_next = r * mean / (k + 1)
+        if k + 2 > mean and r_next <= _TAIL * r_total * (1.0 - mean / (k + 2)):
+            break
+        for lo, hi in zip(cuts, cuts[1:]):
+            np.matmul(a[lo:hi, lo:], term[lo:], out=prod[lo:hi])
+        prod /= sigma
+        term += prod
+        np.maximum(term, 0.0, out=term)
+        k += 1
+        pois *= lam / k
+        r = r_next
+        total += pois
+        r_total += r
+        np.multiply(term, pois, out=prod)
+        out += prod
+    out /= total
+    return out
 
 
 def semigroup_check(gen: DiscreteGenerator, u0, t: float, s: float, *,

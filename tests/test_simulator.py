@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,6 +140,14 @@ class TestDiscretize:
         closure = _closure(gen)
         assert closure[0] == 0.0
         assert np.all(np.abs(closure[1:]) <= 1e-12 * _loss(gen) * g.nodes)
+
+    @pytest.mark.parametrize("x_max", [200.0, 400.0])
+    def test_mass_closure_with_dust_concentrated(self, x_max):
+        # the top band's mass at the parent, M(y; y) = y, is exact, so no column
+        # loses mass in proportion to y^2
+        g = Grid.geometric(1e-3, x_max, 512)
+        gen = discretize(FragmentKernel.concentrated(), RATE_X, g)
+        assert np.all(np.abs(_closure(gen)[1:]) <= 1e-12 * _loss(gen) * g.nodes)
 
     def test_custom_kernel_batched_column_mass(self):
         # m(y) = y/3 for b = x/y^2; the generic cumulative-quadrature path
@@ -484,22 +495,108 @@ class TestExpmOracle:
         m1_after = float((g.nodes * g.weights * st.u).sum()) + st.dust_mass
         np.testing.assert_allclose(m1_after, m1_before, rtol=1e-10)
 
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_matches_dense_exponential(self, n):
+    @pytest.mark.parametrize("n, kern, t, hops", [
+        (64, FragmentKernel.homogeneous_power(-0.5), 0.5, 1),
+        (256, FragmentKernel.homogeneous_power(-0.5), 0.5, 1),
+        # sigma t = 20^1.5 * 6 = 537 is above the hop bound
+        (128, FragmentKernel.homogeneous_power(-0.5), 6.0, 2),
+        # b = 3/y makes m(y) = 1.5 y: each breakup gains half the parent's
+        # mass, and rho = 1.5
+        (128, FragmentKernel.custom(lambda x, y: 3.0 / y + 0.0 * x,
+                                    mass_partial=lambda s, y: 1.5 * s**2 / y), 0.5, 1),
+    ], ids=["64", "256", "more_than_one_hop", "mass_gaining"])
+    def test_matches_dense_exponential(self, monkeypatch, n, kern, t, hops):
         # the dense exponential of the generator, dust included, is the reference
         g = Grid.geometric(1e-4, 20.0, n)
-        gen = discretize(FragmentKernel.homogeneous_power(-0.5), RateFunction.power(1.5), g)
+        gen = discretize(kern, RateFunction.power(1.5), g)
         u0 = bump(g, 1.0, 10.0)
-        ref = expm(gen.matrix * 0.5) @ np.append(0.0, g.weights * u0)
-        st = expm_oracle(gen, 0.5, u0)
+        calls = []
+        real = simulator._uniformized_hop
+        monkeypatch.setattr(simulator, "_uniformized_hop",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        ref = expm(gen.matrix * t) @ np.append(0.0, g.weights * u0)
+        st = expm_oracle(gen, t, u0)
+        assert len(calls) == hops
         out = np.append(st.dust_mass, g.weights * st.u)
         # relative to the largest component: cells far below the bump hold
         # round-off-sized content, where a componentwise ratio means nothing
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @settings(max_examples=30, deadline=None)
+    @given(nu=st.floats(-0.9, 0.0), alpha=st.floats(0.5, 1.5), n=st.integers(8, 128),
+           seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 2.0))
+    def test_positive_conservative_and_norm_non_increasing(self, nu, alpha, n, seed, t):
+        # every term of the series is non-negative and conserves l = (1, x);
+        # the mass the cells lose goes to the dust, so sum x mu cannot grow
+        g = Grid.geometric(1e-4, 20.0, n)
+        gen = discretize(FragmentKernel.homogeneous_power(nu), RateFunction.power(alpha), g)
+        u0 = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+        mass = float(g.nodes @ (g.weights * u0))
+        norms = [mass]
+        for frac in (0.25, 0.5, 1.0):
+            st_ = expm_oracle(gen, frac * t, u0)
+            assert np.all(st_.u >= 0) and st_.dust_mass >= 0
+            m1 = float(g.nodes @ (g.weights * st_.u))
+            assert abs(m1 + st_.dust_mass - mass) <= 1e-13 * mass
+            norms.append(m1)
+        assert np.all(np.diff(norms) <= 1e-13 * mass)
+
+    def test_overflowing_sigma_t_rejected(self):
+        # t is finite, but sigma t is not: the number of hops cannot be formed
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        with pytest.raises(InvalidInputError, match="too large"):
+            expm_oracle(gen, 1e308, bump(g, 0.5, 2.0))
+
+    def test_negative_off_diagonal_entry_rejected(self):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        matrix = gen.matrix.copy()
+        matrix[3, 9] = -1e-3
+        with pytest.raises(InvalidInputError, match="negative entry off its diagonal"):
+            expm_oracle(DiscreteGenerator(grid=g, matrix=matrix), 0.5, bump(g, 0.5, 2.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(3, 9), (9, 9), (0, 16)], ids=["gain", "diagonal", "dust"])
+    def test_non_finite_generator_rejected(self, value, at):
+        g = Grid.geometric(0.1, 5.0, 16)
+        matrix = discretize(HOM0, RATE_X, g).matrix.copy()
+        matrix[at] = value
+        with pytest.raises(FragkitError, match="non-finite entry") as err:
+            expm_oracle(DiscreteGenerator(grid=g, matrix=matrix), 0.5, bump(g, 0.5, 2.0))
+        assert not isinstance(err.value, InvalidInputError)
+
+    def test_holds_no_copy_of_the_generator(self):
+        # numpy reports its buffers to tracemalloc; the checks read A through
+        # views and the series holds a few vectors
+        g = Grid.geometric(1e-4, 20.0, 2048)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 1.0, 10.0)
+        tracemalloc.start()
+        try:
+            expm_oracle(gen, 0.5, u0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * gen.matrix.nbytes
+
+    def test_imports_no_sparse_linear_algebra(self):
+        # scipy.sparse.linalg costs tens of ms to import, and its norm
+        # estimates draw from numpy's global random stream
+        code = ("import sys\n"
+                "from fragkit.kernels import FragmentKernel, RateFunction\n"
+                "from fragkit.simulator import Grid, bump, discretize, expm_oracle, semigroup_check\n"
+                "g = Grid.geometric(0.1, 5.0, 16)\n"
+                "gen = discretize(FragmentKernel.homogeneous_power(0.0), RateFunction.power(1.0), g)\n"
+                "expm_oracle(gen, 0.5, bump(g, 0.5, 2.0))\n"
+                "semigroup_check(gen, bump(g, 0.5, 2.0), 0.3, 0.2, scheme='expm')\n"
+                "assert 'scipy.sparse.linalg' not in sys.modules, 'scipy.sparse.linalg was imported'\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simulator.__file__)))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+
     def test_leaves_the_global_random_stream_alone(self):
-        # ||tG||_1 is large enough here for expm_multiply to call onenormest,
-        # which draws from np.random
         g = Grid.geometric(1e-3, 100.0, 256)
         gen = discretize(HOM0, RATE_X, g)
         np.random.seed(0)
@@ -791,9 +888,19 @@ class TestBlockedRk4:
         traj = simulate(u0, gen, (2 * _IE_CHUNK + 1) * dt, dt, scheme="rk4")  # three chunks
         assert builds == [dt] and traj.times.size == 2 * _IE_CHUNK + 2
         builds.clear()
-        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # and one for a short last step
-        assert len(builds) == 2 and builds[0] == 0.1
-        assert builds[1] == pytest.approx(0.05, rel=1e-12)
+        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # a short last step is taken in stage form
+        assert builds == [0.1]
+
+    def test_short_last_step_is_the_stage_form(self):
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.5, 4.0)
+        two = simulate(u0, gen, 0.2, 0.1, scheme="rk4").final
+        want, low = _rk4_step(gen, np.append(two.dust_mass, g.weights * two.u), 0.25 - 0.2)
+        traj = simulate(u0, gen, 0.25, 0.1, scheme="rk4")
+        np.testing.assert_allclose(traj.final.u, want[1:] / g.weights, rtol=1e-12)
+        np.testing.assert_allclose(traj.final.dust_mass, want[0], rtol=1e-12)
+        assert traj.min_content <= low
 
     def test_holds_one_step_matrix(self):
         # numpy reports its buffers to tracemalloc; R(dt A) is one more
