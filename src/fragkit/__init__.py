@@ -15,8 +15,7 @@ if os.environ.get("FRAGKIT_THREADS"):  # cap the BLAS pools before any submodule
 from .admissibility import (AdmissibilityReport, RatioCurve, RelativeBoundEstimate,
                             check, log_n_samples, ratio_curve, relative_bound)
 from .errors import (ConfigError, ConstructionError, FragkitError, InvalidInputError,
-                     InvalidKernelError, QuadratureError, StepSizeError, StiffnessError,
-                     WeightDomainError)
+                     InvalidKernelError, QuadratureError, StepSizeError, WeightDomainError)
 from .kernels import (FragmentKernel, MassReport, RateFunction, classify_mass,
                       eval_kernel, eval_rate, rate_envelope)
 from .quadrature import integrate, log_integrate
@@ -37,7 +36,7 @@ __all__ = [
     "FragkitError", "FragmentKernel", "Grid", "InvalidInputError", "InvalidKernelError",
     "MajorantB", "MajorantH", "MassReport", "QuadratureError",
     "RateFunction", "RatioCurve", "RelativeBoundEstimate", "StepSizeError",
-    "StiffnessError", "Trajectory", "VolterraSolution", "Weight",
+    "Trajectory", "VolterraSolution", "Weight",
     "WeightCertificate", "WeightDomainError", "bump", "build_btilde", "build_h",
     "check", "classify_mass", "column_kappa", "compare_weights", "construct_weight",
     "derived_weight", "discretize", "eval_kernel", "eval_rate", "exp_decay",

@@ -33,10 +33,6 @@ class StepSizeError(FragkitError):
     """The Volterra march lost diagonal dominance; retry with a halved step."""
 
 
-class StiffnessError(FragkitError):
-    """Explicit time stepping kept producing negative densities; use implicit_euler."""
-
-
 class ConstructionError(FragkitError):
     """Weight construction failed validation.  ``worst_y`` locates the violation."""
 

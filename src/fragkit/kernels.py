@@ -225,12 +225,15 @@ class FragmentKernel:
                                     np.where(ss <= t, 0.5, 0.5 + 0.5 * (ss - t) * (ss + t))))
         elif self.family == "concentrated":
             # top band as ((s - y) + 1/y)(s + t): s - y is exact (Sterbenz), where
-            # s - t would carry t's rounding, times y t, into M(y; y) = y
-            c, t = 0.5 / ys, ys - 1.0 / ys
+            # s - t would carry t's rounding, times y t, into M(y; y) = y.  1/y is
+            # r + e, e its rounding residual: r alone leaves eps y in M ~ 1/(2y) at s = t
+            c, r = 0.5 / ys, 1.0 / ys
+            t = ys - r
+            e = _one_minus_product(ys, r) / ys
             out = np.where(ys <= _SQRT2, ss ** 2 / ys,
-                           np.where(ss <= 1.0 / ys, 0.5 * ys * ss ** 2,
+                           np.where(ss <= r, 0.5 * ys * ss ** 2,
                                     np.where(ss <= t, c,
-                                             c + 0.5 * ys * ((ss - ys) + 1.0 / ys) * (ss + t))))
+                                             c + 0.5 * ys * (((ss - ys) + r) + e) * (ss + t))))
         else:
             # one call per element of y, with the s values that element broadcasts against
             out = np.empty(ss.shape)
@@ -285,6 +288,17 @@ def _geometric_fill(pts: np.ndarray) -> np.ndarray:
     fill = [a * (b / a) ** (np.arange(1, n) / n)
             for a, b, n in zip(pts[:-1], pts[1:], pieces) if n > 1]
     return np.unique(np.concatenate([pts, *fill])) if fill else pts
+
+
+def _one_minus_product(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """1 - y r for y r near 1, the product exact: Dekker's two-product on the frexp
+    mantissas of y and r, so that Veltkamp's split by 2^27 + 1 cannot overflow."""
+    (m, i), (n, j) = np.frexp(y), np.frexp(r)
+    m1, n1 = (x * 134217729.0 - (x * 134217729.0 - x) for x in (m, n))  # 26 bits each
+    m2, n2 = m - m1, n - n1
+    p = m * n
+    err = ((m1 * n1 - p) + m1 * n2 + m2 * n1) + m2 * n2  # m n - p, exactly
+    return (1.0 - np.ldexp(p, i + j)) - np.ldexp(err, i + j)  # the first - is exact (Sterbenz)
 
 
 def _check_parent_sizes(ys: np.ndarray) -> None:

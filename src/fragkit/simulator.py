@@ -42,27 +42,24 @@ step, and then each step solves the diagonal block I - dt A_JJ, an M-matrix
 whose factor is built once per run.  Every term of the right-hand side is
 non-negative and so is the block's inverse, so positivity of the update is
 structural, and the per-step weighted norm is non-increasing whenever the
-gain columns satisfy the kappa <= 1 admissibility inequality.  Each step is
-checked for finiteness and for negatives beyond round-off, and clipped at 0
-before the next step reads it.  dt A and the initial state are checked for
-finiteness once per run; a last step off dt by rounding only is taken as dt,
-so the run's factors serve every full step, and step k ends at
-t0 + (k + 1) dt.  ``rk4`` takes v+ = R(dt A) v with
+gain columns satisfy the kappa <= 1 admissibility inequality.  dt A and the
+initial state are checked for finiteness once per run; a last step off dt by
+rounding only is taken as dt, so the run's factors serve every full step, and
+step k ends at t0 + (k + 1) dt.  ``rk4`` takes v+ = R(dt A) v with
 R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which for this linear, autonomous
-system is exactly the classical four-stage step.  Like the factors, R is
-built once per run, by Horner on the triangles (a short last step is taken
-in stage form), and it is applied by the same sweep: per chunk, one matrix
-product per block for its coupling to the rows below, then per step one
-product with the block's diagonal part.  This holds one more (N+1)^2 array
-(two while it is built), and the build costs about as much as N / 30 to
-N / 20 stage-form steps, so a shorter run is slower than stepping stage by
-stage would be.  A step producing a non-finite value raises; the first one
-producing negatives beyond round-off is redone as two stage-form half steps,
-which halve again as needed (a stiffness error after 30 halvings points to
-implicit_euler), and the rest of the chunk resumes from there through R.
-Both schemes clip each step at 0 before the next step reads it, and record a
-chunk of states at once: the sampled observables are one product of the
-states with (1, x, w) on the cells.
+system is exactly the classical four-stage step.  In w = 1 + z,
+R = 3/8 + w/3 + w^2/4 + w^4/24 has non-negative coefficients summing to 1,
+and B = I + hA has no negative entry once h max_j a_j <= 1.  So R(hA), built
+by Horner in B for h = dt / 2^k with the least such k and squared k times,
+makes no negative and does not raise the weighted norm when the gain columns
+satisfy kappa <= 1.  Like the factors, R is built once per run and applied by the
+same sweep; a short last step applies R to the vector, four products with B
+per substep.  R is one more (N+1)^2 array (two while it is built), and its
+build costs about as much as N / 30 to N / 20 stage-form steps, so a shorter
+run is slower than stepping stage by stage would be.  Both schemes check each
+step for non-finite values and negatives beyond round-off, clip it at 0
+before the next step reads it, and record a chunk of states at once: the
+sampled observables are one product of the states with (1, x, w) on the cells.
 ``expm_oracle``, the reference propagator for tests, applies e^{tA} by
 uniformization (Jensen 1953; Moler & Van Loan, SIAM Rev. 2003, sec. 4).  With
 sigma = max_j a_j, P = I + A / sigma has no negative entry, so
@@ -86,7 +83,7 @@ import numpy as np
 from scipy.linalg.blas import dtrsv
 
 from .config import write_csv
-from .errors import FragkitError, InvalidInputError, StiffnessError
+from .errors import FragkitError, InvalidInputError
 from .kernels import FragmentKernel, RateFunction, eval_rate
 from .weights import Weight
 
@@ -111,6 +108,8 @@ _IE_CHUNK = 128
 # N = 2048), so assembling does not raise a run's peak memory; 64 columns are
 # no faster and need twice the room
 _ASSEMBLY_BLOCK = 32
+# rk4's R(z) in w = 1 + z, 3/8 + w/3 + w^2/4 + w^4/24, from w^4 down: none negative
+_R_IN_B = (1.0 / 24.0, 0.0, 0.25, 1.0 / 3.0, 0.375)
 # the oracle's hops: each has lam rho <= _HOP, so e^-lam stays far from
 # underflow (below about e^-745), and rho^k <= 2^k far from overflow over the
 # hop's terms, about _HOP + 9 sqrt(_HOP) of them
@@ -289,114 +288,105 @@ def _ie_chunk(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray
             states[k, lo:hi] = x
             prev = np.maximum(x, 0.0, out=x)
         hi = lo
+    # non-negativity is structural; anything below is round-off
+    return _checked(states, "implicit Euler", 1e-12)
+
+
+def _checked(states: np.ndarray, scheme: str, tol: float) -> tuple[np.ndarray, float]:
+    """``(states, low)``: a chunk of states checked step by step for a non-finite
+    value and for a cell below -tol times the largest, then clipped at 0; low is
+    the least cell content before clipping."""
     mu = states[:, 1:]
     top = mu.max(axis=1, initial=0.0)
     lows = mu.min(axis=1, initial=np.inf)
-    for k in range(m):  # step by step, so the first bad step decides the error
-        if not np.isfinite(top[k]):  # the solve overflowed, or the state was not finite
-            raise FragkitError("implicit Euler produced a non-finite value")
-        # non-negativity is structural; anything below is round-off
-        if lows[k] < -1e-12 * max(top[k], 1e-300):
-            raise FragkitError("implicit Euler produced a substantive negative value")
+    for k in range(len(states)):
+        if not np.isfinite(top[k]):
+            raise FragkitError(f"{scheme} produced a non-finite value")
+        if lows[k] < -tol * max(top[k], 1e-300):
+            raise FragkitError(f"{scheme} produced a substantive negative value")
     np.clip(states, 0.0, None, out=states)
     return states, float(lows.min())
 
 
-def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
-    """R(dt A) = I + dt A + (dt A)^2 / 2 + (dt A)^3 / 6 + (dt A)^4 / 24, the rk4 step.
+def _rk4_substeps(a: np.ndarray, dt: float) -> tuple[float, int]:
+    """``(h, k)``: h = dt / 2^k for the least k >= 0 with h max_j a_j <= 1 in
+    floating point, so B = I + hA has no negative entry on its diagonal."""
+    sigma = -float(np.diagonal(a).min())
+    if not np.isfinite(sigma):
+        raise FragkitError("the generator has a non-finite entry")
+    h, k = dt, 0
+    while h * sigma > 1.0:
+        h, k = 0.5 * h, k + 1
+    return h, k
 
-    By Horner, P <- I + (dt / c) A P for c = 4, 3, 2, 1 from P = I.  Both factors
-    are upper triangular, so row block J of A P is A[J, >=J] P[>=J, >=J]; the
-    two buffers take turns and their lower triangles stay 0.
-    """
-    n = a.shape[0]
-    cuts = _cuts(n)
-    diag = np.diag_indices(n)
-    p = a * (dt / 4.0)
+
+def _b_rows(a: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of B = I + hA on the columns >= lo; their other columns are 0."""
+    b = a[lo:hi, lo:] * h
+    i = np.arange(hi - lo)
+    b[i, i] += 1.0  # 1 - h a_j >= 0 once h a_j <= 1
+    return b
+
+
+def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
+    """R(dt A), the rk4 step: for (h, k) from ``_rk4_substeps``, R(hA) by Horner in
+    B = I + hA, P <- B P + c I from P = B / 24, then squared k times, on
+    non-negative numbers alone.  Row block J of a product is its left factor's
+    rows J times P[>=J, >=J], B's rows formed from A's when needed; the two
+    buffers take turns, and their lower triangles stay 0."""
+    h, k = _rk4_substeps(a, dt)
+    cuts = _cuts(a.shape[0])
+    diag = np.diag_indices(a.shape[0])
+    p = a * h
     p[diag] += 1.0
+    p *= _R_IN_B[0]  # B / 24: the w^3 coefficient is 0
     q = np.zeros_like(p)
-    for c in (3.0, 2.0, 1.0):
+    for i, c in enumerate((*_R_IN_B[2:], *[0.0] * k)):  # Horner in B, then the squarings
         for lo, hi in zip(cuts, cuts[1:]):
-            out = q[lo:hi, lo:]
-            np.matmul(a[lo:hi, lo:], p[lo:, lo:], out=out)
-            out *= dt / c
-        q[diag] += 1.0
+            left = _b_rows(a, h, lo, hi) if i < len(_R_IN_B) - 2 else p[lo:hi, lo:]
+            np.matmul(left, p[lo:, lo:], out=q[lo:hi, lo:])
+        q[diag] += c
         p, q = q, p
     return p
 
 
-def _rk4_chunk(gen: DiscreteGenerator, r: np.ndarray, dt: float, v: np.ndarray, m: int
-               ) -> tuple[np.ndarray, float]:
+def _rk4_vector(a: np.ndarray, dt: float, v: np.ndarray) -> np.ndarray:
+    """R(dt A) v without R: 2^k substeps, each by Horner in B = I + hA on the
+    vector, p <- B p + c v from p = v / 24, B formed a block of rows at a time."""
+    h, k = _rk4_substeps(a, dt)
+    cuts = _cuts(v.size)
+    for _ in range(2**k):
+        p = v * _R_IN_B[0]
+        for c in _R_IN_B[1:]:
+            p = v * c + np.concatenate([_b_rows(a, h, lo, hi) @ p[lo:]
+                                        for lo, hi in zip(cuts, cuts[1:])])
+        v = p
+    return v
+
+
+def _rk4_chunk(r: np.ndarray, v: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     """m rk4 steps from v by R = R(dt A): ``(states, low)`` as ``_ie_chunk`` gives them.
 
-    Block J of a step needs only the rows below it, so each block is advanced
-    for all m steps before the one above it: its coupling R[J, >J] v[>J] for
-    the whole chunk is one matrix product on the steps' clipped states, and
-    each step adds R_JJ times the block's previous clipped state.  The first
-    step with negatives beyond round-off is redone as two stage-form half
-    steps, and the rest of the chunk resumes from there through R.
+    The sweep of ``_ie_chunk``: per block, the coupling R[J, >J] v[>J] of every
+    step is one product on the previous steps' unclipped states, and each step
+    adds R_JJ times the block's previous clipped state.
     """
-    cuts = _cuts(v.size)
     states = np.empty((m + 1, v.size))  # row 0 is v, row k the state after step k
     states[0] = v
-    low, k0, span = np.inf, 0, m
-    while k0 < m:
-        steps = min(span, m - k0)
-        run = states[k0:k0 + steps + 1]  # run[0] is the last accepted state
-        lows, tops = np.full(steps, np.inf), np.zeros(steps)
-        hi = v.size
-        for lo in reversed(cuts[:-1]):
-            # row k becomes step k + 1's block, unclipped, once R_JJ times its state is added
-            c = run[:-1, hi:] @ r[lo:hi, hi:].T
-            d = r[lo:hi, lo:hi]
-            for k in range(steps):
-                x = c[k]
-                x += d @ run[k, lo:hi]
-                np.maximum(x, 0.0, out=run[k + 1, lo:hi])
-            cells = c[:, 1:] if lo == 0 else c  # the dust is not a cell
-            np.minimum(lows, cells.min(axis=1, initial=np.inf), out=lows)
-            np.maximum(tops, np.abs(cells).max(axis=1, initial=0.0), out=tops)
-            hi = lo
-        for k in range(steps):  # step by step, so the first bad step decides
-            if not np.isfinite(tops[k]):  # R overflowed, or the state was not finite
-                raise FragkitError("rk4 produced a non-finite value")
-            if lows[k] < -1e-14 * max(tops[k], 1e-300):
-                break
-        else:
-            low = min(low, float(lows.min()))
-            k0, span = k0 + steps, 2 * span
-            continue
-        # the steps before k stand; step k is redone in two halves
-        half, low_a = _rk4_step(gen, run[k], 0.5 * dt, 1)
-        run[k + 1], low_b = _rk4_step(gen, half, 0.5 * dt, 1)
-        low = min(low, float(lows[:k].min(initial=np.inf)), low_a, low_b)
-        # the next sweep goes no further than twice the steps this one kept,
-        # so rejections that come every few steps do not sweep the chunk again each time
-        k0, span = k0 + k + 1, 2 * (k + 1)
-    return states[1:], low
-
-
-def _rk4_step(gen: DiscreteGenerator, v: np.ndarray, dt: float, depth: int = 0
-              ) -> tuple[np.ndarray, float]:
-    if depth > 30:
-        raise StiffnessError("rk4 rejected the step 30 times; use implicit_euler")
-    a = gen.matrix
-    k1 = a @ v
-    k2 = a @ (v + 0.5 * dt * k1)
-    k3 = a @ (v + 0.5 * dt * k2)
-    k4 = a @ (v + dt * k3)
-    out = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    mu = out[1:]
-    scale = float(np.max(np.abs(mu), initial=0.0))
-    if not np.isfinite(scale):  # the stages overflowed, or the state was not finite
-        raise FragkitError("rk4 produced a non-finite value")
-    low = float(np.min(mu, initial=np.inf))
-    if low < -1e-14 * max(scale, 1e-300):
-        half, low_a = _rk4_step(gen, v, 0.5 * dt, depth + 1)
-        out, low_b = _rk4_step(gen, half, 0.5 * dt, depth + 1)
-        return out, min(low_a, low_b)
-    np.clip(out, 0.0, None, out=out)
-    return out, low
+    hi = v.size
+    for lo in reversed(_cuts(v.size)[:-1]):
+        c = np.empty((m, hi - lo))
+        np.matmul(states[:-1, hi:], r[lo:hi, hi:].T, out=c)
+        d = r[lo:hi, lo:hi]
+        prev = v[lo:hi]
+        for k in range(m):
+            x = c[k]
+            x += d @ prev
+            states[k + 1, lo:hi] = x
+            prev = np.maximum(x, 0.0, out=x)
+        hi = lo
+    # R has no negative entry unless A has one off its diagonal
+    return _checked(states[1:], "rk4", 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +446,7 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
         last = dt
     full = n_steps if last == dt else n_steps - 1
     # chunks of full steps, then a short last step: implicit Euler on its own
-    # factors, rk4 in stage form, since a second R(h A) would cost N / 30 steps
+    # factors, rk4 by R(last A) on the vector, since a second R would cost N / 30 steps
     chunks = [(dt, min(_IE_CHUNK, full - k)) for k in range(0, full, _IE_CHUNK)]
     if full < n_steps:
         chunks.append((last, 1))
@@ -472,8 +462,7 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     step_op = None  # the implicit-Euler factors or R(dt A), once per run
     for h, m in chunks:
         if scheme == "rk4" and h != dt:
-            out, low = _rk4_step(gen, v, h)
-            states = out[None, :]
+            states, low = _checked(_rk4_vector(gen.matrix, h, v)[None, :], "rk4", 1e-14)
         else:
             if step_op is None or h != dt:
                 step_op = None  # released before its successor is built
@@ -481,7 +470,7 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
             if scheme == "implicit_euler":
                 states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
             else:
-                states, low = _rk4_chunk(gen, step_op, h, v, m)
+                states, low = _rk4_chunk(step_op, v, m)
         min_content = min(min_content, low)
         rows = sampled[(sampled > done) & (sampled <= done + m)] - done - 1
         obs.append((states @ probe)[rows])  # every row, so a row's values do not depend on sample_every

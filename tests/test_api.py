@@ -68,3 +68,11 @@ def test_one_entry_per_integral():
         assert not hasattr(fragkit, name) and name not in fragkit.__all__, name
         assert not hasattr(module, name), name
     assert not hasattr(fragkit.FragmentKernel, "has_exact_mass")
+
+
+def test_rk4_has_no_stiffness_error():
+    # rk4's step R(dt A) has no negative entry, so no step is rejected and no
+    # error tells the caller to switch schemes
+    assert not hasattr(fragkit, "StiffnessError") and "StiffnessError" not in fragkit.__all__
+    assert not hasattr(fragkit.errors, "StiffnessError")
+    assert len(fragkit.__all__) == 50

@@ -395,6 +395,18 @@ y_samples = 1,5,25
         assert "r1 >= r2:   inconclusive" in out
         assert "quadrature failed at y = 5" in out
 
+    def test_simulate_stiff_rk4(self, tmp_path):
+        # dt a = 500: two full steps and a short one, each 2^k substeps that
+        # stay non-negative, where the stage form halved or gave up
+        text = SIM.replace("family = power\nalpha = 1", "family = constant\nlevel = 500") \
+            .replace("dt = 2e-3", "dt = 1").replace("t_end = 0.25", "t_end = 2.5")
+        assert "level = 500" in text and "dt = 1\n" in text
+        cfg = write(tmp_path / "stiff.cfg", text + "scheme = rk4\n")
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                     "--assert", "positivity,mass,substochastic"])
+        assert code == 0
+        assert (tmp_path / "trajectory.csv").exists()
+
     def test_simulate_rk4_overflow_exit_2(self, tmp_path, monkeypatch, capsys):
         # an overflowing rk4 step printed NaN M0 and M1, and --assert mass let it
         # through because NaN comparisons are false

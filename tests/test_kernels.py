@@ -166,9 +166,8 @@ class TestMassIntegral:
         # on [t, y], M(s; y) = c + (h/2)(s^2 - t^2): t = y - 1, c = 1/2 and h = 1 for
         # boundary_binary, t = y - 1/y, c = 1/(2y) and h = y for concentrated.  Exact
         # rational arithmetic on the same floats s and y, with t exact too, measures
-        # the rounding alone.  concentrated's M falls to 1/(2y) at s = t, where the
-        # rounding of 1/y, about eps y, is left: its error is taken relative to the
-        # parent's mass M(y; y) = y, the scale of the generator's column closure
+        # the rounding alone, relative to M itself.  concentrated's M falls to
+        # 1/(2y) at s = t, where 1/y rounded to one float would leave about eps y
         bb = kern.family == "boundary_binary"
         rng = np.random.default_rng(15)
         y = np.exp(rng.uniform(np.log(2.0 if bb else np.sqrt(2.0)), np.log(1e3), 10_000))
@@ -180,7 +179,7 @@ class TestMassIntegral:
             t_k = y_k - 1 if bb else y_k - 1 / y_k
             c, h = (Fraction(1, 2), 1) if bb else (1 / (2 * y_k), y_k)
             want = c + h * (s_k - t_k) * (s_k + t_k) / 2
-            worst = max(worst, abs(Fraction(m_k) - want) / (want if bb else y_k))
+            worst = max(worst, abs(Fraction(m_k) - want) / want)
         assert worst <= 1e-15
 
     @settings(max_examples=30, deadline=None)

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, solve_triangular
 
 from fragkit import simulator
-from fragkit.errors import FragkitError, InvalidInputError, StiffnessError
+from fragkit.errors import FragkitError, InvalidInputError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
 from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, DensityState,
                                DiscreteGenerator, Grid, _ie_chunk, _ie_factors, _rk4_chunk,
-                               _rk4_matrix, _rk4_step, bump, column_kappa, discretize, exp_decay,
+                               _rk4_matrix, bump, column_kappa, discretize, exp_decay,
                                expm_oracle, semigroup_check, simulate)
 from fragkit.weights import Weight
 
@@ -38,6 +38,15 @@ def _closure(gen):
     """l A for l = (1, x_1, ..., x_N): per column, the dust flux plus the
     daughter mass minus the parent's mass a_j x_j."""
     return np.append(1.0, gen.grid.nodes) @ gen.matrix
+
+
+def _stage_form(a, v, dt):
+    """One classical four-stage rk4 step of v' = A v, the reference for R(dt A) v."""
+    k1 = a @ v
+    k2 = a @ (v + 0.5 * dt * k1)
+    k3 = a @ (v + 0.5 * dt * k2)
+    k4 = a @ (v + dt * k3)
+    return v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _per_column_matrix(kernel, rate, grid):
@@ -270,7 +279,7 @@ class TestStep:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped on bad input")
 
-        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_step"):
+        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_vector"):
             monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(InvalidInputError):
             simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, 0.01,
@@ -679,7 +688,7 @@ class TestFiniteness:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped a non-finite state")
 
-        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_step"):
+        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_vector"):
             monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(FragkitError, match="non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme=scheme)
@@ -715,16 +724,16 @@ class TestFiniteness:
 
 
 class TestStiffness:
-    def test_rk4_halving_or_stiffness_error(self):
-        # strongly stiff loss with gain: rk4 at a huge step either recovers by
-        # internal halving (still positive) or raises the stiffness error
+    def test_stiff_rk4_is_positive_and_conservative(self):
+        # dt a = 500: each step is R(dt A / 512) squared 9 times, whose entries
+        # are all non-negative, so the run neither halves nor raises
         g = Grid.geometric(0.1, 5.0, 24)
         gen = discretize(HOM0, RateFunction.constant(500.0), g)
-        try:
-            out = simulate(bump(g, 0.5, 4.0), gen, 1.0, 1.0, scheme="rk4").final
-            assert np.all(out.u >= 0)
-        except StiffnessError:
-            pass
+        traj = simulate(bump(g, 0.5, 4.0), gen, 2.5, 1.0, scheme="rk4")
+        assert traj.min_content >= 0
+        assert np.all(traj.final.u >= 0)
+        total = traj.M1 + traj.dust_mass
+        assert np.max(np.abs(total - total[0])) <= 1e-12 * total[0]
 
 
 def test_negative_implicit_euler_step_is_a_toolkit_error():
@@ -784,97 +793,96 @@ class TestBlockedRk4:
     @settings(max_examples=40, deadline=None)
     @given(size=st.sampled_from([1, _IE_BLOCK - 1, _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK + 1]),
            m=st.sampled_from([1, _IE_CHUNK - 1, _IE_CHUNK, _IE_CHUNK + 1]),
-           seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 1.0))
+           seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 0.5))
     def test_matches_the_stage_form(self, size, m, seed, dt):
-        # the generator of TestBlockedImplicitEuler; |dt a_jj| <= 2 is inside
-        # rk4's stability interval, and few steps go negative
+        # the generator of TestBlockedImplicitEuler; dt a_jj <= 1, so R(dt A)
+        # is one stage-form step, and neither R nor the state goes negative
         rng = np.random.default_rng(seed)
         a = np.triu(rng.uniform(0.0, 1.0, (size, size)), 1) / size
         a[np.diag_indices(size)] = -rng.uniform(0.0, 2.0, size)
-        gen = DiscreteGenerator(grid=None, matrix=a)
         v0 = rng.uniform(0.0, 1.0, size)
-        want, lows, v = np.empty((m, size)), [], v0
+        want, v = np.empty((m, size)), v0
         for k in range(m):
-            try:  # at depth 30 a rejected step raises where it would halve
-                v, low = _rk4_step(gen, v, dt, 30)
-            except StiffnessError:
-                assume(False)
-            want[k] = v
-            lows.append(low)
-        # nor one whose reference clips a negative: a cell that crosses 0 is a
-        # cancellation, 1e-30 or less of the largest cell, in the steps before
-        # it, where R's rounding, the same each step, and the stages' rounding,
-        # new each step, part by more than rtol, with R rounded from long
-        # double too.  Clipped steps are compared in the hand-built test below
-        assume(min(lows) >= 0)
-        got, low = _rk4_chunk(gen, _rk4_matrix(a, dt), dt, v0, m)
+            want[k] = v = _stage_form(a, v, dt)
+        got, low = _rk4_chunk(_rk4_matrix(a, dt), v0, m)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(low, min(lows), rtol=1e-12)
+        np.testing.assert_allclose(low, want[:, 1:].min(initial=np.inf), rtol=1e-12)
 
-    @pytest.mark.parametrize("level, rejected", [
-        (40.0, [0, 2, 4, 6, 8, 10, 12, 14, 16, 17, 19]),
-        (60.0, [0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17, 18]),
-    ])
-    def test_rejected_steps_match_the_stage_form(self, monkeypatch, level, rejected):
-        # dt a = 2 and 3: the stage form rejects most of the 20 steps, with
-        # accepted ones in between, so the sweep resumes through R many times
+    @pytest.mark.parametrize("level, k", [(40.0, 1), (60.0, 2)])
+    def test_stiff_steps_are_stage_form_substeps(self, level, k):
+        # dt a = 2 and 3: each step is 2^k stage-form substeps of dt / 2^k, the
+        # fewest with dt a / 2^k <= 1, and so is the short last step of about
+        # dt / 2, with its own k; the stage form at dt itself goes negative
         g = Grid.geometric(0.1, 5.0, 24)
         gen = discretize(HOM0, RateFunction.constant(level), g)
         u0, dt = bump(g, 0.5, 4.0), 0.05
-        traj = simulate(u0, gen, 20 * dt, dt, scheme="rk4")
-        real, depths = _rk4_step, []
-        monkeypatch.setattr(simulator, "_rk4_step",
-                            lambda gen, v, dt, depth: depths.append(depth) or real(gen, v, dt, depth))
+        traj = simulate(u0, gen, 20.5 * dt, dt, scheme="rk4")
         v = np.append(0.0, g.weights * u0)
-        states, lows, got_rejected = [v], [float(v[1:].min())], []
-        for k in range(20):
-            calls = len(depths)
-            v, low = real(gen, v, dt)  # its halves call the recording patch
+        states = [v]
+        last = 20.5 * dt - 20 * dt  # as simulate takes it: last a is 1 + 5e-15 at level 40
+        n_last = 1
+        while last / n_last * level > 1:
+            n_last *= 2
+        for h, n in [(dt, 2**k)] * 20 + [(last, n_last)]:
+            for _ in range(n):
+                v = _stage_form(gen.matrix, v, h / n)
             states.append(v)
-            lows.append(low)
-            if len(depths) > calls:
-                got_rejected.append(k)
-        assert got_rejected == rejected
         states = np.array(states)
+        assert states[:, 1:].min() >= 0 and traj.min_content >= 0
         np.testing.assert_allclose(traj.dust_mass, states[:, 0], rtol=1e-12)
         np.testing.assert_allclose(traj.M0, states[:, 1:].sum(axis=1), rtol=1e-12)
         np.testing.assert_allclose(traj.M1, states[:, 1:] @ g.nodes, rtol=1e-12)
         np.testing.assert_allclose(traj.final.u, states[-1, 1:] / g.weights, rtol=1e-12)
-        np.testing.assert_allclose(traj.min_content, min(lows), rtol=1e-12)
 
-    def test_accepted_steps_before_a_rejection_count(self, monkeypatch):
-        # a hand-built generator: the chain 7 -> 6 -> 5 -> 4 -> 3 feeds the
-        # stiff pair 3 -> 2 (dt a = 5), whose entry of R is negative, so every
-        # other step from step 1 on is rejected.  A gain of -1e-14 from 7 into
-        # cell 1 puts a negative within round-off into each step, half as large
-        # in a half step: the accepted steps before each rejection hold the
-        # least content, and each step reads cell 1 clipped
-        a = np.zeros((8, 8))
-        a[np.arange(3, 7), np.arange(4, 8)] = 1.0
-        a[2, 3] = 1.0
-        a[2, 2] = a[3, 3] = -10.0
-        a[1, 7] = -1e-14
-        gen = DiscreteGenerator(grid=None, matrix=a)
-        v0 = np.zeros(8)
-        v0[7] = 1.0
-        dt, m = 0.5, 6
-        real, depths = _rk4_step, []
-        monkeypatch.setattr(simulator, "_rk4_step",
-                            lambda gen, v, dt, depth: depths.append(depth) or real(gen, v, dt, depth))
-        want, lows, rejected, v = [], [], [], v0
-        for k in range(m):
-            calls = len(depths)
-            v, low = real(gen, v, dt)
-            want.append(v)
-            lows.append(low)
-            if len(depths) > calls:
-                rejected.append(k)
-        assert rejected == [1, 3, 5]
-        got, low = _rk4_chunk(gen, _rk4_matrix(a, dt), dt, v0, m)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    def test_each_step_reads_the_clipped_state(self):
+        # a hand-built gain of -1e-14 from cell 3 into cell 1 puts a negative
+        # within round-off into cell 1 each step; read clipped, it stays one
+        # step's worth, where read as it is it would pile up past the check
+        a = np.zeros((4, 4))
+        a[1, 3] = -1e-14
+        got, low = _rk4_chunk(_rk4_matrix(a, 0.5), np.array([0.0, 0.0, 0.0, 1.0]), 6)
         np.testing.assert_array_equal(got[:, 1], 0.0)
         assert low == pytest.approx(-5e-15, rel=1e-12)
-        np.testing.assert_allclose(low, min(lows), rtol=1e-12)
+
+    def test_negative_off_diagonal_entry_is_a_toolkit_error(self):
+        # only a hand-built generator with a negative gain can make R negative:
+        # A[1, 2] = -1 moves content out of cell 1 that it does not have
+        a = np.zeros((5, 5))
+        a[1, 2] = -1.0
+        a[2, 2] = -1.0
+        with pytest.raises(FragkitError, match="rk4 produced a substantive negative"):
+            _rk4_chunk(_rk4_matrix(a, 0.5), np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
+           stiffness=st.floats(1e-4, 20.0), steps=st.integers(1, 4),
+           tail=st.sampled_from([0.0, 0.3, 0.9]), p=st.floats(0.0, 2.0))
+    def test_positive_conservative_and_contractive(self, n, seed, stiffness, steps, tail, p):
+        # R = sum_k c_k B^k with c_k >= 0 and sum_k c_k = 1, and B = I + hA has
+        # no negative entry: on a random conservative upper-triangular Metzler
+        # generator, at dt max_j a_j = stiffness, rk4 makes no negative at all,
+        # keeps M1 + dust, and keeps the weighted norm from growing when the
+        # columns satisfy kappa <= 1; tail > 0 ends on a short last step
+        rng = np.random.default_rng(seed)
+        g = Grid.geometric(0.1, 10.0, n)
+        ell = np.append(1.0, g.nodes)
+        a = np.triu(rng.uniform(0.0, 1.0, (n + 1, n + 1)) * (rng.random((n + 1, n + 1)) < 0.5), 1)
+        a[:, 0] = 0.0  # the dust does not move
+        a[np.arange(1, n + 1), np.arange(1, n + 1)] = -(ell @ a)[1:] / g.nodes  # l A = 0
+        a *= rng.uniform(0.1, 10.0)
+        sigma = -np.diagonal(a).min()
+        assume(sigma > 0)
+        gen = DiscreteGenerator(grid=g, matrix=a)
+        weight = Weight.power(p)
+        dt = stiffness / sigma
+        traj = simulate(rng.uniform(0.0, 1.0, n), gen, (steps + tail) * dt, dt,
+                        scheme="rk4", weight=weight)
+        assert _rk4_matrix(a, dt).min() >= 0
+        assert traj.min_content >= 0
+        total = traj.M1 + traj.dust_mass
+        assert np.max(np.abs(total - total[0])) <= 1e-12 * total[0]
+        if column_kappa(gen, weight) <= 1:
+            assert np.all(np.diff(traj.norm_omega) <= 1e-12 * traj.norm_omega[:-1])
 
     def test_one_matrix_build_per_run(self, monkeypatch):
         builds = []
@@ -888,7 +896,7 @@ class TestBlockedRk4:
         traj = simulate(u0, gen, (2 * _IE_CHUNK + 1) * dt, dt, scheme="rk4")  # three chunks
         assert builds == [dt] and traj.times.size == 2 * _IE_CHUNK + 2
         builds.clear()
-        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # a short last step is taken in stage form
+        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # a short last step is taken on the vector
         assert builds == [0.1]
 
     def test_short_last_step_is_the_stage_form(self):
@@ -896,11 +904,11 @@ class TestBlockedRk4:
         gen = discretize(HOM0, RATE_X, g)
         u0 = bump(g, 0.5, 4.0)
         two = simulate(u0, gen, 0.2, 0.1, scheme="rk4").final
-        want, low = _rk4_step(gen, np.append(two.dust_mass, g.weights * two.u), 0.25 - 0.2)
+        want = _stage_form(gen.matrix, np.append(two.dust_mass, g.weights * two.u), 0.25 - 0.2)
         traj = simulate(u0, gen, 0.25, 0.1, scheme="rk4")
         np.testing.assert_allclose(traj.final.u, want[1:] / g.weights, rtol=1e-12)
         np.testing.assert_allclose(traj.final.dust_mass, want[0], rtol=1e-12)
-        assert traj.min_content <= low
+        assert traj.min_content <= want[1:].min()
 
     def test_holds_one_step_matrix(self):
         # numpy reports its buffers to tracemalloc; R(dt A) is one more
