@@ -3,9 +3,9 @@
 All integrals in the toolkit go through one adaptive routine, ``_adaptive``,
 which integrates many rows at once in log space.  A row is one integral: its
 interval, its interior breakpoints and, during the run, its own cells, log
-total, last change, grading depth and failed flag.  Every integrand is
-non-negative (the weighted-L1 theory asks for no other), and a negative one
-raises ``InvalidInputError``.  Two entry points run the routine on a single row:
+total, last change and failed flag.  Every integrand is non-negative (the
+weighted-L1 theory asks for no other), and a negative one raises
+``InvalidInputError``.  Two entry points run the routine on a single row:
 
 ``log_integrate``
     Returns ``log`` of the integral of ``factor(x) * exp(log_weight(x))`` with
@@ -22,27 +22,37 @@ Accuracy.  It is fixed, the same for every integral: one 12-point
 Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a log total settled within
 ``_REL_TOL = 1e-10`` absolute (the same relative change of the integral), at
 most ``_MAX_REFINEMENTS = 9`` halvings, and ``_GRADING_LEVELS = 48`` geometric
-cells toward ``lo``, deepened 32 at a time up to ``_MAX_GRADING_LEVELS = 512``.
+cells toward ``lo`` with a closed-form tail below them.
 
 Panels never straddle a supplied breakpoint, which restores spectral accuracy
 of the Gauss rule on piecewise-smooth kernels.  An integrable singularity at
-the lower endpoint is handled by geometric grading: the first cell is split at
-``lo + (len)*2^-k``, and the grading is deepened until the innermost cell
-contributes less than ``0.1 * _REL_TOL`` of the running total (so rates close
-to the integrability limit still converge, or fail loudly).  Then the panels
-are halved until the total settles.
+the lower endpoint is handled by one graded pass: the first cell is split at
+``lo + (len)*2^-k``, ``k = 1 .. 48``, and the tail below the innermost graded
+cell is summed in closed form.  Under an integrand ``~ (x - lo)^q`` each
+graded cell is ``rho = 2^-(q+1)`` times the next one out, so the cells below
+the innermost one sum to ``c1 rho / (1 - rho)``, ``c1`` being the one just
+outside it.  ``log rho`` is ``log(c1/c2)`` less its drift, read from
+``c2/c3`` (under a smooth factor the drift halves from cell to cell).  The
+tail's estimated error relative to the total is that drift plus the rounding
+of ``log rho``, read from ``c1 .. c4`` and at least ``eps``, over
+``1/rho - 1``; the tail closes when that is below ``0.1 * _REL_TOL``, which
+``rho >= 1`` (a divergent tail) never is.  A closed tail replaces the
+innermost cell, frozen from then on, whenever that cell or the tail holds at
+least ``0.1 * _REL_TOL`` of the total; otherwise the graded cells stay as
+they are.  Then the panels are halved until the total settles.
 
 A row fails, keeping its last total, when its total is lost (``+inf`` or NaN;
 a ``-inf`` log total is a vanishing integral, not lost), when its innermost
-cell still matters at the deepest grading (a divergent or unresolvable tail,
-which halving cannot mend), or when ``_MAX_REFINEMENTS`` halvings do not
-settle it.
+cell holds ``0.1 * _REL_TOL`` of the total or more and the tail below it does
+not close (a divergent or unresolvable tail, which halving cannot mend: it
+fails at once, with the tail's estimated error, at most 1, as its last
+change), or when ``_MAX_REFINEMENTS`` halvings do not settle it.
 
 Ragged rows.  The cells of all rows sit in one flat ``(cells, 2)`` array with
 the row of each cell alongside, each row's cells contiguous and in order, and
 row totals are segmented log-sum-exps over each row's own cells: a row's
-result does not depend on the rows that share its call.  Deepening a row's
-grading or halving its cells changes only its own cells, and a settled row
+result does not depend on the rows that share its call.  Closing a row's
+tail or halving its cells changes only its own cells, and a settled row
 leaves the array.  Cells are evaluated in chunks of at most ``_BLOCK_POINTS``
 points, and rows run in groups of about ``_BATCH_CELLS`` cells, which bounds
 the working set.  Cell evaluation is elementwise, so neither changes any bits.
@@ -75,14 +85,14 @@ __all__ = ["integrate", "log_integrate", "panel_sums"]
 _REL_TOL = 1e-10
 _MAX_REFINEMENTS = 9
 _GRADING_LEVELS = 48
-_MAX_GRADING_LEVELS = 512
 _NODES, _WEIGHTS = leggauss(12)
 # integrand points evaluated at once
 _BLOCK_POINTS = 1 << 13
 # cells of the rows run at once; a group that outgrows it is split by rows (a row never is)
 _BATCH_CELLS = 1 << 12
-# a log-space cell this far below its row's total cannot move it
-_LOG_EPS = float(np.log(np.finfo(float).eps))
+# a cell this far below its row's total cannot move it; also the least rounding
+# of a log cell value that a tail's error estimate assumes
+_EPS = float(np.finfo(float).eps)
 
 
 def _segment_logsumexp(v: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -179,8 +189,10 @@ def _adaptive(factor, log_weight, edges, grade_lo: bool):
     Row ``i`` integrates ``factor * exp(log_weight)`` over ``[edges[i][0],
     edges[i][-1]]`` with interior breakpoints ``edges[i][1:-1]``.
     ``factor(x, rows)`` gets the node-major nodes of cells whose rows are
-    ``rows``.  Returns ``(log_total, last_change, failed)`` arrays; a failed
-    row (see the module docstring) keeps its last total.
+    ``rows``.  Returns ``(log_total, last_change, failed, open_tail)`` arrays;
+    a failed row (see the module docstring) keeps its last total, and
+    ``open_tail`` marks the rows that failed because their tail at ``lo`` does
+    not close, whose last change is the tail's estimated error.
     """
     # equal totals, infinite ones included, have not changed
     change = lambda cur, prev: np.where(cur == prev, 0.0, np.abs(cur - prev))
@@ -199,36 +211,41 @@ def _adaptive(factor, log_weight, edges, grade_lo: bool):
     total = np.full(len(edges), -np.inf)
     err = np.zeros(len(edges))
     err[live] = np.inf
-    failed = np.zeros(len(edges), dtype=bool)
-    levels0 = _GRADING_LEVELS if grade_lo else 0
-    n_cells = sum(edges[i].size - 1 + levels0 for i in live)
+    failed, open_tail = np.zeros((2, len(edges)), dtype=bool)
+    levels = _GRADING_LEVELS if grade_lo else 0
+    n_cells = sum(edges[i].size - 1 + levels for i in live)
     with np.errstate(invalid="ignore"):
         for batch in np.array_split(live, -(-n_cells // _BATCH_CELLS)) if live.size else ():
-            # grading: the rows still deepening get their base cells 32 levels deeper
-            parts, pending, levels = [], batch, levels0
-            while pending.size:
-                cells, row = _base_cells(edges, pending, levels)
-                val = evaluate(cells, row)
-                starts, counts = _segments(row)
-                prev, cur = total[pending], _segment_logsumexp(val, starts, counts)
-                total[pending] = cur
-                # the innermost cell still matters, unless the last deepening already
-                # settled the total
-                deeper = np.zeros(pending.size, dtype=bool)
-                if grade_lo:
-                    deeper = ~(val[starts] <= cur + np.log(0.1 * _REL_TOL))
-                    if levels > levels0:
-                        deeper &= ~(change(cur, prev) <= _REL_TOL)
-                # a lost total, or a tail still open at the deepest grading, fails the row
-                out = lost(cur) | (deeper & (levels >= _MAX_GRADING_LEVELS))
-                failed[pending[out]] = True
-                keep = np.repeat(~(deeper | out), counts)
-                parts.append((cells[keep], row[keep], val[keep]))
-                pending, levels = pending[deeper & ~out], levels + 32
-            cells, row, val = (np.concatenate(a) for a in zip(*parts))
+            cells, row = _base_cells(edges, batch, levels)
+            val = evaluate(cells, row)
+            starts, counts = _segments(row)
+            total[batch] = cur = _segment_logsumexp(val, starts, counts)
+            hot = np.ones(row.size, dtype=bool)
+            if grade_lo:
+                # the geometric tail below the innermost cell, c1 (rho + rho^2 + ...), with
+                # log rho = log(c1/c2) less its drift from c2/c3; its error relative to the
+                # total is the drift left plus the rounding of log rho (at least eps) over
+                # 1/rho - 1
+                l1, l2, l3, l4 = (val[starts + j] for j in range(1, 5))
+                odds = np.maximum(np.expm1(3 * l2 - 2 * l1 - l3), _EPS)  # 1/rho - 1
+                tail = l1 - np.log(odds)
+                noise = np.maximum(np.abs(-2 * l1 + 5 * l2 - 4 * l3 + l4), _EPS) / odds
+                est = np.exp(tail - np.logaddexp(cur, tail)) * (np.abs(l1 - 2 * l2 + l3) + noise)
+                # a finite total whose innermost cell matters needs the tail closed; one
+                # whose tail matters takes it if it closes.  A closed tail is frozen.  An
+                # open one keeps its estimate, at most 1 (NaN, where a cell next to the
+                # innermost one is dead, is 1 too: the tail is simply unknown)
+                small = cur + np.log(0.1 * _REL_TOL)
+                needed = (cur < np.inf) & ~(val[starts] <= small)
+                shut = (est <= 0.1 * _REL_TOL) & (needed | (tail > small))
+                open_tail[batch], err[batch[needed]] = needed & ~shut, np.fmin(est[needed], 1.0)
+                val[starts[shut]], hot[starts[shut]] = tail[shut], False
+                total[batch] = _segment_logsumexp(val, starts, counts) if shut.any() else cur
+            failed[batch] = open_tail[batch] | lost(total[batch])
+            keep = np.repeat(~failed[batch], counts)
             # halving: (cells, row, val, hot, halvings done) of groups of rows, none if
-            # every row of the batch failed in grading
-            work = [(cells, row, val, np.ones(row.size, dtype=bool), 0)] if row.size else []
+            # every row of the batch failed on its graded cells
+            work = [(cells[keep], row[keep], val[keep], hot[keep], 0)] if keep.any() else []
             while work:
                 cells, row, val, hot, k = work.pop()
                 starts, counts = _segments(row)
@@ -244,7 +261,7 @@ def _adaptive(factor, log_weight, edges, grade_lo: bool):
                     failed[rows] = True
                     continue
                 # freeze the cells too small to move their row's total
-                hot &= val > np.repeat(total[rows] + _LOG_EPS, counts)
+                hot &= val > np.repeat(total[rows] + np.log(_EPS), counts)
                 cells, src = _halve(cells, hot)
                 row, val, hot = row[src], val[src], hot[src]
                 val[hot] = evaluate(cells[hot], row[hot])
@@ -257,7 +274,7 @@ def _adaptive(factor, log_weight, edges, grade_lo: bool):
                 keep = np.repeat(~((err[rows] <= _REL_TOL) | out), counts)
                 if keep.any():
                     work.append((cells[keep], row[keep], val[keep], hot[keep], k + 1))
-    return total, err, failed
+    return total, err, failed, open_tail
 
 
 def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool = False):
@@ -267,15 +284,17 @@ def log_integrate(factor, log_weight, lo, hi, *, breakpoints=(), grade_lo: bool 
     absolute change of the log between the last two refinement levels, which
     for small values equals the relative error of the integral.  Raises
     :class:`QuadratureError`, with the last ``log_value`` as ``partial``, when
-    the integral fails to converge, and ``InvalidInputError`` on a negative ``factor``.
+    the integral fails to converge (its message names a tail at ``lo`` that does
+    not close, with its estimated error), and ``InvalidInputError`` on a
+    negative ``factor``.
     """
     lo, hi = float(lo), float(hi)
-    total, err, failed = _adaptive(lambda x, rows: factor(x), log_weight,
-                                   [_edges(lo, hi, breakpoints)], grade_lo)
+    total, err, failed, open_tail = _adaptive(lambda x, rows: factor(x), log_weight,
+                                              [_edges(lo, hi, breakpoints)], grade_lo)
     if failed[0]:
-        raise QuadratureError(
-            f"log-space quadrature on [{lo:g}, {hi:g}] did not converge "
-            f"(last change {err[0]:.3e})", partial=float(total[0]))
+        why = "the tail at lo does not close, estimated error" if open_tail[0] else "last change"
+        raise QuadratureError(f"log-space quadrature on [{lo:g}, {hi:g}] did not converge "
+                              f"({why} {err[0]:.3e})", partial=float(total[0]))
     return float(total[0]), float(err[0])
 
 
@@ -307,5 +326,5 @@ def _log_integrate_rows(factor, log_weight, spans):
     carries its last estimate.
     """
     edges = [_edges(float(lo), float(hi), bps) for lo, hi, bps in spans]
-    total, _, failed = _adaptive(factor, log_weight, edges, grade_lo=True)
+    total, _, failed, _ = _adaptive(factor, log_weight, edges, grade_lo=True)
     return total, failed

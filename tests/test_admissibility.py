@@ -222,12 +222,13 @@ class TestFrozenCells:
 
 
 class TestUnresolvedTails:
-    """A row whose grading toward 0 cannot resolve the integrand there fails at once."""
+    """Near the integrability limit the tail at 0 closes in closed form; where it diverges,
+    the row fails at once."""
 
-    def test_overflowed_kernel_is_failed_not_an_infinite_ratio(self):
-        # x^nu overflows at the graded nodes near 2^-512, so the log total is +inf;
-        # the true ratio is (nu + 2)/(nu + p + 1) = 0.833 at every y
-        rep = check(FragmentKernel.homogeneous_power(-1.95), Weight.power(1.01), 1.0, 10.0)
+    def test_divergent_pair_is_failed_not_an_infinite_ratio(self):
+        # b w ~ x^-1.5 x^0.4 = x^-1.1 at 0, so n_w diverges at every y: the tail below
+        # the graded cells does not close, and every sample fails
+        rep = check(FragmentKernel.homogeneous_power(-1.5), Weight.power(0.4), 1.0, 10.0)
         assert rep.failed_counts == (rep.y_small.size, rep.y_grid.size)
         assert not rep.verdict_A32 and not rep.verdict_A41
         assert rep.verdict_limsup == "inconclusive"
@@ -236,24 +237,41 @@ class TestUnresolvedTails:
         assert len(verdicts) == 5
         assert all(line.split("=")[1].split()[0] == "inconclusive" for line in verdicts)
 
-    @pytest.mark.parametrize("nu, converges", [(-1.9, True), (-1.93, True), (-1.94, False),
-                                               (-1.95, False), (-1.97, False)])
-    def test_integrability_limit(self, nu, converges):
-        # with w = x the integrand is (nu + 2) x^(nu + 1) / y^(nu + 1): the deepest grading
-        # resolves it to 1e-11 only for nu + 1 not too close to -1
-        rc = ratio_curve(FragmentKernel.homogeneous_power(nu), Weight.power(1.0),
+    def test_tail_near_the_integrability_limit_passes(self):
+        # b w ~ x^-0.94 at 0: the closed tail holds most of n_w, and the ratio is
+        # (nu + 2)/(nu + p + 1) = 0.05/0.06 at every y
+        rep = check(FragmentKernel.homogeneous_power(-1.95), Weight.power(1.01), 1.0, 10.0)
+        assert rep.failed_counts == (0, 0)
+        assert rep.kappa_hat == pytest.approx(0.05 / 0.06, rel=0.0, abs=1e-10)
+        assert rep.verdict_A32 and rep.verdict_A41 and rep.verdict_limsup == "pass"
+
+    @pytest.mark.parametrize("nu", [-1.9, -1.93, -1.94, -1.95, -1.97, -1.99])
+    def test_integrability_limit(self, nu):
+        # with w = x^p the integrand is (nu + 2) x^(nu + p) / y^(nu + 1), which the
+        # graded cells and the geometric tail below them resolve for every nu > -2
+        p = 1.0
+        rc = ratio_curve(FragmentKernel.homogeneous_power(nu), Weight.power(p),
                          np.geomspace(1e-3, 100.0, 9))
-        assert np.all(rc.failed != converges)
-        if converges:
-            np.testing.assert_allclose(rc.ratio, 1.0, rtol=0.0, atol=3e-11)
+        assert not rc.failed.any()
+        np.testing.assert_allclose(rc.ratio, (nu + 2.0) / (nu + p + 1.0), rtol=0.0, atol=1e-10)
 
     def test_divergent_row_fails_before_halving(self):
-        # int_0^5 x^-1 1.5^x dx diverges at 0; halving the 529 cells of its deepest
-        # grading 9 times would evaluate about 6.5 million points
+        # int_0^5 x^-1 1.5^x dx diverges at 0; halving its 49 graded cells 9 times
+        # would evaluate about 600,000 points
         xs = []
         with pytest.raises(QuadratureError):
             log_n_samples(TestFrozenCells.counting(HOM1, xs), Weight.exponential(1.5), [5.0])
         assert sum(x.size for x in xs) < 100_000
+
+    @pytest.mark.parametrize("kernel, weight", [(HOM1, Weight.exponential(1.5)),
+                                                (FragmentKernel.homogeneous_power(-1.5),
+                                                 Weight.power(0.4))])
+    def test_divergent_row_evaluates_one_graded_pass(self, kernel, weight):
+        # no breakpoints: 48 graded cells and the rest of [0, 5], 12 nodes each, once
+        xs = []
+        with pytest.raises(QuadratureError):
+            log_n_samples(TestFrozenCells.counting(kernel, xs), weight, [5.0])
+        assert sum(x.size for x in xs) == 12 * 49
 
 
 class TestConsistencyWithComparison:
@@ -279,13 +297,21 @@ class TestRelativeBound:
         assert "analytic" not in est.summary()
 
     def test_failed_samples_make_the_estimate_inconclusive(self):
-        # every sample overflows (see TestUnresolvedTails), so alpha_hat = beta_hat = -inf
-        est = relative_bound(FragmentKernel.homogeneous_power(-1.95), RateFunction.power(1.0),
-                             Weight.power(1.01), 1.0, 10.0)
+        # n_w diverges at every sample (see TestUnresolvedTails), so alpha_hat = beta_hat = -inf
+        est = relative_bound(FragmentKernel.homogeneous_power(-1.5), RateFunction.power(1.0),
+                             Weight.power(0.4), 1.0, 10.0)
         assert est.failed_counts == (385, 65)
         summary = est.summary()
         assert "inconclusive: failed samples = 385 below / 65 above" in summary
         assert "alpha_hat < 1" not in summary and "analytic" not in summary
+
+    def test_tail_near_the_integrability_limit_is_estimated(self):
+        # every sample converges: alpha_hat = sup r = 0.05/0.06 at a = y
+        est = relative_bound(FragmentKernel.homogeneous_power(-1.95), RateFunction.power(1.0),
+                             Weight.power(1.01), 1.0, 10.0)
+        assert est.failed_counts == (0, 0)
+        assert est.alpha_hat == pytest.approx(0.05 / 0.06, rel=0.0, abs=1e-10)
+        assert est.summary().endswith("(alpha_hat < 1: relative-bound hypothesis holds)")
 
     def test_zero_kernel(self):
         est = relative_bound(FragmentKernel.zero(), RateFunction.power(1.0),
@@ -320,8 +346,13 @@ class TestSampledNOmega:
 
     def test_samples_match_scalar_calls(self):
         ys = np.geomspace(2.0, 50.0, 7)
-        np.testing.assert_array_equal(log_n_samples(BB, W_EXP, ys),
-                                      [log_n_samples(BB, W_EXP, [y])[0] for y in ys])
+        # in the second pair the samples above y = 10 close a geometric tail at 0
+        # (b w ~ x^-0.94) and the others do not (b w ~ x^1.01)
+        split = FragmentKernel.custom(
+            lambda x, y: np.where(y > 10.0, 0.05 * x**-1.95 * y**0.95, 2.0 / y))
+        for kernel, weight in [(BB, W_EXP), (split, Weight.power(1.01))]:
+            np.testing.assert_array_equal(log_n_samples(kernel, weight, ys),
+                                          [log_n_samples(kernel, weight, [y])[0] for y in ys])
 
     def test_cutoff(self):
         # homogeneous nu = 0: b = 2/y, so int_0^hi 2x/y dx = hi^2 / y

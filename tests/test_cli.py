@@ -184,13 +184,22 @@ class TestExitCodes:
         assert err.startswith("inconclusive: n_w quadrature did not converge at ")
         assert not (tmp_path / "out" / "weight.csv").exists()
 
-    def test_check_weight_overflowed_kernel_inconclusive(self, tmp_path, capsys):
-        # x^-1.95 overflows near 0 before the grading resolves it: every sample fails
-        cfg = write(tmp_path / "ovf.cfg",
-                    "[kernel]\nfamily = homogeneous_power\nnu = -1.95\n\n"
-                    "[weight]\nfamily = power\np = 1.01\n\n[params]\neta0 = 1\ny_max = 10\n")
+    def test_check_weight_divergent_pair_inconclusive(self, tmp_path, capsys):
+        # b w ~ x^-1.1 at 0: n_w diverges, so every sample fails
+        cfg = write(tmp_path / "div.cfg",
+                    "[kernel]\nfamily = homogeneous_power\nnu = -1.5\n\n"
+                    "[weight]\nfamily = power\np = 0.4\n\n[params]\neta0 = 1\ny_max = 10\n")
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "failed samples = 385 below / 65 above" in capsys.readouterr().out
+
+    def test_check_weight_near_the_integrability_limit_passes(self, tmp_path, capsys):
+        # b w ~ x^-0.94 at 0 converges, to the ratio 0.05/0.06 at every y
+        cfg = write(tmp_path / "lim.cfg",
+                    "[kernel]\nfamily = homogeneous_power\nnu = -1.95\n\n"
+                    "[weight]\nfamily = power\np = 1.01\n\n[params]\neta0 = 1\ny_max = 10\n")
+        assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "failed samples" not in out and "kappa_hat  = 0.833333333333" in out
 
     def test_kernel_info(self, tmp_path, capsys):
         cfg = write(tmp_path / "d.cfg",
@@ -213,14 +222,25 @@ class TestExitCodes:
         assert "quadrature failed at sample indices [2]" in capsys.readouterr().out
 
     def test_kernel_info_every_sample_failed_inconclusive(self, tmp_path, capsys):
-        # homogeneous_power(-1.95) as an expr: x^-1.95 overflows near 0 at every sample
-        cfg = write(tmp_path / "ovf.cfg",
-                    "[kernel]\nfamily = custom\nexpr = (-1.95 + 2) * x**(-1.95) / y**(-0.95)\n\n"
+        # the daughter mass int_0^y x b dx has x b ~ x^-1.1 at 0: it diverges at every sample
+        cfg = write(tmp_path / "div.cfg",
+                    "[kernel]\nfamily = custom\nexpr = x**(-2.1) * y**1.1\n\n"
                     "[params]\ny_samples = 1,2,5\n")
         assert main(["kernel-info", "--config", cfg]) == 3
         out = capsys.readouterr().out
         assert "mass balance: inconclusive" in out and "max excess m(y)/y - 1 = nan" in out
         assert "quadrature failed at sample indices [0, 1, 2]" in out
+
+    def test_kernel_info_near_the_integrability_limit_conserving(self, tmp_path, capsys):
+        # homogeneous_power(-1.95) as an expr: x b ~ x^-0.95 at 0, and m(y) = y
+        cfg = write(tmp_path / "lim.cfg",
+                    "[kernel]\nfamily = custom\nexpr = (-1.95 + 2) * x**(-1.95) / y**(-0.95)\n\n"
+                    "[params]\ny_samples = 1,2,5\n")
+        assert main(["kernel-info", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "mass balance: conserving" in out and "quadrature failed" not in out
+        excess = float(out.split("max excess m(y)/y - 1 = ")[1].split()[0])
+        assert abs(excess) <= 1e-10
 
     def test_expr_failing_at_evaluation_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "np.cfg", "[kernel]\nfamily = custom\nexpr = exp(np)\n")

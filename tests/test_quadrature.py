@@ -1,5 +1,6 @@
 """Panel quadrature: accuracy, breakpoint handling, grading, log-space path."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,49 @@ def test_log_integrate_matches_integrate(coef, c0, a, b, lo, width, grade_lo):
     lin, _ = quad(lambda x: f(x) * np.exp(lw(x)), lo, lo + width, epsabs=0.0, epsrel=1e-13)
     lv, _ = log_integrate(f, lw, lo, lo + width, grade_lo=grade_lo)
     np.testing.assert_allclose(np.exp(lv), lin, rtol=1e-9)
+
+
+def _log_power_exp(q, c, length):
+    """log of int_0^L x^q e^(cx) dx = L^(q+1)/(q+1) 1F1(q+1; q+2; cL), for q > -1."""
+    with mpmath.workdps(30):
+        return float(mpmath.log(mpmath.mpf(length) ** (q + 1) / (q + 1)
+                                * mpmath.hyp1f1(q + 1, q + 2, c * length)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(-0.99, 0.0), c=st.floats(-3.0, 3.0), length=st.floats(0.1, 10.0))
+def test_graded_tail_matches_the_confluent_closed_form(q, c, length):
+    # x^q e^(cx) near 0: for q near -1 most of the integral lies in the geometric tail
+    # below the graded cells, and the weight e^(cx) is not a power of x
+    lv, _ = log_integrate(lambda x: x**q, lambda x: c * x, 0.0, length, grade_lo=True)
+    assert abs(lv - _log_power_exp(q, c, length)) <= 1e-10
+
+
+def test_tail_is_closed_below_a_negligible_innermost_cell():
+    # x^-0.995 e^(3x) on [0, 10.25]: the innermost graded cell holds 7e-12 of the total,
+    # but the Gauss rule sees a thirtieth of the tail it stands for
+    lv, _ = log_integrate(lambda x: x**-0.995, lambda x: 3.0 * x, 0.0, 10.25, grade_lo=True)
+    assert abs(lv - _log_power_exp(-0.995, 3.0, 10.25)) <= 1e-11
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([-0.9999, -1.0, -1.01]), c=st.floats(-3.0, 3.0),
+       length=st.floats(0.1, 10.0))
+def test_graded_tail_at_the_integrability_limit_is_never_wrong(q, c, length):
+    # the tail ratio 2^-(q+1) is 1 - 7e-5, 1 or above 1: a value may come back only
+    # if it is right, and for q <= -1 the integral diverges
+    try:
+        lv, _ = log_integrate(lambda x: x**q, lambda x: c * x, 0.0, length, grade_lo=True)
+    except QuadratureError:
+        return
+    assert q > -1.0 and abs(lv - _log_power_exp(q, c, length)) <= 1e-10
+
+
+def test_open_tail_is_named_with_a_finite_error_estimate():
+    with pytest.raises(QuadratureError, match=r"the tail at lo does not close, estimated error "
+                                              r"\d\.\d{3}e[+-]\d+\)") as exc:
+        log_integrate(lambda x: x**-1.1, lambda x: 0.0 * x, 0.0, 1.0, grade_lo=True)
+    assert np.isfinite(exc.value.partial)
 
 
 _LSE_ELEMENTS = st.one_of(st.floats(-750.0, 750.0),
