@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     except (FragkitError, OSError) as exc:  # a ConfigError is a FragkitError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

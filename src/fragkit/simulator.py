@@ -39,27 +39,30 @@ triangular, block J of a step needs only the rows below it, so a chunk of
 the block's coupling dt A[J, >J] v+[>J] for every step of the chunk is one
 matrix product on a view of A, so A is read once per chunk, not once per
 step, and then each step solves the diagonal block I - dt A_JJ, an M-matrix
-whose factor is built once per run.  Every term of the right-hand side is
-non-negative and so is the block's inverse, so positivity of the update is
-structural, and the per-step weighted norm is non-increasing whenever the
-gain columns satisfy the kappa <= 1 admissibility inequality.  dt A and the
-initial state are checked for finiteness once per run; a last step off dt by
-rounding only is taken as dt, so the run's factors serve every full step, and
-step k ends at t0 + (k + 1) dt.  ``rk4`` takes v+ = R(dt A) v with
-R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, which for this linear, autonomous
-system is exactly the classical four-stage step.  In w = 1 + z,
-R = 3/8 + w/3 + w^2/4 + w^4/24 has non-negative coefficients summing to 1,
-and B = I + hA has no negative entry once h max_j a_j <= 1.  So R(hA), built
-by Horner in B for h = dt / 2^k with the least such k and squared k times,
-makes no negative and does not raise the weighted norm when the gain columns
-satisfy kappa <= 1.  Like the factors, R is built once per run and applied by the
-same sweep; a short last step applies R to the vector, four products with B
-per substep.  R is one more (N+1)^2 array (two while it is built), and its
-build costs about as much as N / 30 to N / 20 stage-form steps, so a shorter
-run is slower than stepping stage by stage would be.  Both schemes check each
-step for non-finite values and negatives beyond round-off, clip it at 0
-before the next step reads it, and record a chunk of states at once: the
-sampled observables are one product of the states with (1, x, w) on the cells.
+whose factor is built once per step length.  Every term of the right-hand
+side is non-negative and so is the block's inverse, so positivity of the
+update is structural, and the per-step weighted norm is non-increasing
+whenever the gain columns satisfy the kappa <= 1 admissibility inequality.
+dt A is checked for finiteness with its factors, the initial state once per
+run; a last step off dt by rounding only is taken as dt, so the run's
+factors serve every full step, and step k ends at t0 + (k + 1) dt.
+``rk4`` takes v+ = R(dt A) v with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+which for this linear, autonomous system is exactly the classical
+four-stage step.  In w = 1 + z, R = 3/8 + w/3 + w^2/4 + w^4/24 has
+non-negative coefficients summing to 1, and B = I + hA has no negative entry
+once h max_j a_j <= 1.  So R(hA), built by Horner in B for h = dt / 2^k with
+the least such k and squared k times, makes no negative and does not raise
+the weighted norm when the gain columns satisfy kappa <= 1.  Like the factors,
+R is built once per step length and applied by the same sweep: once for the
+full steps, and once more for a short last step, whose build, like a full
+step's, grows with log2(h max_j a_j).  Both schemes release one step length's
+operator before they build the next.  R is one more (N+1)^2 array (two while
+it is built), and its build costs about as much as N / 30 to N / 20 stage-form
+steps, so a shorter run, or one that ends on a short step, is slower than
+stepping stage by stage would be.  Both schemes check each step for non-finite
+values and negatives beyond round-off, clip it at 0 before the next step reads
+it, and record a chunk of states at once: the sampled observables are one
+product of the states with (1, x, w) on the cells.
 ``expm_oracle``, the reference propagator for tests, applies e^{tA} by
 uniformization (Jensen 1953; Moler & Van Loan, SIAM Rev. 2003, sec. 4).  With
 sigma = max_j a_j, P = I + A / sigma has no negative entry, so
@@ -132,8 +135,9 @@ class Grid:
 
     @classmethod
     def geometric(cls, x_min: float, x_max: float, n: int) -> "Grid":
-        if not (0 < x_min < x_max) or n < 4:
-            raise InvalidInputError("need 0 < x_min < x_max and n >= 4")
+        # past 2^53 nodes the node index is no longer exact, and no grid could hold them
+        if not (0 < x_min < x_max and 4 <= n < 2**53):
+            raise InvalidInputError("need 0 < x_min < x_max and 4 <= n < 2^53")
         nodes = np.geomspace(x_min, x_max, n)
         edges = np.empty(n + 1)
         edges[0] = nodes[0]
@@ -308,33 +312,19 @@ def _checked(states: np.ndarray, scheme: str, tol: float) -> tuple[np.ndarray, f
     return states, float(lows.min())
 
 
-def _rk4_substeps(a: np.ndarray, dt: float) -> tuple[float, int]:
-    """``(h, k)``: h = dt / 2^k for the least k >= 0 with h max_j a_j <= 1 in
-    floating point, so B = I + hA has no negative entry on its diagonal."""
+def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
+    """R(dt A), the rk4 step: R(hA) for h = dt / 2^k, the least k >= 0 with
+    h max_j a_j <= 1 in floating point, so B = I + hA has no negative entry, by
+    Horner in B, P <- B P + c I from P = B / 24, then squared k times, on
+    non-negative numbers alone.  Row block J of a product is its left factor's
+    rows J times P[>=J, >=J], B's rows formed from A's when needed; the two
+    buffers take turns, and their lower triangles stay 0."""
     sigma = -float(np.diagonal(a).min())
     if not np.isfinite(sigma):
         raise FragkitError("the generator has a non-finite entry")
     h, k = dt, 0
     while h * sigma > 1.0:
         h, k = 0.5 * h, k + 1
-    return h, k
-
-
-def _b_rows(a: np.ndarray, h: float, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of B = I + hA on the columns >= lo; their other columns are 0."""
-    b = a[lo:hi, lo:] * h
-    i = np.arange(hi - lo)
-    b[i, i] += 1.0  # 1 - h a_j >= 0 once h a_j <= 1
-    return b
-
-
-def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
-    """R(dt A), the rk4 step: for (h, k) from ``_rk4_substeps``, R(hA) by Horner in
-    B = I + hA, P <- B P + c I from P = B / 24, then squared k times, on
-    non-negative numbers alone.  Row block J of a product is its left factor's
-    rows J times P[>=J, >=J], B's rows formed from A's when needed; the two
-    buffers take turns, and their lower triangles stay 0."""
-    h, k = _rk4_substeps(a, dt)
     cuts = _cuts(a.shape[0])
     diag = np.diag_indices(a.shape[0])
     p = a * h
@@ -343,25 +333,16 @@ def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
     q = np.zeros_like(p)
     for i, c in enumerate((*_R_IN_B[2:], *[0.0] * k)):  # Horner in B, then the squarings
         for lo, hi in zip(cuts, cuts[1:]):
-            left = _b_rows(a, h, lo, hi) if i < len(_R_IN_B) - 2 else p[lo:hi, lo:]
+            if i < len(_R_IN_B) - 2:  # B's rows lo:hi on the columns >= lo
+                left = a[lo:hi, lo:] * h
+                j = np.arange(hi - lo)
+                left[j, j] += 1.0  # 1 - h a_j >= 0 once h a_j <= 1
+            else:
+                left = p[lo:hi, lo:]
             np.matmul(left, p[lo:, lo:], out=q[lo:hi, lo:])
         q[diag] += c
         p, q = q, p
     return p
-
-
-def _rk4_vector(a: np.ndarray, dt: float, v: np.ndarray) -> np.ndarray:
-    """R(dt A) v without R: 2^k substeps, each by Horner in B = I + hA on the
-    vector, p <- B p + c v from p = v / 24, B formed a block of rows at a time."""
-    h, k = _rk4_substeps(a, dt)
-    cuts = _cuts(v.size)
-    for _ in range(2**k):
-        p = v * _R_IN_B[0]
-        for c in _R_IN_B[1:]:
-            p = v * c + np.concatenate([_b_rows(a, h, lo, hi) @ p[lo:]
-                                        for lo, hi in zip(cuts, cuts[1:])])
-        v = p
-    return v
 
 
 def _rk4_chunk(r: np.ndarray, v: np.ndarray, m: int) -> tuple[np.ndarray, float]:
@@ -428,6 +409,10 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
         raise InvalidInputError(f"unknown scheme {scheme!r}; use implicit_euler or rk4")
     if t_end < state.t:
         raise InvalidInputError(f"t_end = {t_end!r} is before the initial time {state.t!r}")
+    # past 2^53 steps t0 + k dt is no longer exact, and no run could take them
+    if not (t_end - state.t) / 2.0**53 < dt:
+        raise InvalidInputError("need (t_end - t0) / dt below 2^53; got "
+                                f"t_end = {t_end!r}, t0 = {state.t!r}, dt = {dt!r}")
     weight = weight or _DEFAULT_NORM_WEIGHT
     w = gen.grid.weights
     # the observables (dust, M0, M1, norm_omega) of a block of states, as one product
@@ -440,16 +425,11 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     v = np.append(state.dust_mass, w * state.u)
     n_steps = int(np.ceil((t_end - t0) / dt - 1e-12))
     # step k ends at t0 + (k + 1) dt and the last at t_end; a last step off dt
-    # by rounding only is taken as dt, so it reuses the run's factors
+    # by rounding only is taken as dt, so it reuses the run's step operator
     last = t_end - (t0 + (n_steps - 1) * dt)
     if abs(last - dt) <= 1e-12 * dt:
         last = dt
     full = n_steps if last == dt else n_steps - 1
-    # chunks of full steps, then a short last step: implicit Euler on its own
-    # factors, rk4 by R(last A) on the vector, since a second R would cost N / 30 steps
-    chunks = [(dt, min(_IE_CHUNK, full - k)) for k in range(0, full, _IE_CHUNK)]
-    if full < n_steps:
-        chunks.append((last, 1))
     # samples after these many steps: the start, every sample_every-th and the last
     sampled = np.append(np.arange(0, n_steps, sample_every), n_steps)
     times = t0 + sampled * dt
@@ -459,18 +439,18 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     obs = [v[None, :] @ probe]
     min_content = float(np.min(v[1:], initial=np.inf))
     done = 0
-    step_op = None  # the implicit-Euler factors or R(dt A), once per run
-    for h, m in chunks:
-        if scheme == "rk4" and h != dt:
-            states, low = _checked(_rk4_vector(gen.matrix, h, v)[None, :], "rk4", 1e-14)
+    h_op = step_op = None  # a step length and its implicit-Euler factors or R(h A)
+    while done < n_steps:
+        # chunks of full steps, then a short last step on an operator of its own
+        h, m = (dt, min(_IE_CHUNK, full - done)) if done < full else (last, 1)
+        if h != h_op:
+            step_op = None  # released before its successor is built
+            step_op = (_ie_factors if scheme == "implicit_euler" else _rk4_matrix)(gen.matrix, h)
+            h_op = h
+        if scheme == "implicit_euler":
+            states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
         else:
-            if step_op is None or h != dt:
-                step_op = None  # released before its successor is built
-                step_op = (_ie_factors if scheme == "implicit_euler" else _rk4_matrix)(gen.matrix, h)
-            if scheme == "implicit_euler":
-                states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
-            else:
-                states, low = _rk4_chunk(step_op, v, m)
+            states, low = _rk4_chunk(step_op, v, m)
         min_content = min(min_content, low)
         rows = sampled[(sampled > done) & (sampled <= done + m)] - done - 1
         obs.append((states @ probe)[rows])  # every row, so a row's values do not depend on sample_every

@@ -279,6 +279,10 @@ class TestExitCodes:
         {"u0": "csv:{tmp}/text.csv"},           # a value that is not a number
         {"sample_every": "2.5"},                # these two were truncated to 2 and 16
         {"n_nodes": "16.7"},
+        # these hung, and ended in an OverflowError and a ValueError from numpy
+        {"dt": "1e-300", "t_end": "0.01"},
+        {"dt": "1e-10", "t_end": "1e308"},
+        {"n_nodes": "1e300"},
     ], ids=lambda p: ",".join(f"{k}={v.split('/')[-1]}" for k, v in p.items()))
     def test_simulate_bad_input_exit_2(self, tmp_path, capsys, params):
         (tmp_path / "neg.csv").write_text("x,u\n0.5,1\n2,-1\n5,1\n")
@@ -289,6 +293,21 @@ class TestExitCodes:
         cfg = write(tmp_path / "bad.cfg", "\n".join(lines) + "\n")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_simulate_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        # n_nodes = 1e6 asks for a 7.28 TiB generator: numpy's MemoryError was a
+        # traceback, exit 1
+        from fragkit import simulator
+
+        def no_room(kernel, rate, grid):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(simulator, "discretize", no_room)
+        cfg = write(tmp_path / "big.cfg", SIM)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("command, sections, params", [

@@ -88,6 +88,10 @@ class TestGrid:
             Grid.geometric(0.0, 1.0, 32)
         with pytest.raises(ValueError):
             Grid.geometric(1.0, 10.0, 2)
+        # past 2^53 nodes no grid could be held: 1e300 raised a bare TypeError in geomspace
+        for n in (2**53, 1e300):
+            with pytest.raises(InvalidInputError, match="2\\^53"):
+                Grid.geometric(0.1, 1.0, n)
 
 
 class TestDiscretize:
@@ -266,23 +270,29 @@ class TestStep:
         with pytest.raises(ValueError):
             simulate(bump(g, 1.0, 2.0), gen, 0.1, 0.1, scheme="leapfrog")
 
-    @pytest.mark.parametrize("t0, t_end, scheme", [(0.0, -1.0, "implicit_euler"),
-                                                   (0.0, 0.0, "leapfrog"),
-                                                   (1.0, 0.5, "rk4")],
-                             ids=["negative_t_end", "unknown_scheme_no_step", "t_end_before_t0"])
-    def test_bad_input_that_runs_no_step_rejected(self, monkeypatch, t0, t_end, scheme):
-        # both used to return a one-row trajectory: the scheme was read only
-        # when stepping, and an end before the start ran no step
+    @pytest.mark.parametrize("t0, t_end, dt, scheme", [(0.0, -1.0, 0.01, "implicit_euler"),
+                                                       (0.0, 0.0, 0.01, "leapfrog"),
+                                                       (1.0, 0.5, 0.01, "rk4"),
+                                                       (0.0, 0.01, 1e-300, "implicit_euler"),
+                                                       (0.0, 1e308, 1e-10, "rk4"),
+                                                       (1.0, 1.0 + 2.0**52, 0.5, "rk4")],
+                             ids=["negative_t_end", "unknown_scheme_no_step", "t_end_before_t0",
+                                  "tiny_dt", "huge_t_end", "2^53_steps"])
+    def test_bad_input_that_runs_no_step_rejected(self, monkeypatch, t0, t_end, dt, scheme):
+        # the first three used to return a one-row trajectory: the scheme was
+        # read only when stepping, and an end before the start ran no step;
+        # dt = 1e-300 hung building the list of chunks, and 1e308 / 1e-10
+        # overflowed to an infinite step count, an OverflowError
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RATE_X, g)
 
         def no_step(*args, **kwargs):
             raise AssertionError("stepped on bad input")
 
-        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_vector"):
+        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk"):
             monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(InvalidInputError):
-            simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, 0.01,
+            simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, dt,
                      scheme=scheme)
 
     def test_one_factor_build_per_run(self, monkeypatch):
@@ -312,6 +322,18 @@ class TestStep:
         np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.25], rtol=1e-15)
         want = u0 / (1.0 + 0.1 * g.nodes) ** 2 / (1.0 + 0.05 * g.nodes)
         np.testing.assert_allclose(traj.final.u, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
+    def test_a_run_of_no_length_takes_no_step(self, scheme):
+        # at t0 = 1e6, t0 - 1e-10 rounds 16% away from 1e-10: the last step of
+        # this run of no steps came out "short", and was taken at t = t0
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RateFunction.constant(1e9), g)
+        state = DensityState(grid=g, u=bump(g, 1.0, 2.0), t=1e6)
+        traj = simulate(state, gen, 1e6, 1e-10, scheme=scheme)
+        np.testing.assert_array_equal(traj.times, [1e6])
+        np.testing.assert_array_equal(traj.final.u, state.u)
+        assert traj.final.dust_mass == 0.0
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
     def test_step_times_do_not_drift(self, scheme):
@@ -688,7 +710,7 @@ class TestFiniteness:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped a non-finite state")
 
-        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk", "_rk4_vector"):
+        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk"):
             monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(FragkitError, match="non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme=scheme)
@@ -788,7 +810,7 @@ class TestBlockedImplicitEuler:
 
 
 class TestBlockedRk4:
-    """rk4 applies R(dt A), built once per run, by the implicit-Euler sweep."""
+    """rk4 applies R(dt A), built once per step length, by the implicit-Euler sweep."""
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.sampled_from([1, _IE_BLOCK - 1, _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK + 1]),
@@ -896,8 +918,8 @@ class TestBlockedRk4:
         traj = simulate(u0, gen, (2 * _IE_CHUNK + 1) * dt, dt, scheme="rk4")  # three chunks
         assert builds == [dt] and traj.times.size == 2 * _IE_CHUNK + 2
         builds.clear()
-        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # a short last step is taken on the vector
-        assert builds == [0.1]
+        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # a short last step builds its own R
+        assert builds == [0.1, 0.25 - 0.2]
 
     def test_short_last_step_is_the_stage_form(self):
         g = Grid.geometric(0.1, 5.0, 16)
@@ -909,6 +931,22 @@ class TestBlockedRk4:
         np.testing.assert_allclose(traj.final.u, want[1:] / g.weights, rtol=1e-12)
         np.testing.assert_allclose(traj.final.dust_mass, want[0], rtol=1e-12)
         assert traj.min_content <= want[1:].min()
+
+    def test_stiff_short_last_step_builds_its_own_matrix(self):
+        # dt a = 2^20: the full step is R(hA)^(2^20) and the short last step,
+        # of dt / 2, R(hA)^(2^19), both at h = 1, the dense stage form's powers;
+        # taken as 2^19 substeps on the vector, the last step took about 20 s
+        g = Grid.geometric(0.1, 5.0, 24)
+        gen = discretize(HOM0, RateFunction.constant(1.0), g)
+        u0, dt = bump(g, 0.5, 4.0), 2.0**20
+        r = _stage_form(gen.matrix, np.eye(g.n + 1), 1.0)
+        v1 = np.linalg.matrix_power(r, 2**20) @ np.append(0.0, g.weights * u0)
+        v2 = np.linalg.matrix_power(r, 2**19) @ v1
+        for t_end, want in ((dt, v1), (1.5 * dt, v2)):
+            traj = simulate(u0, gen, t_end, dt, scheme="rk4")
+            got = np.append(traj.final.dust_mass, g.weights * traj.final.u)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+            assert traj.min_content >= 0
 
     def test_holds_one_step_matrix(self):
         # numpy reports its buffers to tracemalloc; R(dt A) is one more
