@@ -38,10 +38,14 @@ def _floats(text: str) -> list[float]:
 
 
 def _whole(text: str) -> int:
-    """An integer parameter: 512, 512.0 and 1e3 pass, 16.7 does not."""
+    """An integer parameter: 512, 512.0 and 1e3 pass, 16.7 does not, nor does a
+    magnitude of 2^53 or more, past which a float no longer holds every whole
+    number and no array of that many entries could be made."""
     value = float(text)
     if not value.is_integer():
         raise ValueError("not a whole number")
+    if abs(value) >= 2.0**53:
+        raise ValueError("not below 2^53")
     return int(value)
 
 

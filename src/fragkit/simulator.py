@@ -32,20 +32,26 @@ time, so the matrix does not depend on the block width.
 
 Schemes
 -------
-One matrix serves three propagators.  ``implicit_euler`` solves
-(I - dt A) v+ = v on A itself, holding no copy of it.  Because A is upper
-triangular, block J of a step needs only the rows below it, so a chunk of
-``_IE_CHUNK`` steps is solved from the bottom one block of rows at a time:
-the block's coupling dt A[J, >J] v+[>J] for every step of the chunk is one
-matrix product on a view of A, so A is read once per chunk, not once per
-step, and then each step solves the diagonal block I - dt A_JJ, an M-matrix
-whose factor is built once per step length.  Every term of the right-hand
-side is non-negative and so is the block's inverse, so positivity of the
-update is structural, and the per-step weighted norm is non-increasing
-whenever the gain columns satisfy the kappa <= 1 admissibility inequality.
-dt A is checked for finiteness with its factors, the initial state once per
-run; a last step off dt by rounding only is taken as dt, so the run's
-factors serve every full step, and step k ends at t0 + (k + 1) dt.
+One matrix serves three propagators, and one sweep, ``_sweep``, applies each
+of them.  Every step operator is upper triangular, so block J of a step needs
+only the rows below it, and a chunk of steps is taken from the bottom one
+block of rows at a time: the block's coupling to the rows below, for every
+step of the chunk, is one matrix product on a view of the operator, which is
+read once per chunk, not once per step.  Then each step takes the block's
+diagonal part, the one thing a scheme supplies, and clips it at 0 before the
+next step reads it; the chunk is checked for non-finite values, the dust's
+included, and for negatives beyond the scheme's round-off, which the oracle
+only clips.
+``implicit_euler`` solves (I - dt A) v+ = v on A itself, holding no copy of
+it: its coupling is dt A[J, >J] v+[>J], the same step's rows, and its
+diagonal step a solve with I - dt A_JJ, an M-matrix whose factor is built
+once per step length.  Every term of the right-hand side is non-negative and
+so is the block's inverse, so positivity of the update is structural, and the
+per-step weighted norm is non-increasing whenever the gain columns satisfy
+the kappa <= 1 admissibility inequality.  dt A is checked for finiteness with
+its factors, the initial state once per run; a last step off dt by rounding
+only is taken as dt, so the run's factors serve every full step, and step k
+ends at t0 + (k + 1) dt.
 ``rk4`` takes v+ = R(dt A) v with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
 which for this linear, autonomous system is exactly the classical
 four-stage step.  In w = 1 + z, R = 3/8 + w/3 + w^2/4 + w^4/24 has
@@ -53,16 +59,15 @@ non-negative coefficients summing to 1, and B = I + hA has no negative entry
 once h max_j a_j <= 1.  So R(hA), built by Horner in B for h = dt / 2^k with
 the least such k and squared k times, makes no negative and does not raise
 the weighted norm when the gain columns satisfy kappa <= 1.  Like the factors,
-R is built once per step length and applied by the same sweep: once for the
-full steps, and once more for a short last step, whose build, like a full
-step's, grows with log2(h max_j a_j).  Both schemes release one step length's
-operator before they build the next.  R is one more (N+1)^2 array (two while
-it is built), and its build costs about as much as N / 30 to N / 20 stage-form
-steps, so a shorter run, or one that ends on a short step, is slower than
-stepping stage by stage would be.  Both schemes check each step for non-finite
-values and negatives beyond round-off, clip it at 0 before the next step reads
-it, and record a chunk of states at once: the sampled observables are one
-product of the states with (1, x, w) on the cells.
+R is built once per step length and applied by the sweep, its coupling on
+the previous step's rows: once for the full steps, and once more for a short
+last step, whose build, like a full step's, grows with log2(h max_j a_j).
+Both schemes release one step length's operator before they build the next.
+R is one more (N+1)^2 array (two while it is built), and its build costs
+about as much as N / 30 to N / 20 stage-form steps, so a shorter run, or one
+that ends on a short step, is slower than stepping stage by stage would be.
+Both schemes record a chunk of states at once: the sampled observables are
+one product of the states with (1, x, w) on the cells.
 ``expm_oracle``, the reference propagator for tests, applies e^{tA} by
 uniformization (Jensen 1953; Moler & Van Loan, SIAM Rev. 2003, sec. 4).  With
 sigma = max_j a_j, P = I + A / sigma has no negative entry, so
@@ -70,11 +75,15 @@ e^{tA} v = sum_k e^{-sigma t} (sigma t)^k / k! P^k v is a sum of non-negative
 vectors, and each conserves l v when l A = 0.  t is split into hops with
 sigma t rho <= _HOP, where rho = ||P||_l comes from one product l A (1 for a
 conservative kernel, above 1 for a mass-gaining one), and a hop's series stops
-once its Poisson tail bound is below 2^-53 of the weight summed.  Each power
-is one product with A itself, so the oracle holds a few vectors and no copy of
-A, scaled or not.  It refuses a negative entry off the diagonal
-(InvalidInputError) and a non-finite entry (FragkitError), both checked once
-per call with no (N+1)^2 temporary.
+once its Poisson tail bound is below 2^-53 of the weight summed.  That stop
+depends on sigma t and rho alone, so a hop's weights are known before any
+power is taken; the powers P^k v then come from the sweep in chunks, its
+coupling A[J, >J] / sigma on the previous power's rows and its diagonal step
+prev + A_JJ prev / sigma, both on views of A, so the oracle holds a chunk of
+powers and no copy of A, scaled or not.  It refuses a negative entry off the
+diagonal (InvalidInputError) and a non-finite entry (FragkitError), both
+checked once per call with no (N+1)^2 temporary, and a non-finite power
+(FragkitError) in the sweep's check.
 """
 
 from __future__ import annotations
@@ -95,16 +104,17 @@ __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
            "bump", "exp_decay", "column_kappa"]
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
-# rows per block of the triangular sweeps of both schemes and of the oracle's
-# products (the top block takes the rest, up to twice as many): implicit Euler
-# solves the block's diagonal factor by dtrsv, rk4 multiplies by its diagonal
-# part of R(dt A), and both couple it to the rows below by one matrix product
-# per chunk.  For implicit Euler on a 2-vCPU VM 512 rows took half as long
-# again at N = 2048 and 512; 128 were no faster
+# rows per block of ``_sweep``, for all three propagators (the top block takes
+# the rest, up to twice as many): implicit Euler solves the block's diagonal
+# factor by dtrsv, rk4 multiplies by its diagonal part of R(dt A), the oracle
+# by I + A_JJ / sigma, and each couples it to the rows below by one matrix
+# product per chunk.  For implicit Euler on a 2-vCPU VM 512 rows took half as
+# long again at N = 2048 and 512; 128 were no faster
 _IE_BLOCK = 256
-# steps per chunk of both schemes: A, or R(dt A), is read once per chunk.  The
-# chunk's states, (_IE_CHUNK, N + 1), are half the size of the implicit-Euler
-# diagonal factors; 256 steps were no faster and need twice the room
+# steps per chunk of ``_sweep``, and powers per chunk of the oracle: the
+# operator is read once per chunk.  The chunk's states, (_IE_CHUNK, N + 1), are
+# half the size of the implicit-Euler diagonal factors; 256 steps were no
+# faster and need twice the room
 _IE_CHUNK = 128
 # generator columns per mass_partial call: the block's temporaries, a few
 # (N, 32) tables, stay well below the implicit-Euler factors (4.2 MB at
@@ -268,43 +278,58 @@ def _ie_factors(a: np.ndarray, dt: float) -> list[np.ndarray]:
 
 def _ie_chunk(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray, m: int
               ) -> tuple[np.ndarray, float]:
-    """m implicit-Euler steps from v: ``(states, low)``, row k of states the state
-    after step k + 1, clipped at 0, and low the least cell content before clipping.
+    """m implicit-Euler steps from v: ``(states, low)`` as ``_sweep`` gives them.
 
-    Block J of a step needs only the rows below it, so each block is solved for
-    all m steps before the one above it: its coupling A[J, >J] out[>J] for the
-    whole chunk is one matrix product on a view of A, which is read once per
-    chunk, not once per step.  The products read each step's unclipped rows,
-    the solves the previous step's clipped ones.
+    Each block solves (I - dt A_JJ) x = prev + dt A[J, >J] x[>J] by its factor,
+    so the coupling reads the same step's rows below.
     """
-    states = np.empty((m, v.size))
-    hi = v.size
-    for f in reversed(factors):
-        lo = hi - f.shape[0]
+    steps = [lambda c, prev, f=f: dtrsv(f, np.add(c, prev, out=c), overwrite_x=1)
+             for f in factors]
+    # non-negativity is structural; anything below is round-off
+    return _sweep(a, dt, steps, v, m, True, "implicit Euler", 1e-12)
+
+
+def _sweep(couple: np.ndarray, scale: float, steps: list, v: np.ndarray, m: int,
+           implicit: bool, scheme: str, tol: float) -> tuple[np.ndarray, float]:
+    """m steps from v of an upper-triangular operator, row block by row block
+    from the bottom: ``(states, low)`` as ``_checked`` gives them, row k of
+    states the state after step k + 1.
+
+    Block J of a step needs only the rows below it, so each block is taken for
+    all m steps before the one above it: its coupling scale couple[J, >J] x[>J]
+    for the whole chunk is one matrix product on a view of couple, which is
+    read once per chunk, not once per step.  x is step k + 1's rows when
+    ``implicit``, step k's otherwise, unclipped; then ``steps[J](c, prev)``
+    returns the block of step k + 1 from its coupling c, which it may
+    overwrite, and the block's previous state prev, clipped at 0.
+    """
+    states = np.empty((m + 1, v.size))  # row 0 is v, row k the state after step k
+    states[0] = v
+    below = states[1:] if implicit else states[:-1]
+    cuts = _cuts(v.size)
+    for j in reversed(range(len(cuts) - 1)):
+        lo, hi = cuts[j], cuts[j + 1]
         c = np.empty((m, hi - lo))
-        np.matmul(states[:, hi:], a[lo:hi, hi:].T, out=c)  # views of A: nothing is copied
-        c *= dt
+        np.matmul(below[:, hi:], couple[lo:hi, hi:].T, out=c)  # views: nothing is copied
+        c *= scale
         prev = v[lo:hi]
         for k in range(m):
-            x = c[k]
-            x += prev
-            x = dtrsv(f, x, overwrite_x=1)
-            states[k, lo:hi] = x
+            x = steps[j](c[k], prev)
+            states[k + 1, lo:hi] = x
             prev = np.maximum(x, 0.0, out=x)
-        hi = lo
-    # non-negativity is structural; anything below is round-off
-    return _checked(states, "implicit Euler", 1e-12)
+    return _checked(states[1:], scheme, tol)
 
 
 def _checked(states: np.ndarray, scheme: str, tol: float) -> tuple[np.ndarray, float]:
     """``(states, low)``: a chunk of states checked step by step for a non-finite
-    value and for a cell below -tol times the largest, then clipped at 0; low is
-    the least cell content before clipping."""
+    value, the dust's included, and for a cell below -tol times the largest,
+    then clipped at 0; low is the least cell content before clipping."""
     mu = states[:, 1:]
     top = mu.max(axis=1, initial=0.0)
     lows = mu.min(axis=1, initial=np.inf)
+    finite = np.isfinite(top) & np.isfinite(states[:, 0])
     for k in range(len(states)):
-        if not np.isfinite(top[k]):
+        if not finite[k]:
             raise FragkitError(f"{scheme} produced a non-finite value")
         if lows[k] < -tol * max(top[k], 1e-300):
             raise FragkitError(f"{scheme} produced a substantive negative value")
@@ -346,28 +371,16 @@ def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _rk4_chunk(r: np.ndarray, v: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """m rk4 steps from v by R = R(dt A): ``(states, low)`` as ``_ie_chunk`` gives them.
+    """m rk4 steps from v by R = R(dt A): ``(states, low)`` as ``_sweep`` gives them.
 
-    The sweep of ``_ie_chunk``: per block, the coupling R[J, >J] v[>J] of every
-    step is one product on the previous steps' unclipped states, and each step
-    adds R_JJ times the block's previous clipped state.
+    Each block adds R_JJ prev to its coupling R[J, >J] x[>J], which reads the
+    previous step's rows below.
     """
-    states = np.empty((m + 1, v.size))  # row 0 is v, row k the state after step k
-    states[0] = v
-    hi = v.size
-    for lo in reversed(_cuts(v.size)[:-1]):
-        c = np.empty((m, hi - lo))
-        np.matmul(states[:-1, hi:], r[lo:hi, hi:].T, out=c)
-        d = r[lo:hi, lo:hi]
-        prev = v[lo:hi]
-        for k in range(m):
-            x = c[k]
-            x += d @ prev
-            states[k + 1, lo:hi] = x
-            prev = np.maximum(x, 0.0, out=x)
-        hi = lo
+    cuts = _cuts(v.size)
+    steps = [lambda c, prev, d=r[lo:hi, lo:hi]: np.add(c, d @ prev, out=c)
+             for lo, hi in zip(cuts, cuts[1:])]
     # R has no negative entry unless A has one off its diagonal
-    return _checked(states[1:], "rk4", 1e-14)
+    return _sweep(r, 1.0, steps, v, m, False, "rk4", 1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +515,6 @@ def expm_oracle(gen: DiscreteGenerator, t: float, u0) -> DensityState:
         hops = max(math.ceil(sigma * t * rho / _HOP), 1)
         for _ in range(hops):
             v = _uniformized_hop(a, sigma, sigma * t / hops, rho, v)
-        if not np.all(np.isfinite(v)):
-            raise FragkitError("the oracle produced a non-finite value")
     return DensityState(grid=gen.grid, u=v[1:] / gen.grid.weights, t=state.t + t,
                         dust_mass=float(v[0]))
 
@@ -512,40 +523,40 @@ def _uniformized_hop(a: np.ndarray, sigma: float, lam: float, rho: float, v: np.
                      ) -> np.ndarray:
     """e^{lam (P - I)} v = sum_k pois_k(lam) P^k v for P = I + a / sigma, ||P||_l <= rho.
 
-    Each power is taken as P^k v + (a @ P^k v) / sigma and clipped at 0, which
-    only removes round-off; a is upper triangular, so the product is taken on
-    its triangle, row block J times the rows >= J.  The series stops once the
-    tail bound sum_{k > K} pois_k rho^k, a geometric series past k = lam rho,
-    is below 2^-53 of the weight summed so far, sum_{k <= K} pois_k rho^k; the
-    weights come from pois_{k+1} = pois_k lam / (k + 1), and the result is
-    divided by their sum, which is 1 to that bound, so their rounding drops out.
+    The series stops at the least K whose tail bound sum_{k > K} pois_k rho^k,
+    a geometric series past k = lam rho, is below 2^-53 of the weight summed,
+    sum_{k <= K} pois_k rho^k; K depends on lam and rho alone, so the weights,
+    from pois_{k+1} = pois_k lam / (k + 1), come first.  The powers P^k v are
+    then taken by ``_sweep`` in chunks of ``_IE_CHUNK``: each block's step adds
+    prev + (a_JJ prev) / sigma to its coupling a[J, >J] x[>J] / sigma, on views
+    of a, and the clip at 0 only removes round-off.  The result is divided by
+    the weights' sum, which is 1 to that bound, so their rounding drops out.
     """
-    cuts = _cuts(v.size)
-    term = v.copy()
-    prod = np.empty_like(v)
-    pois = math.exp(-lam)
-    out = pois * term
-    total = pois  # sum_{k <= K} pois_k
-    r = r_total = pois  # pois_K rho^K, and its sum over k <= K
+    pois = [math.exp(-lam)]
+    r = r_total = pois[0]  # pois_K rho^K, and its sum over k <= K
     mean = lam * rho
     k = 0
     while True:
         r_next = r * mean / (k + 1)
         if k + 2 > mean and r_next <= _TAIL * r_total * (1.0 - mean / (k + 2)):
             break
-        for lo, hi in zip(cuts, cuts[1:]):
-            np.matmul(a[lo:hi, lo:], term[lo:], out=prod[lo:hi])
-        prod /= sigma
-        term += prod
-        np.maximum(term, 0.0, out=term)
         k += 1
-        pois *= lam / k
+        pois.append(pois[-1] * lam / k)
         r = r_next
-        total += pois
         r_total += r
-        np.multiply(term, pois, out=prod)
-        out += prod
-    out /= total
+    pois = np.array(pois)
+    cuts = _cuts(v.size)
+    steps = [lambda c, prev, d=a[lo:hi, lo:hi]: np.add(c, prev + (d @ prev) / sigma, out=c)
+             for lo, hi in zip(cuts, cuts[1:])]
+    out = pois[0] * v
+    for lo in range(1, pois.size, _IE_CHUNK):
+        hi = min(lo + _IE_CHUNK, pois.size)
+        # P has no negative entry, so a negative is round-off: clipped, never refused
+        states, _ = _sweep(a, 1.0 / sigma, steps, v, hi - lo, False, "the oracle", np.inf)
+        out += pois[lo:hi] @ states
+        v = states[-1].copy()
+        del states  # so the next chunk's states replace these, not join them
+    out /= pois.sum()
     return out
 
 

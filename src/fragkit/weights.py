@@ -89,14 +89,18 @@ class Weight:
 
     # -- evaluation -------------------------------------------------------------
 
+    def _check_log_domain(self, xs) -> None:
+        """Refuse x < 0, and x = 0 where log w, and so its derivative, is undefined."""
+        if np.any(xs < 0):
+            raise WeightDomainError("weights live on [0, inf)")
+        if self.family in ("power", "super_exponential") and np.any(xs == 0):
+            raise WeightDomainError(f"log of a {self.family} weight is undefined at x = 0")
+
     def log_eval(self, x):
         xs = np.asarray(x, dtype=float)
         scalar = np.ndim(x) == 0
-        if np.any(xs < 0):
-            raise WeightDomainError("weights live on [0, inf)")
+        self._check_log_domain(xs)
         fam = self.family
-        if fam in ("power", "super_exponential") and np.any(xs == 0):
-            raise WeightDomainError(f"log of a {fam} weight is undefined at x = 0")
         if fam == "power":
             out = self.p * np.log(xs)
         elif fam == "power_shifted":
@@ -174,6 +178,7 @@ class Weight:
         """
         xs = np.asarray(x, dtype=float)
         scalar = np.ndim(x) == 0
+        self._check_log_domain(xs)
         fam = self.family
         if fam == "power":
             out = self.p / xs

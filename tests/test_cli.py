@@ -329,10 +329,14 @@ class TestExitCodes:
         ("kernel-info", BB_EXP, "y_samples = 1,nan,5"),
         ("kernel-info", BB_EXP, "y_samples = 1,inf,5"),
         ("compare-weights", TWO_WEIGHTS, "y_samples = 2,nan,10"),
+        # these two ended in numpy's "Maximum allowed size exceeded" traceback
+        ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = 1e300"),
+        ("compare-weights", TWO_WEIGHTS, "eta0 = 1.0\ny_max = 100.0\nx_grid_n = 1e300"),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
             "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0", "x_grid_n_2.5",
             "t_end_negative", "unknown_scheme_no_step",
-            "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan"])
+            "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan",
+            "n_samples_1e300", "x_grid_n_1e300"])
     def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
         # the [params] of ``sections`` are replaced by ``params``
         text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"

@@ -597,9 +597,32 @@ class TestExpmOracle:
             expm_oracle(DiscreteGenerator(grid=g, matrix=matrix), 0.5, bump(g, 0.5, 2.0))
         assert not isinstance(err.value, InvalidInputError)
 
+    def test_overflowing_power_raises(self):
+        # a finite generator whose powers overflow: sigma t = 200 is one hop,
+        # and P^k v doubles in l with every power, so A P^k v leaves the
+        # double range after a few of them; the sweep's check refuses it
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = _gain_scaled(discretize(HOM0, RateFunction.constant(1e-4), g), 1e306)
+        with np.errstate(all="ignore"):
+            with pytest.raises(FragkitError, match="the oracle produced a non-finite value") as err:
+                expm_oracle(gen, 1e-300, bump(g, 1.0, 4.0))
+        assert not isinstance(err.value, InvalidInputError)
+
+    def test_zero_time_returns_the_state(self):
+        # t = 0 stops the series at K = 0, so the hop takes no power: the
+        # state comes back as it went in, up to the cell-content round trip
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = np.random.default_rng(7).uniform(0.0, 1.0, g.n)
+        st = expm_oracle(gen, 0.0, DensityState(grid=g, u=u0, t=0.3, dust_mass=0.7))
+        assert np.array_equal(st.u, g.weights * u0 / g.weights)
+        assert (st.t, st.dust_mass) == (0.3, 0.7)
+        bumped = bump(g, 1.0, 4.0)  # 0 and 1 survive the round trip exactly
+        assert np.array_equal(expm_oracle(gen, 0.0, bumped).u, bumped)
+
     def test_holds_no_copy_of_the_generator(self):
         # numpy reports its buffers to tracemalloc; the checks read A through
-        # views and the series holds a few vectors
+        # views and the series holds a chunk of powers and a few vectors
         g = Grid.geometric(1e-4, 20.0, 2048)
         gen = discretize(HOM0, RATE_X, g)
         u0 = bump(g, 1.0, 10.0)
@@ -734,6 +757,16 @@ class TestFiniteness:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FragkitError, match="rk4 produced a non-finite"):
                 simulate(bump(g, 1.0, 4.0), gen, 0.05, 0.01, scheme="rk4")
+
+    def test_overflowing_dust_raises(self):
+        # a huge dust flux overflows the dust alone while every cell stays
+        # finite; the run used to end with an infinite dust_mass
+        g = Grid.geometric(0.1, 5.0, 16)
+        matrix = discretize(HOM0, RATE_X, g).matrix.copy()
+        matrix[0, 1:] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FragkitError, match="implicit Euler produced a non-finite"):
+                simulate(bump(g, 0.1, 5.0), DiscreteGenerator(grid=g, matrix=matrix), 1.0, 0.5)
 
     @pytest.mark.parametrize("dt, t_end, every", [(0.0, 0.1, 1), (-0.01, 0.1, 1),
                                                   (np.inf, 0.1, 1), (np.nan, 0.1, 1),

@@ -1,5 +1,7 @@
 """Weight families: log/linear consistency, derived weights, comparisons."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,25 @@ class TestEvaluation:
             Weight.power(2.0).log_eval(0.0)
         with pytest.raises(WeightDomainError):
             Weight.super_exponential().log_eval(0.0)
+
+    @pytest.mark.parametrize("w", [Weight.power(1.0), Weight.super_exponential(),
+                                   Weight.power_shifted(1.0), Weight.exponential(2.0),
+                                   Weight.tabulated([1.0, 3.0], [0.0, 2.0])],
+                             ids=["power", "super_exponential", "power_shifted",
+                                  "exponential", "tabulated"])
+    def test_log_derivative_has_the_domain_of_log_eval(self, w):
+        # power(1).log_derivative(-1) was -1, and at 0 it warned and gave inf
+        with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
+            w.log_derivative(-1.0)
+        with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
+            w.log_derivative(np.array([1.0, -1.0]))
+        if w.family in ("power", "super_exponential"):
+            with pytest.raises(WeightDomainError, match="undefined at x = 0"):
+                w.log_derivative(0.0)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isfinite(w.log_derivative(0.0))
 
     def test_eval_overflows_to_inf_not_crash(self):
         w = Weight.super_exponential()
