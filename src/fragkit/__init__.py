@@ -8,7 +8,8 @@ checkable positivity, substochasticity, and mass-conservation guarantees.
 
 import os
 
-if os.environ.get("FRAGKIT_THREADS"):  # cap the BLAS pools before any submodule loads numpy
+# cap numpy's BLAS pool, the only BLAS fragkit uses, before any submodule loads numpy
+if os.environ.get("FRAGKIT_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["FRAGKIT_THREADS"])
 

@@ -42,16 +42,18 @@ diagonal part, the one thing a scheme supplies, and clips it at 0 before the
 next step reads it; the chunk is checked for non-finite values, the dust's
 included, and for negatives beyond the scheme's round-off, which the oracle
 only clips.
-``implicit_euler`` solves (I - dt A) v+ = v on A itself, holding no copy of
+``implicit_euler`` takes v+ = (I - dt A)^-1 v = lambda (lambda - A)^-1 v with
+lambda = 1 / dt, a multiple of the resolvent, on A itself, holding no copy of
 it: its coupling is dt A[J, >J] v+[>J], the same step's rows, and its
-diagonal step a solve with I - dt A_JJ, an M-matrix whose factor is built
-once per step length.  Every term of the right-hand side is non-negative and
-so is the block's inverse, so positivity of the update is structural, and the
-per-step weighted norm is non-increasing whenever the gain columns satisfy
-the kappa <= 1 admissibility inequality.  dt A is checked for finiteness with
-its factors, the initial state once per run; a last step off dt by rounding
-only is taken as dt, so the run's factors serve every full step, and step k
-ends at t0 + (k + 1) dt.
+diagonal step a product with the inverse of I - dt A_JJ, an upper-triangular
+M-matrix.  That inverse is built once per step length, by halves, from
+products of non-negative factors alone, so it has no negative entry; every
+term of the right-hand side is non-negative too, so positivity of the update
+is structural, and the per-step weighted norm is non-increasing whenever the
+gain columns satisfy the kappa <= 1 admissibility inequality.  dt A is
+checked for finiteness with its factors, the initial state once per run; a
+last step off dt by rounding only is taken as dt, so the run's factors serve
+every full step, and step k ends at t0 + (k + 1) dt.
 ``rk4`` takes v+ = R(dt A) v with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
 which for this linear, autonomous system is exactly the classical
 four-stage step.  In w = 1 + z, R = 3/8 + w/3 + w^2/4 + w^4/24 has
@@ -92,7 +94,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
 from .config import write_csv
 from .errors import FragkitError, InvalidInputError
@@ -105,15 +106,20 @@ __all__ = ["Grid", "DiscreteGenerator", "DensityState", "Trajectory",
 
 _DEFAULT_NORM_WEIGHT = Weight.power_shifted(1.0)
 # rows per block of ``_sweep``, for all three propagators (the top block takes
-# the rest, up to twice as many): implicit Euler solves the block's diagonal
-# factor by dtrsv, rk4 multiplies by its diagonal part of R(dt A), the oracle
-# by I + A_JJ / sigma, and each couples it to the rows below by one matrix
-# product per chunk.  For implicit Euler on a 2-vCPU VM 512 rows took half as
-# long again at N = 2048 and 512; 128 were no faster
+# the rest, up to twice as many): implicit Euler multiplies by the inverse of
+# its diagonal block of I - dt A, rk4 by its diagonal part of R(dt A), the
+# oracle by I + A_JJ / sigma, and each couples it to the rows below by one
+# matrix product per chunk.  For implicit Euler on a 2-vCPU VM 512 rows took
+# half as long again at N = 2048 and 512; 128 were no faster
 _IE_BLOCK = 256
+# most rows of a block of I - dt A that np.linalg.inv inverts whole; larger
+# ones are inverted by halves.  On a 2-vCPU VM at N = 2048 every block took
+# 9 ms by halves down to 32 rows, 10-11 ms down to 16 or 64, and 31 ms by inv
+# on each whole block
+_IE_LEAF = 32
 # steps per chunk of ``_sweep``, and powers per chunk of the oracle: the
 # operator is read once per chunk.  The chunk's states, (_IE_CHUNK, N + 1), are
-# half the size of the implicit-Euler diagonal factors; 256 steps were no
+# half the size of the implicit-Euler diagonal inverses; 256 steps were no
 # faster and need twice the room
 _IE_CHUNK = 128
 # generator columns per mass_partial call: the block's temporaries, a few
@@ -262,29 +268,43 @@ def _cuts(n: int) -> list[int]:
 
 
 def _ie_factors(a: np.ndarray, dt: float) -> list[np.ndarray]:
-    """The diagonal blocks of I - dt A, top to bottom, in Fortran order for dtrsv."""
+    """The inverses of the diagonal blocks of I - dt A, top to bottom."""
     # max and min see every NaN and inf, with no (N+1)^2 temporary
     if not (np.isfinite(dt * a.max()) and np.isfinite(dt * a.min())):
         raise FragkitError("the implicit-Euler matrix I - dt A has a non-finite entry")
     cuts = _cuts(a.shape[0])
-    factors = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        block = np.empty((hi - lo, hi - lo), order="F")
-        np.multiply(a[lo:hi, lo:hi], -dt, out=block)
-        block[np.diag_indices(hi - lo)] += 1.0
-        factors.append(block)
-    return factors
+    return [_ie_inverse(a[lo:hi, lo:hi], dt) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _ie_inverse(d: np.ndarray, dt: float) -> np.ndarray:
+    """(I - dt d)^-1 for an upper-triangular block d, by halves.
+
+    The inverse of [[I - dt d11, -dt d12], [0, I - dt d22]] is [[X11, X12],
+    [0, X22]] with X12 = X11 (dt d12) X22.  When d's off-diagonal entries are
+    non-negative, I - dt d is an M-matrix and every factor of that product has
+    no negative entry, so nothing cancels; nor does the back substitution of
+    np.linalg.inv on a leaf, which meets no pivot and sums terms of one sign.
+    So X has no negative entry, and nothing below its diagonal.
+    """
+    n = d.shape[0]
+    if n <= _IE_LEAF:
+        return np.linalg.inv(np.eye(n) - dt * d)
+    h = n // 2
+    x = np.zeros((n, n))
+    x[:h, :h] = _ie_inverse(d[:h, :h], dt)
+    x[h:, h:] = _ie_inverse(d[h:, h:], dt)
+    np.matmul(x[:h, :h] @ (d[:h, h:] * dt), x[h:, h:], out=x[:h, h:])
+    return x
 
 
 def _ie_chunk(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray, m: int
               ) -> tuple[np.ndarray, float]:
     """m implicit-Euler steps from v: ``(states, low)`` as ``_sweep`` gives them.
 
-    Each block solves (I - dt A_JJ) x = prev + dt A[J, >J] x[>J] by its factor,
-    so the coupling reads the same step's rows below.
+    Each block takes x = (I - dt A_JJ)^-1 (prev + dt A[J, >J] x[>J]), its
+    factor times the sum, so the coupling reads the same step's rows below.
     """
-    steps = [lambda c, prev, f=f: dtrsv(f, np.add(c, prev, out=c), overwrite_x=1)
-             for f in factors]
+    steps = [lambda c, prev, f=f: f @ np.add(c, prev, out=c) for f in factors]
     # non-negativity is structural; anything below is round-off
     return _sweep(a, dt, steps, v, m, True, "implicit Euler", 1e-12)
 

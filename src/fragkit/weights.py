@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInputError, QuadratureError, WeightDomainError
 from .kernels import RateFunction, rate_envelope
@@ -183,9 +182,12 @@ class Weight:
         if fam == "power":
             out = self.p / xs
         elif fam == "power_shifted":
-            # (p/x) * x^p/(1+x^p); the sigmoid keeps large x^p finite
+            # (p/x) * x^p/(1+x^p), the logistic of t = p log x taken as
+            # 1/(1+e) or e/(1+e) with e = e^-|t| <= 1, so no x^p overflows
             t = self.p * np.log(np.where(xs > 0, xs, 1.0))
-            out = np.where(xs > 0, self.p / np.where(xs > 0, xs, 1.0) * expit(t), 0.0)
+            e = np.exp(-np.abs(t))
+            out = np.where(xs > 0, self.p / np.where(xs > 0, xs, 1.0)
+                           * (np.where(t >= 0, 1.0, e) / (1.0 + e)), 0.0)
         elif fam == "exponential":
             out = np.full_like(xs, np.log(self.base))
         elif fam == "super_exponential":

@@ -16,7 +16,7 @@ from scipy.linalg import expm, solve_triangular
 from fragkit import simulator
 from fragkit.errors import FragkitError, InvalidInputError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
-from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, DensityState,
+from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, _IE_LEAF, DensityState,
                                DiscreteGenerator, Grid, _ie_chunk, _ie_factors, _rk4_chunk,
                                _rk4_matrix, bump, column_kappa, discretize, exp_decay,
                                expm_oracle, semigroup_check, simulate)
@@ -635,16 +635,25 @@ class TestExpmOracle:
         assert peak < 0.1 * gen.matrix.nbytes
 
     def test_imports_no_sparse_linear_algebra(self):
-        # scipy.sparse.linalg costs tens of ms to import, and its norm
-        # estimates draw from numpy's global random stream
+        # fragkit runs on numpy alone: importing scipy's linalg and special
+        # modules costs about a third of a second and 30 MB and loads a second
+        # BLAS with its own threads, and scipy.sparse.linalg's norm estimates
+        # draw from numpy's global random stream
         code = ("import sys\n"
+                "import fragkit\n"
                 "from fragkit.kernels import FragmentKernel, RateFunction\n"
                 "from fragkit.simulator import Grid, bump, discretize, expm_oracle, semigroup_check\n"
+                "from fragkit.simulator import simulate\n"
+                "from fragkit.weights import Weight\n"
                 "g = Grid.geometric(0.1, 5.0, 16)\n"
                 "gen = discretize(FragmentKernel.homogeneous_power(0.0), RateFunction.power(1.0), g)\n"
                 "expm_oracle(gen, 0.5, bump(g, 0.5, 2.0))\n"
                 "semigroup_check(gen, bump(g, 0.5, 2.0), 0.3, 0.2, scheme='expm')\n"
-                "assert 'scipy.sparse.linalg' not in sys.modules, 'scipy.sparse.linalg was imported'\n")
+                "simulate(bump(g, 0.5, 2.0), gen, 0.1, 0.01, scheme='implicit_euler')\n"
+                "simulate(bump(g, 0.5, 2.0), gen, 0.1, 0.01, scheme='rk4')\n"
+                "Weight.power_shifted(2.0).log_derivative(g.nodes)\n"
+                "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+                "assert not loaded, loaded\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simulator.__file__)))
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120)
@@ -708,7 +717,8 @@ class TestSemigroupCheck:
 
 class TestFiniteness:
     """The implicit-Euler matrix is checked once per run and the initial state
-    once; the triangular solves themselves skip LAPACK's input check."""
+    once; the steps themselves, products with the blocks' inverses, check
+    nothing until the sweep's check of each chunk."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gain_raises(self, bad):
@@ -823,6 +833,27 @@ class TestBlockedImplicitEuler:
         got, low = _ie_chunk(a, _ie_factors(a, dt), dt, v0, m)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         assert low >= 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, _IE_LEAF - 1, _IE_LEAF, _IE_LEAF + 1, 63, 64, 65,
+                                 _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK - 1]),
+           seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-4, 10.0))
+    def test_factors_are_non_negative_inverses(self, size, seed, dt):
+        # the generator of test_matches_repeated_triangular_solves: each block
+        # of I - dt A is an upper-triangular M-matrix, whose inverse, built by
+        # halves, has no negative entry and nothing below its diagonal
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(0.0, 1.0, (size, size)), 1) / size
+        a[np.diag_indices(size)] = -rng.uniform(0.0, 2.0, size)
+        cuts = simulator._cuts(size)
+        factors = _ie_factors(a, dt)
+        assert len(factors) == len(cuts) - 1
+        for (lo, hi), x in zip(zip(cuts, cuts[1:]), factors):
+            assert x.shape == (hi - lo, hi - lo)
+            assert x.min() >= 0
+            assert not np.tril(x, -1).any()
+            np.testing.assert_allclose((np.eye(hi - lo) - dt * a[lo:hi, lo:hi]) @ x,
+                                       np.eye(hi - lo), rtol=0, atol=1e-12)
 
     def test_holds_no_copy_of_the_generator(self):
         # numpy reports its buffers to tracemalloc; I - dt A as a whole would

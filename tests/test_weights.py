@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fragkit import admissibility
 from fragkit.errors import InvalidInputError, QuadratureError, WeightDomainError
@@ -61,6 +62,28 @@ class TestEvaluation:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert np.isfinite(w.log_derivative(0.0))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
+                        reason="the reference needs a long double wider than a double")
+    @pytest.mark.parametrize("p", [-3.0, 0.5, 2.0, 400.0])
+    def test_power_shifted_log_derivative_is_the_logistic(self, p):
+        # (p/x) expit(t) at t = p log x over |t| <= 745, with x and p/x kept
+        # finite (so |t| <= 345 at p = 0.5).  scipy's expit in double is
+        # 1/(1 + e^-t), 0 below t = -709.78, so the reference is its long-double
+        # loop on the same double t.  Below log(tiny) the logistic is subnormal,
+        # and its one rounding, 2^-1074, times p/x adds to the 4 ulp
+        log_x = np.linspace(max(-745.0 / abs(p), np.log(1e-300)),
+                            min(745.0 / abs(p), np.log(1e300)), 4001)
+        x = np.exp(log_x)
+        t = p * np.log(x)
+        assert t.min() < -340 and t.max() > 340
+        ld = np.longdouble
+        want = (ld(p) / x.astype(ld) * expit(t.astype(ld))).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Weight.power_shifted(p).log_derivative(x)
+        bound = 4 * np.spacing(np.abs(want)) + np.abs(p / x) * 2.0**-1074
+        assert np.all(np.abs(got - want) <= bound)
 
     def test_eval_overflows_to_inf_not_crash(self):
         w = Weight.super_exponential()
