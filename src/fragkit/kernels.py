@@ -54,14 +54,15 @@ class RateFunction:
     @classmethod
     def power(cls, alpha: float) -> "RateFunction":
         """a(x) = x**alpha with alpha >= 0 (monotone, its own envelope)."""
-        if alpha < 0:
-            raise InvalidKernelError("power rate needs alpha >= 0 (local boundedness)")
+        if not 0 <= alpha < np.inf:  # a NaN alpha fails this test too
+            raise InvalidKernelError("power rate needs a finite alpha >= 0 (local boundedness), "
+                                     f"got {alpha!r}")
         return cls(family="power", alpha=float(alpha))
 
     @classmethod
     def constant(cls, level: float = 1.0) -> "RateFunction":
-        if level < 0:
-            raise InvalidKernelError("rate must be non-negative")
+        if not 0 <= level < np.inf:
+            raise InvalidKernelError(f"rate must be finite and non-negative, got {level!r}")
         return cls(family="constant", level=float(level))
 
     @classmethod
@@ -73,6 +74,8 @@ class RateFunction:
         tab = np.asarray(pairs, dtype=float)
         if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
             raise InvalidKernelError("rate table needs at least two (x, a) pairs")
+        if not np.isfinite(tab).all():  # a NaN passes both checks below
+            raise InvalidKernelError("rate table entries must be finite")
         if np.any(np.diff(tab[:, 0]) <= 0):
             raise InvalidKernelError("rate table abscissae must be strictly increasing")
         if np.any(tab[:, 1] < 0):

@@ -42,32 +42,33 @@ diagonal part, the one thing a scheme supplies, and clips it at 0 before the
 next step reads it; the chunk is checked for non-finite values, the dust's
 included, and for negatives beyond the scheme's round-off, which the oracle
 only clips.
-``implicit_euler`` takes v+ = (I - dt A)^-1 v = lambda (lambda - A)^-1 v with
-lambda = 1 / dt, a multiple of the resolvent, on A itself, holding no copy of
-it: its coupling is dt A[J, >J] v+[>J], the same step's rows, and its
-diagonal step a product with the inverse of I - dt A_JJ, an upper-triangular
-M-matrix.  That inverse is built once per step length, by halves, from
-products of non-negative factors alone, so it has no negative entry; every
-term of the right-hand side is non-negative too, so positivity of the update
-is structural, and the per-step weighted norm is non-increasing whenever the
-gain columns satisfy the kappa <= 1 admissibility inequality.  dt A is
-checked for finiteness with its factors, the initial state once per run; a
-last step off dt by rounding only is taken as dt, so the run's factors serve
-every full step, and step k ends at t0 + (k + 1) dt.
-``rk4`` takes v+ = R(dt A) v with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+A run from t0 to t_end takes n = ceil((t_end - t0) / dt - 1e-12) equal steps
+of length h, so each scheme builds one step operator per run: h is dt when
+n dt is t_end - t0 to 1e-12 dt, and (t_end - t0) / n otherwise, a little
+shorter than dt; step k ends at t0 + (k + 1) h, and the last at t_end.  A
+scheme is one builder, ``(A, h) -> step``, listed in ``_SCHEMES``, and its
+``step(v, m)`` takes m steps from v by the sweep.
+``implicit_euler`` takes v+ = (I - h A)^-1 v = lambda (lambda - A)^-1 v with
+lambda = 1 / h, a multiple of the resolvent, on A itself, holding no copy of
+it: its coupling is h A[J, >J] v+[>J], the same step's rows, and its
+diagonal step a product with the inverse of I - h A_JJ, an upper-triangular
+M-matrix.  That inverse is built by halves, from products of non-negative
+factors alone, so it has no negative entry; every term of the right-hand
+side is non-negative too, so positivity of the update is structural, and the
+per-step weighted norm is non-increasing whenever the gain columns satisfy
+the kappa <= 1 admissibility inequality.  h A is checked for finiteness with
+its factors, the initial state once per run.
+``rk4`` takes v+ = R(h A) v with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
 which for this linear, autonomous system is exactly the classical
 four-stage step.  In w = 1 + z, R = 3/8 + w/3 + w^2/4 + w^4/24 has
-non-negative coefficients summing to 1, and B = I + hA has no negative entry
-once h max_j a_j <= 1.  So R(hA), built by Horner in B for h = dt / 2^k with
+non-negative coefficients summing to 1, and B = I + gA has no negative entry
+once g max_j a_j <= 1.  So R(hA), built by Horner in B for g = h / 2^k with
 the least such k and squared k times, makes no negative and does not raise
-the weighted norm when the gain columns satisfy kappa <= 1.  Like the factors,
-R is built once per step length and applied by the sweep, its coupling on
-the previous step's rows: once for the full steps, and once more for a short
-last step, whose build, like a full step's, grows with log2(h max_j a_j).
-Both schemes release one step length's operator before they build the next.
-R is one more (N+1)^2 array (two while it is built), and its build costs
-about as much as N / 30 to N / 20 stage-form steps, so a shorter run, or one
-that ends on a short step, is slower than stepping stage by stage would be.
+the weighted norm when the gain columns satisfy kappa <= 1; its build grows
+with log2(h max_j a_j).  The sweep applies it with its coupling on the
+previous step's rows.  R is one more (N+1)^2 array (two while it is built),
+and its build costs about as much as N / 30 to N / 20 stage-form steps, so a
+shorter run is slower than stepping stage by stage would be.
 Both schemes record a chunk of states at once: the sampled observables are
 one product of the states with (1, x, w) on the cells.
 ``expm_oracle``, the reference propagator for tests, applies e^{tA} by
@@ -152,8 +153,8 @@ class Grid:
     @classmethod
     def geometric(cls, x_min: float, x_max: float, n: int) -> "Grid":
         # past 2^53 nodes the node index is no longer exact, and no grid could hold them
-        if not (0 < x_min < x_max and 4 <= n < 2**53):
-            raise InvalidInputError("need 0 < x_min < x_max and 4 <= n < 2^53")
+        if not (0 < x_min < x_max and isinstance(n, (int, np.integer)) and 4 <= n < 2**53):
+            raise InvalidInputError("need 0 < x_min < x_max and an integer 4 <= n < 2^53")
         nodes = np.geomspace(x_min, x_max, n)
         edges = np.empty(n + 1)
         edges[0] = nodes[0]
@@ -207,13 +208,24 @@ def discretize(kernel: FragmentKernel, rate: RateFunction, grid: Grid) -> Discre
     return DiscreteGenerator(grid=grid, matrix=matrix)
 
 
+def _norm_weight(weight: Weight, grid: Grid) -> np.ndarray:
+    """w at the nodes, refused where it is not finite: past the double range no
+    weighted norm, nor any ratio of its columns, is a number."""
+    wv = weight.eval(grid.nodes)
+    bad = grid.nodes[~np.isfinite(wv)]
+    if bad.size:
+        raise InvalidInputError(f"the norm weight {weight.describe()} is not finite at the node "
+                                f"x = {float(bad[0])!r}; take a smaller x_max")
+    return wv
+
+
 def column_kappa(gen: DiscreteGenerator, weight: Weight) -> float:
     """max over active columns of (sum_i w(x_i) B_ij) / (a_j w(x_j)).
 
     A value <= 1 is the discrete form of the admissibility inequality and
     makes the implicit-Euler weighted norm non-increasing step by step.
     """
-    wv = weight.eval(gen.grid.nodes)
+    wv = _norm_weight(weight, gen.grid)
     loss = -np.diagonal(gen.matrix)[1:]
     active = loss > 0
     if not np.any(active):
@@ -297,16 +309,16 @@ def _ie_inverse(d: np.ndarray, dt: float) -> np.ndarray:
     return x
 
 
-def _ie_chunk(a: np.ndarray, factors: list[np.ndarray], dt: float, v: np.ndarray, m: int
-              ) -> tuple[np.ndarray, float]:
-    """m implicit-Euler steps from v: ``(states, low)`` as ``_sweep`` gives them.
+def _implicit_euler(a: np.ndarray, h: float):
+    """The implicit-Euler stepper of step length h on A = a: ``step(v, m)``
+    takes m steps from v and returns ``(states, low)`` as ``_sweep`` gives them.
 
-    Each block takes x = (I - dt A_JJ)^-1 (prev + dt A[J, >J] x[>J]), its
+    Each block takes x = (I - h A_JJ)^-1 (prev + h A[J, >J] x[>J]), its
     factor times the sum, so the coupling reads the same step's rows below.
     """
-    steps = [lambda c, prev, f=f: f @ np.add(c, prev, out=c) for f in factors]
+    steps = [lambda c, prev, f=f: f @ np.add(c, prev, out=c) for f in _ie_factors(a, h)]
     # non-negativity is structural; anything below is round-off
-    return _sweep(a, dt, steps, v, m, True, "implicit Euler", 1e-12)
+    return lambda v, m: _sweep(a, h, steps, v, m, True, "implicit Euler", 1e-12)
 
 
 def _sweep(couple: np.ndarray, scale: float, steps: list, v: np.ndarray, m: int,
@@ -390,17 +402,29 @@ def _rk4_matrix(a: np.ndarray, dt: float) -> np.ndarray:
     return p
 
 
-def _rk4_chunk(r: np.ndarray, v: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """m rk4 steps from v by R = R(dt A): ``(states, low)`` as ``_sweep`` gives them.
+def _rk4(a: np.ndarray, h: float):
+    """The rk4 stepper of step length h on A = a, by R = R(h A), as
+    ``_implicit_euler`` gives its stepper.
 
     Each block adds R_JJ prev to its coupling R[J, >J] x[>J], which reads the
     previous step's rows below.
     """
-    cuts = _cuts(v.size)
+    r = _rk4_matrix(a, h)
+    cuts = _cuts(a.shape[0])
     steps = [lambda c, prev, d=r[lo:hi, lo:hi]: np.add(c, d @ prev, out=c)
              for lo, hi in zip(cuts, cuts[1:])]
     # R has no negative entry unless A has one off its diagonal
-    return _sweep(r, 1.0, steps, v, m, False, "rk4", 1e-14)
+    return lambda v, m: _sweep(r, 1.0, steps, v, m, False, "rk4", 1e-14)
+
+
+# each scheme's builder (A, h) -> stepper; the one list of the schemes simulate takes
+_SCHEMES = {"implicit_euler": _implicit_euler, "rk4": _rk4}
+
+
+def _check_scheme(scheme: str, *names: str) -> None:
+    if scheme not in names:
+        raise InvalidInputError(f"unknown scheme {scheme!r}; "
+                                f"use {', '.join(names[:-1])} or {names[-1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +451,11 @@ class Trajectory:
 def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
              scheme: str = "implicit_euler", weight: Weight | None = None,
              sample_every: int = 1) -> Trajectory:
-    """Evolve u0 to t_end with fixed steps, sampling observables as it goes.
+    """Evolve u0 to t_end with equal steps, sampling observables as it goes.
 
+    The run takes n = ceil((t_end - t0) / dt - 1e-12) steps of length h: dt
+    when n dt is t_end - t0 to 1e-12 dt, else (t_end - t0) / n, so the last
+    step ends at t_end and one step operator serves the whole run.
     ``u0`` may be a density array on the generator's grid or a DensityState.
     The dust is state component 0, advanced by the same scheme as the cells,
     so M1 + dust is conserved to round-off.
@@ -438,8 +465,7 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
             and isinstance(sample_every, (int, np.integer)) and sample_every >= 1):
         raise InvalidInputError("need finite dt > 0 and t_end, and an integer sample_every >= 1; got "
                                 f"dt = {dt!r}, t_end = {t_end!r}, sample_every = {sample_every!r}")
-    if scheme not in ("implicit_euler", "rk4"):
-        raise InvalidInputError(f"unknown scheme {scheme!r}; use implicit_euler or rk4")
+    _check_scheme(scheme, *_SCHEMES)
     if t_end < state.t:
         raise InvalidInputError(f"t_end = {t_end!r} is before the initial time {state.t!r}")
     # past 2^53 steps t0 + k dt is no longer exact, and no run could take them
@@ -452,44 +478,31 @@ def simulate(u0, gen: DiscreteGenerator, t_end: float, dt: float,
     probe = np.zeros((gen.grid.n + 1, 4))
     probe[0, 0] = 1.0
     probe[1:, 1:] = np.column_stack([np.ones(gen.grid.n), gen.grid.nodes,
-                                     weight.eval(gen.grid.nodes)])
+                                     _norm_weight(weight, gen.grid)])
 
-    t0 = state.t
+    t0, span = state.t, t_end - state.t
     v = np.append(state.dust_mass, w * state.u)
-    n_steps = int(np.ceil((t_end - t0) / dt - 1e-12))
-    # step k ends at t0 + (k + 1) dt and the last at t_end; a last step off dt
-    # by rounding only is taken as dt, so it reuses the run's step operator
-    last = t_end - (t0 + (n_steps - 1) * dt)
-    if abs(last - dt) <= 1e-12 * dt:
-        last = dt
-    full = n_steps if last == dt else n_steps - 1
+    n_steps = int(np.ceil(span / dt - 1e-12))
+    # n_steps equal steps of length h end at t_end: h is dt when n_steps dt is
+    # the span to rounding, so step k of a whole number of dt ends at t0 + (k + 1) dt
+    h = span / n_steps if n_steps and abs(n_steps * dt - span) > 1e-12 * dt else dt
     # samples after these many steps: the start, every sample_every-th and the last
     sampled = np.append(np.arange(0, n_steps, sample_every), n_steps)
-    times = t0 + sampled * dt
+    times = t0 + sampled * h
     if n_steps:
         times[-1] = t_end
 
     obs = [v[None, :] @ probe]
     min_content = float(np.min(v[1:], initial=np.inf))
-    done = 0
-    h_op = step_op = None  # a step length and its implicit-Euler factors or R(h A)
-    while done < n_steps:
-        # chunks of full steps, then a short last step on an operator of its own
-        h, m = (dt, min(_IE_CHUNK, full - done)) if done < full else (last, 1)
-        if h != h_op:
-            step_op = None  # released before its successor is built
-            step_op = (_ie_factors if scheme == "implicit_euler" else _rk4_matrix)(gen.matrix, h)
-            h_op = h
-        if scheme == "implicit_euler":
-            states, low = _ie_chunk(gen.matrix, step_op, h, v, m)
-        else:
-            states, low = _rk4_chunk(step_op, v, m)
+    step = _SCHEMES[scheme](gen.matrix, h) if n_steps else None
+    for done in range(0, n_steps, _IE_CHUNK):
+        m = min(_IE_CHUNK, n_steps - done)
+        states, low = step(v, m)
         min_content = min(min_content, low)
         rows = sampled[(sampled > done) & (sampled <= done + m)] - done - 1
         obs.append((states @ probe)[rows])  # every row, so a row's values do not depend on sample_every
         v = states[-1].copy()
         del states  # so the next chunk's states replace these, not join them
-        done += m
 
     dust, m0, m1, norm = np.concatenate(obs).T.copy()
     return Trajectory(times=times, M0=m0, M1=m1, norm_omega=norm, dust_mass=dust,
@@ -588,6 +601,8 @@ def semigroup_check(gen: DiscreteGenerator, u0, t: float, s: float, *,
     ``u0`` may be a density array or a DensityState; both hops start at its clock.
     """
     weight = weight or _DEFAULT_NORM_WEIGHT
+    _check_scheme(scheme, *_SCHEMES, "expm")
+    wv = _norm_weight(weight, gen.grid)
     state = _as_state(u0, gen)
     t0 = state.t
     if scheme == "expm":
@@ -597,7 +612,5 @@ def semigroup_check(gen: DiscreteGenerator, u0, t: float, s: float, *,
         one = simulate(state, gen, t0 + t + s, dt, scheme=scheme, weight=weight).final
         half = simulate(state, gen, t0 + s, dt, scheme=scheme, weight=weight).final
         two = simulate(half, gen, t0 + s + t, dt, scheme=scheme, weight=weight).final
-    wv = weight.eval(gen.grid.nodes)
-    mu_diff = gen.grid.weights * (one.u - two.u)
     denom = float(np.abs(wv * gen.grid.weights * one.u).sum())
-    return float(np.abs(wv * mu_diff).sum()) / max(denom, 1e-300)
+    return float(np.abs(wv * (gen.grid.weights * (one.u - two.u))).sum()) / max(denom, 1e-300)

@@ -46,17 +46,21 @@ class Weight:
 
     @classmethod
     def power(cls, p: float) -> "Weight":
+        if not np.isfinite(p):
+            raise WeightDomainError(f"power weight needs a finite p, got {p!r}")
         return cls(family="power", p=float(p))
 
     @classmethod
     def power_shifted(cls, p: float) -> "Weight":
         """w(x) = 1 + x^p; p=1 gives the classic number-plus-mass weight."""
+        if not np.isfinite(p):
+            raise WeightDomainError(f"power_shifted weight needs a finite p, got {p!r}")
         return cls(family="power_shifted", p=float(p))
 
     @classmethod
     def exponential(cls, base: float) -> "Weight":
-        if base <= 1.0:
-            raise WeightDomainError("exponential weight needs base c > 1")
+        if not 1.0 < base < np.inf:  # a NaN base fails this test too
+            raise WeightDomainError(f"exponential weight needs a finite base c > 1, got {base!r}")
         return cls(family="exponential", base=float(base))
 
     @classmethod
@@ -70,6 +74,8 @@ class Weight:
         v = np.asarray(log_values, dtype=float)
         if k.ndim != 1 or k.shape != v.shape or k.size < 2:
             raise WeightDomainError("tabulated weight needs matching 1-d knots/log values (>= 2)")
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):  # a NaN knot passes diff <= 0
+            raise WeightDomainError("tabulated weight needs finite knots and log values")
         if np.any(np.diff(k) <= 0):
             raise WeightDomainError("tabulated weight knots must be strictly increasing")
         return cls(family="tabulated", knots=k, log_values=v)
@@ -82,16 +88,16 @@ class Weight:
 
     def scaled(self, lam: float) -> "Weight":
         """The weight lam * w, kept exact as a log-space offset."""
-        if lam <= 0:
-            raise WeightDomainError("scaling factor must be positive")
+        if not 0 < lam < np.inf:
+            raise WeightDomainError(f"scaling factor must be positive and finite, got {lam!r}")
         return replace(self, log_offset=self.log_offset + float(np.log(lam)))
 
     # -- evaluation -------------------------------------------------------------
 
     def _check_log_domain(self, xs) -> None:
-        """Refuse x < 0, and x = 0 where log w, and so its derivative, is undefined."""
-        if np.any(xs < 0):
-            raise WeightDomainError("weights live on [0, inf)")
+        """Refuse x < 0 or NaN, and x = 0 where log w, and so its derivative, is undefined."""
+        if not np.all(xs >= 0):
+            raise WeightDomainError("weights live on [0, inf); x has a negative or NaN entry")
         if self.family in ("power", "super_exponential") and np.any(xs == 0):
             raise WeightDomainError(f"log of a {self.family} weight is undefined at x = 0")
 
@@ -135,8 +141,8 @@ class Weight:
         """w(x); rounds to inf past the double range and to 0 at x=0 for vanishing families."""
         xs = np.asarray(x, dtype=float)
         scalar = np.ndim(x) == 0
-        if np.any(xs < 0):
-            raise WeightDomainError("weights live on [0, inf)")
+        if not np.all(xs >= 0):
+            raise WeightDomainError("weights live on [0, inf); x has a negative or NaN entry")
         scale = np.exp(self.log_offset)
         with np.errstate(over="ignore"):
             if self.family == "power":

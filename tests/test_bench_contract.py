@@ -1,4 +1,6 @@
-"""What the benchmark in ``perfbench/`` needs of fragkit: the names it traces and its warm-up.
+"""What the benchmark in ``perfbench/`` needs of fragkit: the names it traces,
+its warm-up, and a tiny cycle of each workload that passes the benchmark's own
+check of every operation's output.
 
 The benchmark's own self-test is not collected here, so a rename or a dropped
 keyword that breaks the benchmark would otherwise pass this suite.  Nothing in
@@ -15,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bench  # noqa: E402
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("module, name, span", tracer.FUNCTIONS)
@@ -29,3 +32,11 @@ def test_traced_method_resolves(module, cls, method, span):
 
 def test_warm_up_runs(tmp_path):
     bench.warm_up(str(tmp_path))
+
+
+@pytest.mark.parametrize("workload", sorted(workloads._CYCLES))
+def test_tiny_cycle_passes_the_benchmark_checks(tmp_path, workload):
+    # each op's own verifier, the benchmark's check of its output, runs here too
+    for op in workloads.make_cycle(workload, 4, 0, str(tmp_path), tiny=True):
+        elapsed, failure = bench._execute(op, None)
+        assert failure is None, f"{op.label}: {failure}"

@@ -388,6 +388,37 @@ class TestExitCodes:
                     "[params]\ndelta1 = 0.001\ndelta2 = 1\nd = 1.5\nb_m = 1\n")
         assert main(["find-exp-weight", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("command, text", [
+        ("check-weight", BB_EXP.replace("base = 2.718281828459045", "base = nan")),
+        ("check-weight", BB_POW.replace("p = 2.0", "p = nan")),
+        ("check-weight", BB_POW.replace("family = power\np = 2.0",
+                                        "family = tabulated\ntable_file = {tmp}/w.csv")),
+        ("simulate", SIM.replace("alpha = 1", "alpha = nan")),
+        ("simulate", SIM.replace("family = power\nalpha = 1",
+                                 "family = tabulated\ntable = 0:1, 1:nan, 30:2")),
+    ], ids=["base_nan", "p_nan", "weight_csv_nan", "alpha_nan", "rate_table_nan"])
+    def test_non_finite_family_parameter_exit_2(self, tmp_path, capsys, command, text):
+        # check-weight ran every sample to "failed" and exited 3; simulate
+        # exited 2 only through "I - dt A has a non-finite entry"
+        (tmp_path / "w.csv").write_text("x,log_omega\n1,0\n2,nan\n4,3\n")
+        cfg = write(tmp_path / "nan.cfg", text.format(tmp=tmp_path))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and "dt A" not in err
+
+    def test_simulate_overflowing_norm_weight_exit_2(self, tmp_path, capsys):
+        # x e^(x^2) overflows past x ~ 26.6: the norm_omega column was NaN, and
+        # --assert substochastic skipped its column test and exited 1
+        text = SIM.replace("family = power\np = 1", "family = super_exponential") \
+            .replace("x_max = 20", "x_max = 40")
+        cfg = write(tmp_path / "sx.cfg", text)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--assert", "substochastic"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the norm weight w(x) = x exp(x^2) is not finite at the node x = ")
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
     def test_simulate_with_asserts(self, tmp_path):
         cfg = write(tmp_path / "i.cfg", SIM)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path),
@@ -439,8 +470,8 @@ y_samples = 1,5,25
         assert "quadrature failed at y = 5" in out
 
     def test_simulate_stiff_rk4(self, tmp_path):
-        # dt a = 500: two full steps and a short one, each 2^k substeps that
-        # stay non-negative, where the stage form halved or gave up
+        # t_end / dt = 2.5: three equal steps with h a = 500 * 2.5 / 3, each 2^k
+        # substeps that stay non-negative, where the stage form halved or gave up
         text = SIM.replace("family = power\nalpha = 1", "family = constant\nlevel = 500") \
             .replace("dt = 2e-3", "dt = 1").replace("t_end = 0.25", "t_end = 2.5")
         assert "level = 500" in text and "dt = 1\n" in text

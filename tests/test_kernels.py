@@ -35,6 +35,18 @@ class TestRateEvaluation:
         with pytest.raises(InvalidKernelError):
             RateFunction.power(-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # a NaN passed the "< 0" checks, and the simulator met it only as a
+        # non-finite entry of I - dt A
+        with pytest.raises(InvalidKernelError, match="finite"):
+            RateFunction.power(bad)
+        with pytest.raises(InvalidKernelError, match="finite"):
+            RateFunction.constant(bad)
+        for table in ([(0.0, 1.0), (1.0, bad), (30.0, 2.0)], [(0.0, 1.0), (bad, 2.0)]):
+            with pytest.raises(InvalidKernelError, match="finite"):
+                RateFunction.tabulated(table)
+
 
 class TestRateEnvelope:
     def test_monotone_rate_is_its_own_envelope(self):

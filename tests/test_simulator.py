@@ -17,7 +17,7 @@ from fragkit import simulator
 from fragkit.errors import FragkitError, InvalidInputError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
 from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, _IE_LEAF, DensityState,
-                               DiscreteGenerator, Grid, _ie_chunk, _ie_factors, _rk4_chunk,
+                               DiscreteGenerator, Grid, _ie_factors, _implicit_euler, _rk4,
                                _rk4_matrix, bump, column_kappa, discretize, exp_decay,
                                expm_oracle, semigroup_check, simulate)
 from fragkit.weights import Weight
@@ -91,6 +91,10 @@ class TestGrid:
         # past 2^53 nodes no grid could be held: 1e300 raised a bare TypeError in geomspace
         for n in (2**53, 1e300):
             with pytest.raises(InvalidInputError, match="2\\^53"):
+                Grid.geometric(0.1, 1.0, n)
+        # a float n raised a bare TypeError in geomspace, even a whole one
+        for n in (4.5, 4.0):
+            with pytest.raises(InvalidInputError, match="integer"):
                 Grid.geometric(0.1, 1.0, n)
 
 
@@ -289,14 +293,14 @@ class TestStep:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped on bad input")
 
-        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk"):
+        for name in ("_ie_factors", "_rk4_matrix", "_sweep"):
             monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(InvalidInputError):
             simulate(DensityState(grid=g, u=bump(g, 1.0, 2.0), t=t0), gen, t_end, dt,
                      scheme=scheme)
 
     def test_one_factor_build_per_run(self, monkeypatch):
-        # 0.2 - 99 * 2e-3 is 2e-3 plus 1.8e-18: that last step reuses the run's factors
+        # 0.2 / 2e-3 is 100 to rounding: the run takes 100 steps of dt itself
         builds = []
         real = simulator._ie_factors
         monkeypatch.setattr(simulator, "_ie_factors",
@@ -308,7 +312,9 @@ class TestStep:
         assert traj.times.size == 101
         assert abs(traj.times[-1] - 0.2) <= 1e-12
 
-    def test_a_short_last_step_gets_its_own_factors(self, monkeypatch):
+    def test_a_span_off_the_dt_grid_takes_equal_steps(self, monkeypatch):
+        # 0.25 / 0.1 is 2.5: three equal steps of 0.25 / 3, on one set of factors,
+        # where a short last step of 0.05 used to build a second set
         builds = []
         real = simulator._ie_factors
         monkeypatch.setattr(simulator, "_ie_factors",
@@ -317,16 +323,49 @@ class TestStep:
         gen = discretize(FragmentKernel.zero(), RATE_X, g)
         u0 = exp_decay(g, 2.0)
         traj = simulate(u0, gen, 0.25, 0.1)
-        assert builds[0] == 0.1 and len(builds) == 2
-        assert builds[1] == pytest.approx(0.05, rel=1e-12)
-        np.testing.assert_allclose(traj.times, [0.0, 0.1, 0.2, 0.25], rtol=1e-15)
-        want = u0 / (1.0 + 0.1 * g.nodes) ** 2 / (1.0 + 0.05 * g.nodes)
-        np.testing.assert_allclose(traj.final.u, want, rtol=1e-13)
+        assert builds == [0.25 / 3]
+        np.testing.assert_allclose(traj.times, [0.0, 0.25 / 3, 0.5 / 3, 0.25], rtol=1e-15)
+        assert traj.times[-1] == 0.25
+        np.testing.assert_allclose(traj.final.u, u0 / (1.0 + 0.25 / 3 * g.nodes) ** 3,
+                                   rtol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scheme=st.sampled_from(["implicit_euler", "rk4"]), t0=st.floats(0.0, 10.0),
+           steps=st.floats(0.01, 2.5 * _IE_CHUNK), dt=st.floats(1e-3, 1.0))
+    def test_equal_steps_end_at_t_end(self, scheme, t0, steps, dt):
+        # any span: one operator build, equal steps of at most dt that end at
+        # t_end, and for implicit Euler the dense (I - h A)^-n v
+        t_end = t0 + steps * dt
+        assume(t_end > t0)
+        g = Grid.geometric(0.1, 5.0, 12)
+        gen = discretize(HOM0, RATE_X, g)
+        u0 = bump(g, 0.5, 4.0)
+        builds = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_ie_factors", "_rk4_matrix"):
+                real = getattr(simulator, name)
+                mp.setattr(simulator, name,
+                           lambda a, h, real=real: builds.append(h) or real(a, h))
+            traj = simulate(DensityState(grid=g, u=u0, t=t0), gen, t_end, dt, scheme=scheme)
+        n = traj.times.size - 1
+        assert n == math.ceil((t_end - t0) / dt - 1e-12)
+        assert len(builds) == 1
+        h = builds[0]
+        assert h <= dt * (1.0 + 1e-12)
+        assert np.all(np.diff(traj.times) > 0) and traj.times[-1] == t_end
+        np.testing.assert_allclose(traj.times[:-1], t0 + np.arange(n) * h, rtol=1e-15)
+        np.testing.assert_allclose(np.diff(traj.times), h, rtol=1e-8)
+        if scheme == "implicit_euler":
+            v = np.append(0.0, g.weights * u0)
+            for _ in range(n):
+                v = np.linalg.solve(np.eye(g.n + 1) - h * gen.matrix, v)
+            got = np.append(traj.final.dust_mass, g.weights * traj.final.u)
+            np.testing.assert_allclose(got, v, rtol=0, atol=1e-12 * np.abs(v).max())
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
     def test_a_run_of_no_length_takes_no_step(self, scheme):
         # at t0 = 1e6, t0 - 1e-10 rounds 16% away from 1e-10: the last step of
-        # this run of no steps came out "short", and was taken at t = t0
+        # this run of no steps once came out "short", and was taken at t = t0
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RateFunction.constant(1e9), g)
         state = DensityState(grid=g, u=bump(g, 1.0, 2.0), t=1e6)
@@ -435,9 +474,9 @@ class TestSimulate:
     @pytest.mark.parametrize("sample_every", [7, 10])
     @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
     def test_sampling_across_chunks(self, scheme, sample_every):
-        # 2 _IE_CHUNK + 3 steps, the last a half step: three chunks of full
-        # steps and one short one, none of whose edges may drop or repeat a
-        # sample; the last step is a multiple of 7 but not of 10
+        # a span of 2 _IE_CHUNK + 2.5 steps: 2 _IE_CHUNK + 3 equal steps in
+        # three chunks, none of whose edges may drop or repeat a sample; the
+        # last step is a multiple of 7 but not of 10
         g = Grid.geometric(0.1, 5.0, 32)
         gen = discretize(HOM0, RATE_X, g)
         u0 = bump(g, 0.5, 4.0)
@@ -683,6 +722,15 @@ class TestExpmOracle:
 
 
 class TestSemigroupCheck:
+    def test_unknown_scheme_names_every_scheme(self):
+        # the message came from simulate, and left out expm
+        g = Grid.geometric(0.05, 3.0, 32)
+        gen = discretize(HOM0, RATE_X, g)
+        with pytest.raises(InvalidInputError, match="use implicit_euler, rk4 or expm$"):
+            semigroup_check(gen, bump(g, 0.2, 1.5), 0.3, 0.2, scheme="leapfrog")
+        with pytest.raises(InvalidInputError, match="use implicit_euler or rk4$"):
+            simulate(bump(g, 0.2, 1.5), gen, 0.3, 0.1, scheme="expm")
+
     def test_pure_decay_commutes(self):
         g = Grid.geometric(0.1, 5.0, 24)
         gen = discretize(FragmentKernel.zero(), RATE_X, g)
@@ -715,6 +763,26 @@ class TestSemigroupCheck:
         assert later == pytest.approx(dev, rel=1e-6)
 
 
+class TestNormWeight:
+    """A norm weight past the double range on the grid is refused, naming the
+    first node where it is: its norm column was NaN, and column_kappa NaN."""
+
+    def test_overflowing_norm_weight_rejected(self):
+        g = Grid.geometric(1e-4, 40.0, 64)
+        gen = discretize(HOM0, RATE_X, g)
+        w = Weight.super_exponential()  # x e^(x^2) overflows past x ~ 26.6
+        first = g.nodes[~np.isfinite(w.eval(g.nodes))][0]
+        u0 = bump(g, 1.0, 10.0)
+        calls = [lambda: column_kappa(gen, w),
+                 lambda: simulate(u0, gen, 0.01, 1e-3, weight=w),
+                 lambda: simulate(u0, gen, 0.01, 1e-3, scheme="rk4", weight=w),
+                 lambda: semigroup_check(gen, u0, 0.01, 0.01, weight=w),
+                 lambda: semigroup_check(gen, u0, 0.01, 0.01, scheme="expm", weight=w)]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match=f"at the node x = {float(first)!r};"):
+                call()
+
+
 class TestFiniteness:
     """The implicit-Euler matrix is checked once per run and the initial state
     once; the steps themselves, products with the blocks' inverses, check
@@ -743,7 +811,7 @@ class TestFiniteness:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped a non-finite state")
 
-        for name in ("_ie_factors", "_ie_chunk", "_rk4_matrix", "_rk4_chunk"):
+        for name in ("_ie_factors", "_rk4_matrix", "_sweep"):
             monkeypatch.setattr(simulator, name, no_step)
         with pytest.raises(FragkitError, match="non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme=scheme)
@@ -809,7 +877,7 @@ def test_negative_implicit_euler_step_is_a_toolkit_error():
     a = np.zeros((5, 5))
     a[1, 2] = -1.0
     with pytest.raises(FragkitError, match="substantive negative"):
-        _ie_chunk(a, _ie_factors(a, 1.0), 1.0, np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
+        _implicit_euler(a, 1.0)(np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
 
 
 class TestBlockedImplicitEuler:
@@ -830,7 +898,7 @@ class TestBlockedImplicitEuler:
         v = v0
         for k in range(m):
             want[k] = v = solve_triangular(np.eye(size) - dt * a, v)
-        got, low = _ie_chunk(a, _ie_factors(a, dt), dt, v0, m)
+        got, low = _implicit_euler(a, dt)(v0, m)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         assert low >= 0
 
@@ -874,7 +942,7 @@ class TestBlockedImplicitEuler:
 
 
 class TestBlockedRk4:
-    """rk4 applies R(dt A), built once per step length, by the implicit-Euler sweep."""
+    """rk4 applies R(h A), built once per run, by the implicit-Euler sweep."""
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.sampled_from([1, _IE_BLOCK - 1, _IE_BLOCK, _IE_BLOCK + 1, 2 * _IE_BLOCK + 1]),
@@ -890,28 +958,26 @@ class TestBlockedRk4:
         want, v = np.empty((m, size)), v0
         for k in range(m):
             want[k] = v = _stage_form(a, v, dt)
-        got, low = _rk4_chunk(_rk4_matrix(a, dt), v0, m)
+        got, low = _rk4(a, dt)(v0, m)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(low, want[:, 1:].min(initial=np.inf), rtol=1e-12)
 
     @pytest.mark.parametrize("level, k", [(40.0, 1), (60.0, 2)])
     def test_stiff_steps_are_stage_form_substeps(self, level, k):
-        # dt a = 2 and 3: each step is 2^k stage-form substeps of dt / 2^k, the
-        # fewest with dt a / 2^k <= 1, and so is the short last step of about
-        # dt / 2, with its own k; the stage form at dt itself goes negative
+        # 20.5 steps of dt are 21 equal steps of h = 20.5 dt / 21, with h a
+        # about 1.95 and 2.93: each is 2^k stage-form substeps of h / 2^k, the
+        # fewest with h a / 2^k <= 1; the stage form at h itself goes negative
         g = Grid.geometric(0.1, 5.0, 24)
         gen = discretize(HOM0, RateFunction.constant(level), g)
         u0, dt = bump(g, 0.5, 4.0), 0.05
         traj = simulate(u0, gen, 20.5 * dt, dt, scheme="rk4")
+        h = 20.5 * dt / 21  # as simulate takes it
+        assert 2 ** (k - 1) < h * level <= 2**k
         v = np.append(0.0, g.weights * u0)
         states = [v]
-        last = 20.5 * dt - 20 * dt  # as simulate takes it: last a is 1 + 5e-15 at level 40
-        n_last = 1
-        while last / n_last * level > 1:
-            n_last *= 2
-        for h, n in [(dt, 2**k)] * 20 + [(last, n_last)]:
-            for _ in range(n):
-                v = _stage_form(gen.matrix, v, h / n)
+        for _ in range(21):
+            for _ in range(2**k):
+                v = _stage_form(gen.matrix, v, h / 2**k)
             states.append(v)
         states = np.array(states)
         assert states[:, 1:].min() >= 0 and traj.min_content >= 0
@@ -926,7 +992,7 @@ class TestBlockedRk4:
         # step's worth, where read as it is it would pile up past the check
         a = np.zeros((4, 4))
         a[1, 3] = -1e-14
-        got, low = _rk4_chunk(_rk4_matrix(a, 0.5), np.array([0.0, 0.0, 0.0, 1.0]), 6)
+        got, low = _rk4(a, 0.5)(np.array([0.0, 0.0, 0.0, 1.0]), 6)
         np.testing.assert_array_equal(got[:, 1], 0.0)
         assert low == pytest.approx(-5e-15, rel=1e-12)
 
@@ -937,7 +1003,7 @@ class TestBlockedRk4:
         a[1, 2] = -1.0
         a[2, 2] = -1.0
         with pytest.raises(FragkitError, match="rk4 produced a substantive negative"):
-            _rk4_chunk(_rk4_matrix(a, 0.5), np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
+            _rk4(a, 0.5)(np.array([0.0, 0.0, 1.0, 0.0, 0.0]), 1)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1),
@@ -948,7 +1014,7 @@ class TestBlockedRk4:
         # no negative entry: on a random conservative upper-triangular Metzler
         # generator, at dt max_j a_j = stiffness, rk4 makes no negative at all,
         # keeps M1 + dust, and keeps the weighted norm from growing when the
-        # columns satisfy kappa <= 1; tail > 0 ends on a short last step
+        # columns satisfy kappa <= 1; tail > 0 takes equal steps shorter than dt
         rng = np.random.default_rng(seed)
         g = Grid.geometric(0.1, 10.0, n)
         ell = np.append(1.0, g.nodes)
@@ -982,32 +1048,43 @@ class TestBlockedRk4:
         traj = simulate(u0, gen, (2 * _IE_CHUNK + 1) * dt, dt, scheme="rk4")  # three chunks
         assert builds == [dt] and traj.times.size == 2 * _IE_CHUNK + 2
         builds.clear()
-        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # a short last step builds its own R
-        assert builds == [0.1, 0.25 - 0.2]
+        simulate(u0, gen, 0.25, 0.1, scheme="rk4")  # three equal steps, one R
+        assert builds == [0.25 / 3]
 
-    def test_short_last_step_is_the_stage_form(self):
+    def test_equal_steps_are_the_stage_form(self):
+        # 0.25 / 0.1 is 2.5: three stage-form steps of 0.25 / 3
         g = Grid.geometric(0.1, 5.0, 16)
         gen = discretize(HOM0, RATE_X, g)
         u0 = bump(g, 0.5, 4.0)
-        two = simulate(u0, gen, 0.2, 0.1, scheme="rk4").final
-        want = _stage_form(gen.matrix, np.append(two.dust_mass, g.weights * two.u), 0.25 - 0.2)
+        want = np.append(0.0, g.weights * u0)
+        lows = []
+        for _ in range(3):
+            want = _stage_form(gen.matrix, want, 0.25 / 3)
+            lows.append(want[1:].min())
         traj = simulate(u0, gen, 0.25, 0.1, scheme="rk4")
         np.testing.assert_allclose(traj.final.u, want[1:] / g.weights, rtol=1e-12)
         np.testing.assert_allclose(traj.final.dust_mass, want[0], rtol=1e-12)
-        assert traj.min_content <= want[1:].min()
+        assert traj.min_content <= min(lows)
 
-    def test_stiff_short_last_step_builds_its_own_matrix(self):
-        # dt a = 2^20: the full step is R(hA)^(2^20) and the short last step,
-        # of dt / 2, R(hA)^(2^19), both at h = 1, the dense stage form's powers;
-        # taken as 2^19 substeps on the vector, the last step took about 20 s
+    def test_stiff_span_off_the_dt_grid_builds_one_matrix(self, monkeypatch):
+        # dt a = 2^20: a span of dt is one step R(hA)^(2^20) at h = 1, and a
+        # span of 1.5 dt two equal steps of 0.75 dt, each R(0.75 A)^(2^20),
+        # from one R; both are the dense stage form's powers
+        builds = []
+        real = simulator._rk4_matrix
+        monkeypatch.setattr(simulator, "_rk4_matrix",
+                            lambda a, h: builds.append(h) or real(a, h))
         g = Grid.geometric(0.1, 5.0, 24)
         gen = discretize(HOM0, RateFunction.constant(1.0), g)
         u0, dt = bump(g, 0.5, 4.0), 2.0**20
-        r = _stage_form(gen.matrix, np.eye(g.n + 1), 1.0)
-        v1 = np.linalg.matrix_power(r, 2**20) @ np.append(0.0, g.weights * u0)
-        v2 = np.linalg.matrix_power(r, 2**19) @ v1
-        for t_end, want in ((dt, v1), (1.5 * dt, v2)):
+        v = np.append(0.0, g.weights * u0)
+        for t_end, h, n in ((dt, dt, 1), (1.5 * dt, 0.75 * dt, 2)):
+            r = np.linalg.matrix_power(_stage_form(gen.matrix, np.eye(g.n + 1), h / dt), 2**20)
+            want = np.linalg.matrix_power(r, n) @ v
+            builds.clear()
             traj = simulate(u0, gen, t_end, dt, scheme="rk4")
+            assert builds == [h]
+            np.testing.assert_array_equal(traj.times, h * np.arange(n + 1))
             got = np.append(traj.final.dust_mass, g.weights * traj.final.u)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
             assert traj.min_content >= 0

@@ -98,6 +98,33 @@ class TestEvaluation:
         with pytest.raises(WeightDomainError):
             Weight.exponential(0.9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        # a NaN passed the "<= 1" and "<= 0" checks, and a NaN knot the
+        # "diff <= 0" one: every sample of a check then failed, exit 3
+        for make in (Weight.power, Weight.power_shifted, Weight.exponential,
+                     Weight.power(1.0).scaled):
+            with pytest.raises(WeightDomainError, match="finite"):
+                make(bad)
+        for knots, logs in (([1.0, 2.0, 3.0], [0.0, bad, 1.0]), ([1.0, bad, 3.0], [0.0, 0.5, 1.0])):
+            with pytest.raises(WeightDomainError, match="finite"):
+                Weight.tabulated(knots, logs)
+            with pytest.raises(WeightDomainError, match="finite"):
+                Weight.composite(Weight.power(1.0), 1.0, knots, logs)
+
+    @pytest.mark.parametrize("w", [Weight.power(1.0), Weight.power_shifted(1.0),
+                                   Weight.exponential(2.0), Weight.super_exponential(),
+                                   Weight.tabulated([1.0, 3.0], [0.0, 2.0])],
+                             ids=["power", "power_shifted", "exponential", "super_exponential",
+                                  "tabulated"])
+    def test_nan_x_is_a_domain_error(self, w):
+        # "x < 0" missed NaN, and each returned NaN
+        for method in (w.eval, w.log_eval, w.log_derivative):
+            with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
+                method(np.nan)
+            with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
+                method(np.array([1.0, np.nan]))
+
     def test_tabulated_interpolates_log_linearly(self):
         w = Weight.tabulated([1.0, 3.0], [0.0, 2.0])
         assert w.log_eval(2.0) == pytest.approx(1.0)
