@@ -16,11 +16,20 @@ Three conditions on r decide how much the semigroup theory gives you:
   sampled trend contradicts: when r is still rising at the horizon and below
   1, the verdict is "inconclusive" rather than "pass" or "fail".
 
-All ratios are computed as exp(log n_w - log w) with log-sum-exp quadrature,
-so exponential and super-exponential weights never overflow.
+All ratios are computed as exp(log n_w - log w) in log space, so exponential
+and super-exponential weights never overflow.
 
 ``log_n_samples`` (a grid of y) is the only code that samples n_w: the ratio
-curves here, the weight builder and the weight comparison all call it.
+curves here, the weight builder and the weight comparison all call it.  It
+takes n_w in closed form for the pairs that have one.  A built-in kernel is a
+sum of pieces c(y) x^q on [l(y), r(y)] (``FragmentKernel._pieces``), so n_w is
+a sum of weighted moments int_l^r x^q w dx (``Weight._log_moments``): for a
+``power`` or ``power_shifted`` weight at any q, and at q = 0 (boundary_binary,
+concentrated, homogeneous_power(0)) for an ``exponential``,
+``super_exponential``, ``tabulated`` or ``composite`` weight too.  A piece
+that diverges at 0, such as x^q w with q + p + 1 <= 0 for w = x^p, fails its
+sample.  Every other pair, and every custom kernel, goes through one batched
+log-sum-exp quadrature.
 """
 
 from __future__ import annotations
@@ -29,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .config import write_csv
 from .errors import InvalidInputError, QuadratureError
 from .kernels import FragmentKernel, RateFunction, rate_envelope
-from .quadrature import _log_integrate_rows
 
 __all__ = ["log_n_samples", "ratio_curve", "RatioCurve",
            "AdmissibilityReport", "check", "RelativeBoundEstimate", "relative_bound",
@@ -47,28 +56,54 @@ PASS_MARGIN = 0.999
 TREND_TOL = 1e-6
 
 
-def _span(kernel: FragmentKernel, weight, y: float, hi: float | None):
-    """``(0, min(y, hi), breakpoints)`` of n_w(y): the kernel's and the weight's kinks."""
-    if not 0 < y < np.inf:  # NaN fails both
-        raise InvalidInputError(f"n_w needs 0 < y < inf, got y = {y!r}")
-    top = y if hi is None else min(y, hi)
+def _span(kernel: FragmentKernel, weight, y: float, top: float):
+    """``(0, top, breakpoints)`` of n_w(y): the kernel's and the weight's kinks."""
     return 0.0, top, [*kernel.breakpoints(y), *weight.quad_breakpoints(0.0, top)]
 
 
-def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -> np.ndarray:
-    """log of int_0^min(y, hi) b(x,y) w(x) dx at every y of ``ys``, honoring kernel and
-    weight breakpoints, in one batched quadrature that attempts every sample.
+def _log_n_pieces(kernel: FragmentKernel, weight, ys: np.ndarray, top: np.ndarray):
+    """n_w summed in log space over the pieces c x^q of a built-in kernel, each a
+    closed-form weighted moment; None where the kernel or the weight has none."""
+    table = kernel._pieces(ys, top)
+    if table is None:
+        return None
+    q, row, log_c, lo, hi = table
+    log_m = weight._log_moments(q, lo, hi)
+    if log_m is None:
+        return None
+    log_n = np.full(ys.shape, -np.inf)
+    np.logaddexp.at(log_n, row, log_c + log_m)
+    return log_n
 
-    Each sample gives the same bits as a call on it alone.  If any sample fails,
-    raises :class:`QuadratureError` with ``partial`` and ``failed`` arrays.
+
+def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -> np.ndarray:
+    """log of int_0^min(y, hi) b(x,y) w(x) dx at every y of ``ys``, attempting every sample.
+
+    A built-in kernel whose pieces c x^q the weight integrates in closed form
+    (``Weight._log_moments``) is summed piece by piece; every other pair goes
+    through one batched quadrature that honors the kernel's and the weight's
+    breakpoints.  Each sample gives the same bits as a call on it alone.  If any
+    sample fails, raises :class:`QuadratureError` with ``partial`` and ``failed``
+    arrays; a closed-form sample fails where a piece diverges at 0 (its partial
+    is ``+inf``) or the value leaves the float range.
     """
     ys = np.asarray(ys, dtype=float)
-    log_n, failed = _log_integrate_rows(
-        lambda x, i: kernel(x, ys[i]), weight.log_eval,
-        (_span(kernel, weight, float(y), hi) for y in ys))
+    bad = ~((ys > 0) & (ys < np.inf))  # NaN fails both
+    if bad.any():
+        raise InvalidInputError(f"n_w needs 0 < y < inf, got y = {float(ys[bad][0])!r}")
+    top = ys if hi is None else np.minimum(ys, hi)
+    log_n = _log_n_pieces(kernel, weight, ys, top)
+    if log_n is not None:
+        failed = ~(log_n < np.inf)
+        what = "is not finite (a piece diverges at 0 or leaves the float range)"
+    else:
+        log_n, failed = quadrature._log_integrate_rows(
+            lambda x, i: kernel(x, ys[i]), weight.log_eval,
+            (_span(kernel, weight, float(y), float(t)) for y, t in zip(ys, top)))
+        what = "quadrature did not converge"
     if np.any(failed):
         raise QuadratureError(
-            f"n_w quadrature did not converge at {np.count_nonzero(failed)} of {ys.size} "
+            f"n_w {what} at {np.count_nonzero(failed)} of {ys.size} "
             f"parent sizes (first at y = {ys[failed][0]:g})", partial=log_n, failed=failed)
     return log_n
 

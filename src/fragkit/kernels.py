@@ -204,6 +204,35 @@ class FragmentKernel:
             return tuple(float(p) for p in self.breakpoints_fn(y))
         return ()
 
+    def _pieces(self, ys: np.ndarray, top: np.ndarray):
+        """The piece table of a built-in b(., y): ``(q, row, log_c, lo, hi)``, so that
+        b(x, ys[row]) = e^log_c x^q on [lo, hi] for each piece, the pieces cut at
+        ``top[row]`` and every ``lo < hi``.  None for a custom kernel.
+
+        The spans are those of ``eval_kernel`` and ``breakpoints`` verbatim, so an
+        interior band such as [y - 1/y, y] is a piece of its own.
+        """
+        idx = np.arange(ys.size)
+        if self.family == "homogeneous_power":
+            nu = self.nu
+            q, row, lo, hi = nu, idx, np.zeros(ys.size), ys
+            log_c = np.log(nu + 2.0) - (nu + 1.0) * np.log(ys)
+        elif self.family in ("boundary_binary", "concentrated"):
+            # b = 2/y on [0, y] up to the split; above it, c on [0, d] and [y - d, y]
+            if self.family == "boundary_binary":
+                split, d, level = ys > 2.0, np.ones(ys.size), np.zeros(ys.size)
+            else:
+                split, d, level = ys > _SQRT2, 1.0 / ys, np.log(ys)
+            q, row = 0.0, np.concatenate([idx, idx[split]])
+            lo = np.concatenate([np.zeros(ys.size), ys[split] - d[split]])
+            hi = np.concatenate([np.where(split, d, ys), ys[split]])
+            log_c = np.concatenate([np.where(split, level, np.log(2.0 / ys)), level[split]])
+        else:
+            return None
+        hi = np.minimum(hi, top[row])
+        keep = lo < hi
+        return q, row[keep], log_c[keep], lo[keep], hi[keep]
+
     # -- partial daughter mass M(s; y) = int_0^min(s,y) b(x,y) x dx -----------
 
     def mass_partial(self, s, y):

@@ -16,7 +16,8 @@ weighted-L1 theory asks for no other), and a negative one raises
     with ``log_weight = 0``.
 
 ``_log_integrate_rows`` runs it on many rows, one per parent size in
-``admissibility.log_n_samples``.
+``admissibility.log_n_samples``, for the kernel and weight pairs whose n_w has
+no closed form.
 
 Accuracy.  It is fixed, the same for every integral: one 12-point
 Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a log total settled within

@@ -433,7 +433,13 @@ def _check_scheme(scheme: str, *names: str) -> None:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled observables along a run."""
+    """Sampled observables along a run.
+
+    The dust carries mass only, so ``M0`` counts the fragments on the grid and
+    loses those that fell below x_1; for ``homogeneous_power(nu)`` their number
+    grows like x_min^(nu+1), so for nu < 0 ``M0`` does not converge as the grid
+    is refined at a fixed x_min.  ``M1 + dust_mass`` is the conserved mass.
+    """
 
     times: np.ndarray
     M0: np.ndarray

@@ -14,11 +14,18 @@ is constructed in three steps:
    series behind it guarantees a unique positive continuous solution, and
    bounds the growth by w(eta0) * exp(sup bt / kappa * (y - eta0)));
 3. a sampled certificate re-checking the target inequality against the true
-   kernel by quadrature, which fails loudly instead of returning a weight
-   that does not do its job.
+   kernel, which fails loudly instead of returning a weight that does not do
+   its job.
 
 g(y) and the certificate's left-hand side n_w(y) are both sampled by
 ``admissibility.log_n_samples``, which tries every sample before raising.
+For a built-in kernel with a power or ``power_shifted`` omega0 both are
+closed form, summed over the kernel's pieces (the constructed weight is
+``composite``, and its table is served at q = 0: boundary_binary,
+concentrated, homogeneous_power(0)); a piece that diverges at 0 fails its
+sample.  Other pairs and custom kernels are integrated by quadrature.  The
+checks do not depend on which: h is validated on its own shifted samples
+and the certificate's margin is held to ``tol``.
 
 Accuracy.  The sampling densities are fixed, the same for every construction:
 ``_H_SAMPLES_PER_UNIT = 256`` samples of g per unit of y, a ``_BAND_LATTICE =
@@ -59,6 +66,9 @@ logger = logging.getLogger(__name__)
 _H_SAMPLES_PER_UNIT = 256
 _BAND_LATTICE = (64, 156)
 _N_VALIDATION = 200
+# most nodes of one Volterra march: its time is quadratic in them, about a
+# minute at this count, and a smaller step asks for no other result
+_MAX_NODES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +235,18 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     positive; a step too large for that raises :class:`StepSizeError` telling
     the caller to halve.  The residual is measured against a half-step
     re-integration of the linear interpolant, which is an independent (finer)
-    quadrature of the same equation.
+    quadrature of the same equation.  A march of more than ``_MAX_NODES`` nodes
+    is refused with :class:`InvalidInputError` before anything is allocated.
     """
     if kappa <= 0 or step <= 0:
         raise InvalidInputError("kappa and step must be positive")
-    n_steps = int(np.ceil((y_max - eta0) / step - 1e-12))
+    n_steps = np.ceil((y_max - eta0) / step - 1e-12)
+    if not n_steps < _MAX_NODES:  # a NaN or infinite count too
+        raise InvalidInputError(
+            f"the Volterra march with step {step:g} needs {n_steps + 1:.4g} nodes on "
+            f"[{eta0:g}, {y_max:g}], more than {_MAX_NODES}; a kernel unbounded near eta0 "
+            "makes the step tiny, so take eta0 > 0, a larger kappa or a larger step")
+    n_steps = int(n_steps)
     ys = eta0 + step * np.arange(n_steps + 1)
     # bt is constant along anti-diagonals, so one half-step lattice in s holds every
     # value used below: bt(eta0 + step*j/2, eta0 + step*k) = band[j + 2k]

@@ -11,6 +11,10 @@ Families: ``power`` x^p, ``power_shifted`` 1 + x^p, ``exponential`` c^x,
 ``super_exponential`` x e^{x^2}, ``tabulated``, and ``composite`` (an exact
 base weight below a cutoff glued to a tabulated tail — the form produced by
 the constructive weight builder).
+
+``Weight._log_moments`` gives log int_lo^hi x^q w(x) dx in closed form where
+the family has one, which ``admissibility.log_n_samples`` sums over the pieces
+of a built-in kernel.
 """
 
 from __future__ import annotations
@@ -220,6 +224,44 @@ class Weight:
             pts.extend(float(t) for t in inside)
         return tuple(pts)
 
+    def _log_moments(self, q: float, lo, hi):
+        """log of int_lo^hi x^q w(x) dx for each pair ``0 <= lo < hi`` in closed form, or
+        None where the family has none for this ``q``.
+
+        ``power`` and ``power_shifted`` have one for every q; ``exponential``,
+        ``super_exponential``, ``tabulated`` and ``composite`` (whose base below the
+        cutoff takes its own family's rule) for q = 0.  An integral that diverges at
+        ``lo = 0`` is ``+inf``.
+        """
+        fam = self.family
+        if fam == "power":
+            out = _log_power_moments(q + self.p + 1.0, lo, hi)
+        elif fam == "power_shifted":
+            out = np.logaddexp(_log_power_moments(q + 1.0, lo, hi),
+                               _log_power_moments(q + self.p + 1.0, lo, hi))
+        elif q != 0.0:
+            return None
+        elif fam == "exponential":
+            beta, d = np.log(self.base), hi - lo
+            out = beta * lo + np.log(d) + _log_expm1_ratio(beta * d)
+        elif fam == "super_exponential":
+            d = (hi - lo) * (hi + lo)  # hi^2 - lo^2 without cancellation
+            out = lo * lo + np.log(0.5 * d) + _log_expm1_ratio(d)
+        elif fam == "tabulated":
+            out = _log_table_integrals(self.knots, self.log_values, lo, hi)
+        elif fam == "composite":
+            below, above = lo < self.cutoff, hi > self.cutoff
+            base = self.base_weight._log_moments(q, lo[below], np.minimum(hi[below], self.cutoff))
+            if base is None:
+                return None
+            out = np.full(lo.shape, -np.inf)
+            out[below] = base
+            out[above] = np.logaddexp(out[above], _log_table_integrals(
+                self.knots, self.log_values, np.maximum(lo[above], self.cutoff), hi[above]))
+        else:
+            return None
+        return out + self.log_offset
+
     def describe(self) -> str:
         if self.family == "power":
             return f"w(x) = x^{self.p:g}"
@@ -232,6 +274,62 @@ class Weight:
         if self.family == "composite":
             return f"composite weight (base below {self.cutoff:g}, {self.knots.size} knots)"
         return f"tabulated weight ({self.knots.size} knots)"
+
+
+def _log_expm1_ratio(z):
+    """log(expm1(z)/z) elementwise, within a few eps absolute for every z; 0 at z = 0."""
+    a = np.abs(z)
+    safe = np.where(a > 0, a, 1.0)
+    return np.where(a > 0, np.maximum(z, 0.0) + np.log(-np.expm1(-safe)) - np.log(safe), 0.0)
+
+
+def _log_power_moments(s: float, lo, hi):
+    """log of int_lo^hi x^(s-1) dx for each pair ``0 <= lo < hi``: lo^s L phi(s L) with
+    L = log(hi/lo) and phi(z) = expm1(z)/z, so a narrow band loses nothing; +inf where
+    lo = 0 and s <= 0, where the integral diverges."""
+    at0 = lo == 0.0
+    l = np.where(at0, 0.5 * hi, lo)  # a stand-in at lo = 0, where the band form is not used
+    near = hi <= 2.0 * l
+    span = np.where(near, np.log1p((hi - l) / l), np.log(hi) - np.log(l))
+    band = s * np.log(l) + np.log(span) + _log_expm1_ratio(s * span)
+    return np.where(at0, s * np.log(hi) - np.log(s) if s > 0 else np.inf, band)
+
+
+def _log_table_integrals(knots, log_values, lo, hi):
+    """log of int_lo^hi exp(v(x)) dx for each pair ``lo < hi``, v the piecewise-linear
+    interpolant of ``log_values`` with its end segments extended: an exact sum of
+    log-linear segments.
+
+    Each span is a partial segment at either end and the whole segments between
+    them.  Those are summed from a pairwise tree of block sums, O(log n) blocks per
+    span, never as a difference of two prefix sums, whose cancellation would cost a
+    narrow band its accuracy.
+    """
+    k, v = knots, log_values
+    slope = np.diff(v) / np.diff(k)
+    last = slope.size - 1
+
+    def segment(u, t, j):  # int_u^t on the segment line j, u < t
+        return v[j] + slope[j] * (u - k[j]) + np.log(t - u) + _log_expm1_ratio(slope[j] * (t - u))
+
+    i = np.searchsorted(k, lo, side="right")  # the knots strictly inside are k[i:j]
+    j = np.searchsorted(k, hi, side="left")
+    inside = j > i
+    out = segment(lo, np.where(inside, k[np.minimum(i, k.size - 1)], hi), np.clip(i - 1, 0, last))
+    top = j[inside] - 1
+    out[inside] = np.logaddexp(out[inside], segment(k[top], hi[inside], np.minimum(top, last)))
+    # whole segments i .. j - 2: a bottom-up pass over the tree of pairwise sums
+    level, a, b = segment(k[:-1], k[1:], np.arange(slope.size)), i, np.maximum(j - 1, i)
+    while np.any(a < b):
+        take = (a < b) & (a % 2 == 1)
+        out[take] = np.logaddexp(out[take], level[a[take]])
+        a = a + take
+        take = (a < b) & (b % 2 == 1)
+        b = b - take
+        out[take] = np.logaddexp(out[take], level[b[take]])
+        a, b = a // 2, b // 2
+        level = np.logaddexp(level[0::2], np.append(level[1::2], [-np.inf] * (level.size % 2)))
+    return out
 
 
 # ---------------------------------------------------------------------------

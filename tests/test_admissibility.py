@@ -22,10 +22,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fragkit import quadrature, weight_builder
-from fragkit.admissibility import check, log_n_samples, ratio_curve, relative_bound
+from fragkit.admissibility import _log_n_pieces, check, log_n_samples, ratio_curve, relative_bound
 from fragkit.errors import QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
-from fragkit.weight_builder import build_h
+from fragkit.weight_builder import build_h, construct_weight
 from fragkit.weights import Weight, compare_weights
 
 BB = FragmentKernel.boundary_binary()
@@ -37,6 +37,16 @@ W_SUP = Weight.super_exponential()
 
 def r_bb_exp(y):
     return (np.e - 1.0) * np.exp(-y) + 1.0 - 1.0 / np.e
+
+
+def custom_clone(kernel):
+    """The same b(x, y) as a custom kernel, which has no pieces: n_w by quadrature."""
+    return FragmentKernel.custom(kernel.__call__, breakpoints=kernel.breakpoints)
+
+
+# a built-in kernel as it is (n_w from its pieces) and as its custom clone (quadrature)
+BOTH_PATHS = pytest.mark.parametrize("path", [lambda k: k, custom_clone],
+                                     ids=["pieces", "quadrature"])
 
 
 class TestNOmega:
@@ -225,10 +235,12 @@ class TestUnresolvedTails:
     """Near the integrability limit the tail at 0 closes in closed form; where it diverges,
     the row fails at once."""
 
-    def test_divergent_pair_is_failed_not_an_infinite_ratio(self):
-        # b w ~ x^-1.5 x^0.4 = x^-1.1 at 0, so n_w diverges at every y: the tail below
-        # the graded cells does not close, and every sample fails
-        rep = check(FragmentKernel.homogeneous_power(-1.5), Weight.power(0.4), 1.0, 10.0)
+    @BOTH_PATHS
+    def test_divergent_pair_is_failed_not_an_infinite_ratio(self, path):
+        # b w ~ x^-1.5 x^0.4 = x^-1.1 at 0, so n_w diverges at every y: the piece
+        # [0, y] has q + p + 1 <= 0, and the tail below the graded cells does not
+        # close, so every sample fails
+        rep = check(path(FragmentKernel.homogeneous_power(-1.5)), Weight.power(0.4), 1.0, 10.0)
         assert rep.failed_counts == (rep.y_small.size, rep.y_grid.size)
         assert not rep.verdict_A32 and not rep.verdict_A41
         assert rep.verdict_limsup == "inconclusive"
@@ -237,20 +249,22 @@ class TestUnresolvedTails:
         assert len(verdicts) == 5
         assert all(line.split("=")[1].split()[0] == "inconclusive" for line in verdicts)
 
-    def test_tail_near_the_integrability_limit_passes(self):
+    @BOTH_PATHS
+    def test_tail_near_the_integrability_limit_passes(self, path):
         # b w ~ x^-0.94 at 0: the closed tail holds most of n_w, and the ratio is
         # (nu + 2)/(nu + p + 1) = 0.05/0.06 at every y
-        rep = check(FragmentKernel.homogeneous_power(-1.95), Weight.power(1.01), 1.0, 10.0)
+        rep = check(path(FragmentKernel.homogeneous_power(-1.95)), Weight.power(1.01), 1.0, 10.0)
         assert rep.failed_counts == (0, 0)
         assert rep.kappa_hat == pytest.approx(0.05 / 0.06, rel=0.0, abs=1e-10)
         assert rep.verdict_A32 and rep.verdict_A41 and rep.verdict_limsup == "pass"
 
+    @BOTH_PATHS
     @pytest.mark.parametrize("nu", [-1.9, -1.93, -1.94, -1.95, -1.97, -1.99])
-    def test_integrability_limit(self, nu):
+    def test_integrability_limit(self, nu, path):
         # with w = x^p the integrand is (nu + 2) x^(nu + p) / y^(nu + 1), which the
         # graded cells and the geometric tail below them resolve for every nu > -2
         p = 1.0
-        rc = ratio_curve(FragmentKernel.homogeneous_power(nu), Weight.power(p),
+        rc = ratio_curve(path(FragmentKernel.homogeneous_power(nu)), Weight.power(p),
                          np.geomspace(1e-3, 100.0, 9))
         assert not rc.failed.any()
         np.testing.assert_allclose(rc.ratio, (nu + 2.0) / (nu + p + 1.0), rtol=0.0, atol=1e-10)
@@ -272,6 +286,136 @@ class TestUnresolvedTails:
         with pytest.raises(QuadratureError):
             log_n_samples(TestFrozenCells.counting(kernel, xs), weight, [5.0])
         assert sum(x.size for x in xs) == 12 * 49
+
+
+class TestPieces:
+    """n_w from the pieces c x^q of the built-in kernels, each a closed-form weighted
+    moment, against the quadrature of the same kernel as a custom clone."""
+
+    # samples reach below and above the table; at most 256 knots, so the quadrature
+    # splits its panels at every one (it thins a longer table to 256 and resolves the
+    # other kinks by halving, to its 1e-10 tolerance only)
+    KNOTS = np.linspace(0.5, 20.0, 200)
+    LOGS = 0.8 * KNOTS + 0.3 * np.sin(KNOTS)
+    WEIGHTS = [Weight.power(1.0), Weight.power(2.5), Weight.power(-0.3),
+               Weight.power_shifted(1.0), Weight.power_shifted(-0.3).scaled(1e-5),
+               W_EXP, Weight.exponential(1.3), W_SUP, Weight.tabulated(KNOTS, LOGS),
+               Weight.composite(Weight.power(1.0), 1.0, KNOTS[KNOTS >= 1.0], LOGS[KNOTS >= 1.0]),
+               Weight.composite(Weight.power_shifted(2.0).scaled(3.0), 2.0,
+                                np.linspace(2.0, 20.0, 50), np.linspace(0.0, 9.0, 50)).scaled(0.1)]
+    # both sides of the splits at sqrt 2 (concentrated) and 2 (boundary_binary)
+    YS = np.concatenate([np.geomspace(1e-3, 25.0, 40), [1.4, np.sqrt(2.0), 1.42, 1.99, 2.0, 2.01]])
+
+    @staticmethod
+    def both(kernel, weight, hi):
+        """``(log n_w, failed)`` from the pieces and from the quadrature."""
+        out = []
+        for k in (kernel, custom_clone(kernel)):
+            try:
+                out.append((log_n_samples(k, weight, TestPieces.YS, hi=hi), None))
+            except QuadratureError as exc:
+                out.append((exc.partial, exc.failed))
+        return out
+
+    @pytest.mark.parametrize("hi", [None, 1.0, 1.7])
+    @pytest.mark.parametrize("kernel", [FragmentKernel.homogeneous_power(-1.5),
+                                        FragmentKernel.homogeneous_power(-0.5),
+                                        FragmentKernel.homogeneous_power(0.0), BB, CONC],
+                             ids=lambda k: k.describe())
+    def test_pieces_match_the_quadrature(self, kernel, hi):
+        top = self.YS if hi is None else np.minimum(self.YS, hi)
+        served = [w for w in self.WEIGHTS
+                  if _log_n_pieces(kernel, w, self.YS, top) is not None]
+        # a power weight serves every exponent, the others q = 0 only
+        assert len(served) == (5 if kernel.nu not in (None, 0.0) else len(self.WEIGHTS))
+        for weight in served:
+            (got, got_failed), (want, want_failed) = self.both(kernel, weight, hi)
+            if got_failed is not None or want_failed is not None:
+                continue  # the divergent pairs: test_divergent_pairs_fail_on_both_paths
+            rel = np.abs(np.expm1(got - want))
+            assert np.all(rel <= 1e-12), (weight.describe(), float(rel.max()))
+
+    @pytest.mark.parametrize("hi", [None, 1.0])
+    @pytest.mark.parametrize("weight", [Weight.power(0.4), Weight.power(-0.3),
+                                        Weight.power_shifted(1.0)], ids=Weight.describe)
+    def test_divergent_pairs_fail_on_both_paths(self, weight, hi):
+        # q = nu = -1.5: the piece [0, y] diverges where q + p + 1 <= 0 (x^0.4, x^-0.3)
+        # or q + 1 <= 0 (the 1 of 1 + x); its partial is +inf
+        (got, got_failed), (_, want_failed) = self.both(FragmentKernel.homogeneous_power(-1.5),
+                                                        weight, hi)
+        assert got_failed is not None and np.all(got_failed)
+        np.testing.assert_array_equal(got_failed, want_failed)
+        assert np.all(got == np.inf)
+
+    @pytest.mark.parametrize("kernel", [FragmentKernel.homogeneous_power(-1.5),
+                                        FragmentKernel.homogeneous_power(0.0), BB, CONC],
+                             ids=lambda k: k.describe())
+    def test_bands_keep_the_mass(self, kernel):
+        # n_x(y) is the mass of b(., y) on its spans as eval_kernel draws them in floats:
+        # y for homogeneous_power and below the splits; above them 1/2 + (y - l)(y + l)/2
+        # (boundary_binary) or y r^2/2 + y (y - l)(y + l)/2 (concentrated), r = 1/y and
+        # l = y - 1 or y - r, with y - l exact.  At y = 1e6 concentrated's top band holds
+        # all but 1e-12 of it: as a difference of the prefixes y^3/2 and y l^2/2 it would
+        # lose y^2 eps = 2e-4, and as log y - log l in the power moment 3e-3
+        ys = np.geomspace(1e-3, 1e6, 37)
+        if kernel is BB:
+            l = ys - 1.0
+            want = np.where(ys > 2.0, 0.5 + 0.5 * (ys - l) * (ys + l), ys)
+        elif kernel is CONC:
+            r = 1.0 / ys
+            l = ys - r
+            want = np.where(ys > np.sqrt(2.0), 0.5 * ys * (r * r + (ys - l) * (ys + l)), ys)
+        else:
+            want = ys
+        rel = np.abs(np.expm1(log_n_samples(kernel, Weight.power(1.0), ys) - np.log(want)))
+        assert np.all(rel <= 1e-13)
+
+    def test_exponential_weights_stay_in_log_space(self):
+        # e^x at y = 100 and x e^{x^2} at y = 25 and 100 overflow a double, their logs do not
+        lv = log_n_samples(CONC, W_EXP, [100.0])[0]
+        assert abs(lv - (100.0 + np.log(100.0 * -np.expm1(-0.01)))) <= 1e-13 * 100.0
+        # r(y) on concentrated's float spans, r = 1/y and l = y - r: (e^{r^2} - 1) e^{-y^2}/2
+        # + (1 - e^{-(y - l)(y + l)})/2, to the rounding of a log near y^2 (2e-12 at y = 100)
+        ys = np.array([25.0, 100.0])
+        r, l = 1.0 / ys, ys - 1.0 / ys
+        want = 0.5 * (np.expm1(r * r) * np.exp(-ys * ys) - np.expm1(-(ys - l) * (ys + l)))
+        got = np.exp(log_n_samples(CONC, W_SUP, ys) - W_SUP.log_eval(ys))
+        assert np.all(np.abs(got / want - 1.0) <= 4.0 * ys * ys * np.finfo(float).eps)
+
+
+class TestFastPath:
+    """The built-in kernels with the weights their pieces serve take no quadrature row."""
+
+    @staticmethod
+    @contextmanager
+    def rows():
+        counted, real = [], quadrature._log_integrate_rows
+
+        def counting(factor, log_weight, spans):
+            spans = list(spans)
+            counted.append(len(spans))
+            return real(factor, log_weight, spans)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quadrature, "_log_integrate_rows", counting)
+            yield counted
+
+    @pytest.mark.parametrize("kernel", [BB, FragmentKernel.homogeneous_power(0.0)],
+                             ids=lambda k: k.describe())
+    def test_construction_takes_no_quadrature_row(self, kernel):
+        with self.rows() as counted:
+            construct_weight(kernel, Weight.power(1.0), 1.0, 1.0, 12.25)
+        assert sum(counted) == 0
+
+    def test_check_takes_no_quadrature_row(self):
+        with self.rows() as counted:
+            check(BB, W_EXP, 2.0, 100.0)
+        assert sum(counted) == 0
+
+    def test_custom_kernel_takes_the_quadrature(self):
+        with self.rows() as counted:
+            check(custom_clone(BB), W_EXP, 2.0, 100.0)
+        assert sum(counted) > 0
 
 
 class TestConsistencyWithComparison:
@@ -296,18 +440,20 @@ class TestRelativeBound:
         assert est.summary().endswith("(alpha_hat < 1: relative-bound hypothesis holds)")
         assert "analytic" not in est.summary()
 
-    def test_failed_samples_make_the_estimate_inconclusive(self):
+    @BOTH_PATHS
+    def test_failed_samples_make_the_estimate_inconclusive(self, path):
         # n_w diverges at every sample (see TestUnresolvedTails), so alpha_hat = beta_hat = -inf
-        est = relative_bound(FragmentKernel.homogeneous_power(-1.5), RateFunction.power(1.0),
+        est = relative_bound(path(FragmentKernel.homogeneous_power(-1.5)), RateFunction.power(1.0),
                              Weight.power(0.4), 1.0, 10.0)
         assert est.failed_counts == (385, 65)
         summary = est.summary()
         assert "inconclusive: failed samples = 385 below / 65 above" in summary
         assert "alpha_hat < 1" not in summary and "analytic" not in summary
 
-    def test_tail_near_the_integrability_limit_is_estimated(self):
+    @BOTH_PATHS
+    def test_tail_near_the_integrability_limit_is_estimated(self, path):
         # every sample converges: alpha_hat = sup r = 0.05/0.06 at a = y
-        est = relative_bound(FragmentKernel.homogeneous_power(-1.95), RateFunction.power(1.0),
+        est = relative_bound(path(FragmentKernel.homogeneous_power(-1.95)), RateFunction.power(1.0),
                              Weight.power(1.01), 1.0, 10.0)
         assert est.failed_counts == (0, 0)
         assert est.alpha_hat == pytest.approx(0.05 / 0.06, rel=0.0, abs=1e-10)
@@ -402,11 +548,12 @@ class TestSampledNOmega:
                                 np.linspace(0.0, 12.0, 40))]
 
     @settings(max_examples=25, deadline=None)
-    @given(kernel=st.sampled_from(KERNELS), weight=st.sampled_from(WEIGHTS),
+    @given(kernel=st.sampled_from(KERNELS + [BB, CONC]), weight=st.sampled_from(WEIGHTS),
            ys=st.lists(st.floats(0.05, 20.0), min_size=1, max_size=60),
            hi=st.one_of(st.none(), st.floats(0.5, 5.0)))
     def test_samples_equal_one_y_calls_bit_for_bit(self, kernel, weight, ys, hi):
-        # a one-y call is a batch of one row: a row's bits do not depend on its neighbours
+        # a one-y call is a batch of one row: a row's bits do not depend on its neighbours,
+        # through the quadrature (the custom kernels) or the pieces (BB and CONC)
         got = log_n_samples(kernel, weight, ys, hi=hi)
         want = [log_n_samples(kernel, weight, [y], hi=hi)[0] for y in ys]
         np.testing.assert_array_equal(got, want)

@@ -310,6 +310,17 @@ class TestExitCodes:
         assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    def test_build_weight_march_over_the_node_budget_exit_2(self, tmp_path, capsys):
+        # eta0 = 0: b = 2/y near 0 makes the Volterra step 1.25e-13, so the march
+        # wants 4e13 nodes, which was a 291 TiB MemoryError ("out of memory")
+        cfg = write(tmp_path / "zero.cfg",
+                    "[kernel]\nfamily = boundary_binary\n\n[weight]\nfamily = power\np = 1\n\n"
+                    "[params]\neta0 = 0\nkappa = 1\ny_max = 5\n")
+        assert main(["build-weight", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the Volterra march with step 1.25e-13 needs 4e+13 nodes")
+        assert not (tmp_path / "out" / "weight.csv").exists()
+
     @pytest.mark.parametrize("command, sections, params", [
         ("compare-weights", TWO_WEIGHTS, "y_samples = 0,2"),
         ("check-weight", BB_EXP, "eta0 = 5\ny_max = 2"),

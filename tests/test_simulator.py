@@ -856,6 +856,33 @@ class TestFiniteness:
             simulate(bump(g, 0.5, 4.0), gen, t_end, dt, sample_every=every)
 
 
+class TestContinuum:
+    """The generator against the continuum equation, not only against its own exponential.
+
+    Ziff & McGrady's exact solutions for uniform binary breakup, b = 2/y
+    (``homogeneous_power(0)``), from u0 = e^{-x} (J. Phys. A 18, 1985, 3027):
+    ``a = x`` gives (1 + t)^2 e^{-x(1+t)} and ``a = x^2`` gives
+    (1 + 2t(1 + x)) e^{-x - t x^2}.  The error is sum_i w_i x_i |u_i - u(x_i, 1)|.
+    """
+
+    EXACT = {1.0: lambda x, t: (1.0 + t) ** 2 * np.exp(-x * (1.0 + t)),
+             2.0: lambda x, t: (1.0 + 2.0 * t * (1.0 + x)) * np.exp(-x - t * x * x)}
+
+    def error(self, alpha, n):
+        grid = Grid.geometric(1e-6, 40.0, n)
+        gen = discretize(HOM0, RateFunction.power(alpha), grid)
+        u = expm_oracle(gen, 1.0, np.exp(-grid.nodes)).u
+        return float(np.sum(grid.weights * grid.nodes * np.abs(u - self.EXACT[alpha](grid.nodes, 1.0))))
+
+    # measured at N = 512: 1.31e-3 (a = x) and 1.15e-3 (a = x^2), from 5.2e-3 and
+    # 4.6e-3 at N = 256, an order of 1.98 and 2.01
+    @pytest.mark.parametrize("alpha, bound", [(1.0, 1.5e-3), (2.0, 1.3e-3)])
+    def test_second_order_in_the_log_spacing(self, alpha, bound):
+        coarse, fine = self.error(alpha, 256), self.error(alpha, 512)
+        assert math.log2(coarse / fine) >= 1.9
+        assert fine <= bound
+
+
 class TestStiffness:
     def test_stiff_rk4_is_positive_and_conservative(self):
         # dt a = 500: each step is R(dt A / 512) squared 9 times, whose entries

@@ -1,11 +1,13 @@
 """Constructive weight machinery: majorants, Volterra march, certificates, search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fragkit import weight_builder
 from fragkit.admissibility import log_n_samples
-from fragkit.errors import ConstructionError, StepSizeError
+from fragkit.errors import ConstructionError, InvalidInputError, StepSizeError
 from fragkit.kernels import FragmentKernel, eval_kernel
 from fragkit.quadrature import _BLOCK_POINTS
 from fragkit.weight_builder import (MajorantB, MajorantH, build_btilde, build_h,
@@ -146,6 +148,26 @@ class TestSolveVolterra:
         bt = MajorantB.constant(beta, 0.0, 2.0)
         sol = solve_volterra(bt, lambda y: 1.0 + beta * y, 1.0, 0.0, 2.0, 1e-2)
         np.testing.assert_allclose(sol.values, 1.0, rtol=1e-13)
+
+    def test_march_over_the_node_budget_refused(self, monkeypatch):
+        # a budget of 64 nodes: 63 steps march, 64 are refused by name, allocating nothing
+        monkeypatch.setattr(weight_builder, "_MAX_NODES", 64)
+        bt = MajorantB.constant(1.0, 1.0, 2.0)
+        assert solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, 1.0 / 63).nodes.size == 64
+        with pytest.raises(InvalidInputError, match=r"step 0\.015625 needs 65 nodes .* more than 64"):
+            solve_volterra(bt, lambda y: 1.0, 1.0, 1.0, 2.0, 1.0 / 64)
+
+    def test_eta0_zero_is_refused_before_allocating(self):
+        # b = 2/y near 0 puts 4e12 on btilde's diagonal, so the step is 1.25e-13 and the
+        # march would want 4e13 nodes: a 291 TiB array
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=r"step 1\.25e-13 needs 4e\+13 nodes"):
+                construct_weight(BB, None, 0.0, 1.0, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_second_order_convergence(self):
         bt = MajorantB.constant(1.0, 1.0, 2.0)
