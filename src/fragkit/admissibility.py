@@ -22,12 +22,13 @@ and super-exponential weights never overflow.
 ``log_n_samples`` (a grid of y) is the only code that samples n_w: the ratio
 curves here, the weight builder and the weight comparison all call it.  It
 takes n_w in closed form for the pairs that have one.  A built-in kernel is a
-sum of pieces c(y) x^q on [l(y), r(y)] (``FragmentKernel._pieces``), so n_w is
-a sum of weighted moments int_l^r x^q w dx (``Weight._log_moments``): for a
+bottom band c0 x^q on [0, d0] and a top band c1 on [y - d1, y]
+(``FragmentKernel._bands``), so n_w is a sum of weighted moments of x^q w over
+a band given by its lower edge and its width (``Weight._log_moments``): for a
 ``power`` or ``power_shifted`` weight at any q, and at q = 0 (boundary_binary,
 concentrated, homogeneous_power(0)) for an ``exponential``,
-``super_exponential``, ``tabulated`` or ``composite`` weight too.  A piece
-that diverges at 0, such as x^q w with q + p + 1 <= 0 for w = x^p, fails its
+``super_exponential``, ``tabulated`` or ``composite`` weight too.  A band that
+diverges at 0, such as x^q w with q + p + 1 <= 0 for w = x^p, fails its
 sample.  Every other pair, and every custom kernel, goes through one batched
 log-sum-exp quadrature.
 """
@@ -62,29 +63,33 @@ def _span(kernel: FragmentKernel, weight, y: float, top: float):
 
 
 def _log_n_pieces(kernel: FragmentKernel, weight, ys: np.ndarray, top: np.ndarray):
-    """n_w summed in log space over the pieces c x^q of a built-in kernel, each a
-    closed-form weighted moment; None where the kernel or the weight has none."""
-    table = kernel._pieces(ys, top)
-    if table is None:
+    """n_w summed in log space over the bands of a built-in kernel cut at ``top``, each
+    a closed-form weighted moment; None where the kernel or the weight has none."""
+    bands = kernel._bands(ys)
+    if bands is None:
         return None
-    q, row, log_c, lo, hi = table
-    log_m = weight._log_moments(q, lo, hi)
-    if log_m is None:
-        return None
+    q, c0, d0, c1, d1 = bands
     log_n = np.full(ys.shape, -np.inf)
-    np.logaddexp.at(log_n, row, log_c + log_m)
+    # [0, min(d0, top)] and [y - d1, top], whose width (top - y) + d1 is d1 itself at top = y
+    for q_band, c, lo, width in ((q, c0, np.zeros(ys.shape), np.minimum(d0, top)),
+                                 (0.0, c1, ys - d1, (top - ys) + d1)):
+        on = width > 0
+        log_m = weight._log_moments(q_band, lo[on], width[on])
+        if log_m is None:
+            return None
+        log_n[on] = np.logaddexp(log_n[on], np.log(c[on]) + log_m)
     return log_n
 
 
 def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -> np.ndarray:
     """log of int_0^min(y, hi) b(x,y) w(x) dx at every y of ``ys``, attempting every sample.
 
-    A built-in kernel whose pieces c x^q the weight integrates in closed form
-    (``Weight._log_moments``) is summed piece by piece; every other pair goes
+    A built-in kernel whose bands c x^q the weight integrates in closed form
+    (``Weight._log_moments``) is summed band by band; every other pair goes
     through one batched quadrature that honors the kernel's and the weight's
     breakpoints.  Each sample gives the same bits as a call on it alone.  If any
     sample fails, raises :class:`QuadratureError` with ``partial`` and ``failed``
-    arrays; a closed-form sample fails where a piece diverges at 0 (its partial
+    arrays; a closed-form sample fails where a band diverges at 0 (its partial
     is ``+inf``) or the value leaves the float range.
     """
     ys = np.asarray(ys, dtype=float)
@@ -95,7 +100,7 @@ def log_n_samples(kernel: FragmentKernel, weight, ys, hi: float | None = None) -
     log_n = _log_n_pieces(kernel, weight, ys, top)
     if log_n is not None:
         failed = ~(log_n < np.inf)
-        what = "is not finite (a piece diverges at 0 or leaves the float range)"
+        what = "is not finite (a band diverges at 0 or leaves the float range)"
     else:
         log_n, failed = quadrature._log_integrate_rows(
             lambda x, i: kernel(x, ys[i]), weight.log_eval,

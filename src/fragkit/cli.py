@@ -229,6 +229,8 @@ def main(argv=None) -> int:
     try:
         if args.config is None:
             raise ConfigError("--config is required")
+        if args.tol is not None and not 0 <= args.tol < np.inf:
+            raise InvalidInputError(f"--tol must be finite and non-negative, got {args.tol!r}")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except QuadratureError as exc:  # an integral that did not converge decides nothing

@@ -15,8 +15,15 @@ The built-in kernel families are
     Any vectorized callable b(x, y); optional breakpoint and partial-mass
     callbacks let the quadrature and the simulator treat it accurately.
 
-Breakpoint values use the closed intervals above verbatim (left-closed
-convention); the choice is measure-zero and invisible to every integral.
+Each built-in family's shape is written once, in the band table
+``FragmentKernel._bands``: a bottom band c0 x^q on [0, d0] and, above the
+splits, a top band c1 on [y - d1, y].  ``eval_kernel``, ``mass_partial`` and
+the closed-form n_w of ``admissibility`` are sums over those bands;
+``breakpoints`` is their scalar twin in plain floats.  Both bands are closed
+intervals; the choice is measure-zero and invisible to every integral.  An
+integral takes the top band by its width d1, never as the difference
+y - fl(y - d1), whose rounding would cost a narrow band such as concentrated's
+[y - 1/y, y] its accuracy.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidKernelError, QuadratureError
+from .errors import InvalidInputError, InvalidKernelError, QuadratureError
 from .quadrature import log_integrate, panel_sums
 
 __all__ = [
@@ -204,70 +211,62 @@ class FragmentKernel:
             return tuple(float(p) for p in self.breakpoints_fn(y))
         return ()
 
-    def _pieces(self, ys: np.ndarray, top: np.ndarray):
-        """The piece table of a built-in b(., y): ``(q, row, log_c, lo, hi)``, so that
-        b(x, ys[row]) = e^log_c x^q on [lo, hi] for each piece, the pieces cut at
-        ``top[row]`` and every ``lo < hi``.  None for a custom kernel.
+    def _bands(self, ys: np.ndarray):
+        """The band table of a built-in b(., y): ``(q, c0, d0, c1, d1)``, so that
+        b(x, y) is c0 x^q on the bottom band [0, d0], c1 on the top band [y - d1, y]
+        and 0 between; the top band is empty where d1 = 0.  None for a custom kernel.
 
-        The spans are those of ``eval_kernel`` and ``breakpoints`` verbatim, so an
-        interior band such as [y - 1/y, y] is a piece of its own.
+        This is the one place where a built-in family's shape is written.
+        ``homogeneous_power``, and the split families up to their splits, have the
+        bottom band alone: d0 = y.  Above the splits the two bands share one level c
+        and each holds one of the two fragments, c d = 1, so d0 = d1 = d is the
+        rounded width 1/c.  The edges are d0 and the float y - d1, as in
+        ``breakpoints``; an integral takes the top band by its width d1, never as
+        y - fl(y - d1).
         """
-        idx = np.arange(ys.size)
         if self.family == "homogeneous_power":
-            nu = self.nu
-            q, row, lo, hi = nu, idx, np.zeros(ys.size), ys
-            log_c = np.log(nu + 2.0) - (nu + 1.0) * np.log(ys)
-        elif self.family in ("boundary_binary", "concentrated"):
-            # b = 2/y on [0, y] up to the split; above it, c on [0, d] and [y - d, y]
-            if self.family == "boundary_binary":
-                split, d, level = ys > 2.0, np.ones(ys.size), np.zeros(ys.size)
-            else:
-                split, d, level = ys > _SQRT2, 1.0 / ys, np.log(ys)
-            q, row = 0.0, np.concatenate([idx, idx[split]])
-            lo = np.concatenate([np.zeros(ys.size), ys[split] - d[split]])
-            hi = np.concatenate([np.where(split, d, ys), ys[split]])
-            log_c = np.concatenate([np.where(split, level, np.log(2.0 / ys)), level[split]])
+            c0 = (self.nu + 2.0) / ys ** (self.nu + 1.0)
+            return self.nu, c0, ys, c0, np.zeros(ys.shape)
+        if self.family == "boundary_binary":
+            split, c, d = ys > 2.0, 1.0, 1.0
+        elif self.family == "concentrated":
+            split, c, d = ys > _SQRT2, ys, 1.0 / ys
         else:
             return None
-        hi = np.minimum(hi, top[row])
-        keep = lo < hi
-        return q, row[keep], log_c[keep], lo[keep], hi[keep]
+        c0 = np.where(split, c, 2.0 / ys)
+        return 0.0, c0, np.where(split, d, ys), c0, np.where(split, d, 0.0)
 
     # -- partial daughter mass M(s; y) = int_0^min(s,y) b(x,y) x dx -----------
 
     def mass_partial(self, s, y):
         """Cumulative daughter mass M(s; y); ``s`` and ``y`` broadcast.
 
-        The built-in families evaluate their closed form on the whole table.  A
-        custom kernel's ``mass_partial`` callback, or the quadrature fallback,
+        The built-in families sum the closed form of their bands on the whole table.
+        A custom kernel's ``mass_partial`` callback, or the quadrature fallback,
         gets one scalar y at a time, with the s values it broadcasts against.
         Every y must be positive and finite.
         """
         ys = np.asarray(y, dtype=float)
         _check_parent_sizes(ys)
-        ss = np.clip(np.asarray(s, dtype=float), 0.0, ys)
         scalar = np.ndim(s) == 0 and np.ndim(y) == 0
-        if self.family == "homogeneous_power":
-            out = ys * (ss / ys) ** (self.nu + 2.0)
-        elif self.family == "boundary_binary":
-            # top band as (s - t)(s + t): s^2 - t^2 would cancel near the parent
-            t = ys - 1.0
-            out = np.where(ys <= 2.0, ss ** 2 / ys,
-                           np.where(ss <= 1.0, 0.5 * ss ** 2,
-                                    np.where(ss <= t, 0.5, 0.5 + 0.5 * (ss - t) * (ss + t))))
-        elif self.family == "concentrated":
-            # top band as ((s - y) + 1/y)(s + t): s - y is exact (Sterbenz), where
-            # s - t would carry t's rounding, times y t, into M(y; y) = y.  1/y is
-            # r + e, e its rounding residual: r alone leaves eps y in M ~ 1/(2y) at s = t
-            c, r = 0.5 / ys, 1.0 / ys
-            t = ys - r
-            e = _one_minus_product(ys, r) / ys
-            out = np.where(ys <= _SQRT2, ss ** 2 / ys,
-                           np.where(ss <= r, 0.5 * ys * ss ** 2,
-                                    np.where(ss <= t, c,
-                                             c + 0.5 * ys * (((ss - ys) + r) + e) * (ss + t))))
+        s = np.asarray(s, dtype=float)
+        bands = self._bands(ys)
+        if bands is not None:
+            q, c0, d0, c1, d1 = bands
+            out = np.asarray(c0 / (q + 2.0) * np.clip(s, 0.0, d0) ** (q + 2.0))
+            top = s > np.where(d1 > 0, ys - d1, np.inf)
+            if top.any():
+                # the top band [t, y] = [y - d1, y] as ((s - y) + d1 + e)(s + t) c1/2: s - y
+                # is exact (Sterbenz), where s - t would carry t's rounding, times c1 t, into
+                # M(y; y) = y.  e = (1 - c1 d1)/c1 is d1's rounding residual: concentrated's
+                # d1 = 1/y alone would leave eps y in M ~ 1/(2y) at s = t
+                s, y, t, c, d = (np.broadcast_to(a, top.shape)[top]
+                                 for a in (s, ys, ys - d1, c1, d1))
+                s = np.minimum(s, y)
+                out[top] += 0.5 * c * (((s - y) + d) + _one_minus_product(c, d) / c) * (s + t)
         else:
             # one call per element of y, with the s values that element broadcasts against
+            ss = np.clip(s, 0.0, ys)
             out = np.empty(ss.shape)
             yb = ys.reshape((1,) * (ss.ndim - ys.ndim) + ys.shape)
             for k in np.ndindex(yb.shape):
@@ -348,25 +347,20 @@ def eval_kernel(kernel: FragmentKernel, x, y):
     ys = np.asarray(y, dtype=float)
     _check_parent_sizes(ys)
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    if kernel.family == "homogeneous_power":
-        nu = kernel.nu
+    bands = kernel._bands(ys)
+    if bands is not None:
+        q, c0, d0, c1, d1 = bands
+        # x^q is inf at x = 0 for q < 0; np.power is the ufunc on a scalar x too, as on arrays
         with np.errstate(divide="ignore"):
-            vals = (nu + 2.0) * np.where(xs > 0, xs, np.nan) ** nu / ys ** (nu + 1.0)
-        vals = np.where(xs > 0, vals,
-                        np.inf if nu < 0 else (nu + 2.0) / ys)
-    elif kernel.family == "boundary_binary":
-        vals = np.where(ys <= 2.0, 2.0 / ys,
-                        np.where((xs <= 1.0) | (xs >= ys - 1.0), 1.0, 0.0))
-    elif kernel.family == "concentrated":
-        vals = np.where(ys <= _SQRT2, 2.0 / ys,
-                        np.where((xs <= 1.0 / ys) | (xs >= ys - 1.0 / ys), ys, 0.0))
+            bottom = c0 * np.power(np.maximum(xs, 0.0), q) if q else c0
+        vals = np.where(xs <= d0, bottom, np.where((xs >= ys - d1) & (xs <= ys), c1, 0.0))
     elif kernel.family == "custom":
         vals = np.asarray(kernel.func(xs, ys), dtype=float)
         if np.any(np.where(xs <= ys, vals, 0.0) < 0):
             raise InvalidKernelError("custom kernel returned a negative value")
+        vals = np.where(xs > ys, 0.0, vals)
     else:
         raise InvalidKernelError(f"unknown kernel family {kernel.family!r}")
-    vals = np.where(xs > ys, 0.0, vals)
     return float(vals) if scalar else vals
 
 
@@ -404,7 +398,10 @@ class MassReport:
 
 
 def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassReport:
-    """Classify a kernel's mass balance over positive, finite samples ``y_samples``."""
+    """Classify a kernel's mass balance over positive, finite samples ``y_samples``
+    within a finite ``tol >= 0``."""
+    if not 0 <= tol < np.inf:  # a NaN tol fails this test too
+        raise InvalidInputError(f"mass tolerance must be finite and non-negative, got {tol!r}")
     ys = np.asarray(y_samples, dtype=float)
     if ys.size == 0 or not np.all((ys > 0) & (ys < np.inf)):  # NaN fails both
         raise InvalidKernelError("y_samples must be non-empty, positive and finite")

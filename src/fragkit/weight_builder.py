@@ -20,12 +20,12 @@ is constructed in three steps:
 g(y) and the certificate's left-hand side n_w(y) are both sampled by
 ``admissibility.log_n_samples``, which tries every sample before raising.
 For a built-in kernel with a power or ``power_shifted`` omega0 both are
-closed form, summed over the kernel's pieces (the constructed weight is
-``composite``, and its table is served at q = 0: boundary_binary,
-concentrated, homogeneous_power(0)); a piece that diverges at 0 fails its
-sample.  Other pairs and custom kernels are integrated by quadrature.  The
-checks do not depend on which: h is validated on its own shifted samples
-and the certificate's margin is held to ``tol``.
+closed form, summed over the kernel's bands (``FragmentKernel._bands``; the
+constructed weight is ``composite``, and its table is served at q = 0:
+boundary_binary, concentrated, homogeneous_power(0)); a band that diverges at
+0 fails its sample.  Other pairs and custom kernels are integrated by
+quadrature.  The checks do not depend on which: h is validated on its own
+shifted samples and the certificate's margin is held to ``tol``.
 
 Accuracy.  The sampling densities are fixed, the same for every construction:
 ``_H_SAMPLES_PER_UNIT = 256`` samples of g per unit of y, a ``_BAND_LATTICE =
@@ -138,6 +138,8 @@ def build_h(kernel: FragmentKernel, omega0: Weight | None, eta0: float, y_max: f
     Band suprema come from dense sampling of g (quadrature per sample); an
     independent shifted sample set validates h >= g afterwards.
     """
+    if not 0 < floor < np.inf:  # a NaN floor fails this test too
+        raise InvalidInputError(f"the positivity floor must be finite and positive, got {floor!r}")
     n_bands = int(np.ceil(y_max - eta0)) + 1
     if eta0 == 0.0:
         return MajorantH(eta0=0.0, values=np.full(n_bands + 1, floor), floor=floor)
@@ -316,6 +318,8 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
     """
     if eta0 < 0 or y_max <= eta0:
         raise InvalidInputError("need 0 <= eta0 < y_max")
+    if not 0 <= tol < np.inf:
+        raise InvalidInputError(f"certificate tolerance must be finite and >= 0, got {tol!r}")
     h = build_h(kernel, omega0, eta0, y_max, floor=floor)
     bt = build_btilde(kernel, eta0, y_max)
     if step is None:

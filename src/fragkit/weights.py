@@ -12,9 +12,10 @@ Families: ``power`` x^p, ``power_shifted`` 1 + x^p, ``exponential`` c^x,
 base weight below a cutoff glued to a tabulated tail — the form produced by
 the constructive weight builder).
 
-``Weight._log_moments`` gives log int_lo^hi x^q w(x) dx in closed form where
-the family has one, which ``admissibility.log_n_samples`` sums over the pieces
-of a built-in kernel.
+``Weight._log_moments`` gives log int x^q w(x) dx over a band [lo, lo + width]
+in closed form where the family has one, which ``admissibility.log_n_samples``
+sums over the bands of a built-in kernel.  A band is given by its width, not by
+its upper edge, so a narrow band far from 0 keeps its accuracy.
 """
 
 from __future__ import annotations
@@ -224,40 +225,43 @@ class Weight:
             pts.extend(float(t) for t in inside)
         return tuple(pts)
 
-    def _log_moments(self, q: float, lo, hi):
-        """log of int_lo^hi x^q w(x) dx for each pair ``0 <= lo < hi`` in closed form, or
-        None where the family has none for this ``q``.
+    def _log_moments(self, q: float, lo, width):
+        """log of int_lo^(lo+width) x^q w(x) dx for each pair ``lo >= 0``, ``width > 0``
+        in closed form, or None where the family has none for this ``q``.
 
         ``power`` and ``power_shifted`` have one for every q; ``exponential``,
         ``super_exponential``, ``tabulated`` and ``composite`` (whose base below the
         cutoff takes its own family's rule) for q = 0.  An integral that diverges at
-        ``lo = 0`` is ``+inf``.
+        ``lo = 0`` is ``+inf``.  A band is taken by its width, so a narrow one loses
+        nothing to the rounding of its upper edge.
         """
         fam = self.family
         if fam == "power":
-            out = _log_power_moments(q + self.p + 1.0, lo, hi)
+            out = _log_power_moments(q + self.p + 1.0, lo, width)
         elif fam == "power_shifted":
-            out = np.logaddexp(_log_power_moments(q + 1.0, lo, hi),
-                               _log_power_moments(q + self.p + 1.0, lo, hi))
+            out = np.logaddexp(_log_power_moments(q + 1.0, lo, width),
+                               _log_power_moments(q + self.p + 1.0, lo, width))
         elif q != 0.0:
             return None
         elif fam == "exponential":
-            beta, d = np.log(self.base), hi - lo
-            out = beta * lo + np.log(d) + _log_expm1_ratio(beta * d)
+            beta = np.log(self.base)
+            out = beta * lo + np.log(width) + _log_expm1_ratio(beta * width)
         elif fam == "super_exponential":
-            d = (hi - lo) * (hi + lo)  # hi^2 - lo^2 without cancellation
+            d = width * (2.0 * lo + width)  # hi^2 - lo^2 without cancellation
             out = lo * lo + np.log(0.5 * d) + _log_expm1_ratio(d)
         elif fam == "tabulated":
-            out = _log_table_integrals(self.knots, self.log_values, lo, hi)
+            out = _log_table_integrals(self.knots, self.log_values, lo, width)
         elif fam == "composite":
-            below, above = lo < self.cutoff, hi > self.cutoff
-            base = self.base_weight._log_moments(q, lo[below], np.minimum(hi[below], self.cutoff))
+            below, above = lo < self.cutoff, width > self.cutoff - lo
+            base = self.base_weight._log_moments(
+                q, lo[below], np.minimum(width, self.cutoff - lo)[below])
             if base is None:
                 return None
             out = np.full(lo.shape, -np.inf)
             out[below] = base
+            start = np.maximum(lo[above], self.cutoff)
             out[above] = np.logaddexp(out[above], _log_table_integrals(
-                self.knots, self.log_values, np.maximum(lo[above], self.cutoff), hi[above]))
+                self.knots, self.log_values, start, width[above] - (start - lo[above])))
         else:
             return None
         return out + self.log_offset
@@ -283,43 +287,47 @@ def _log_expm1_ratio(z):
     return np.where(a > 0, np.maximum(z, 0.0) + np.log(-np.expm1(-safe)) - np.log(safe), 0.0)
 
 
-def _log_power_moments(s: float, lo, hi):
-    """log of int_lo^hi x^(s-1) dx for each pair ``0 <= lo < hi``: lo^s L phi(s L) with
-    L = log(hi/lo) and phi(z) = expm1(z)/z, so a narrow band loses nothing; +inf where
-    lo = 0 and s <= 0, where the integral diverges."""
+def _log_power_moments(s: float, lo, width):
+    """log of int_lo^(lo+width) x^(s-1) dx for each pair ``lo >= 0``, ``width > 0``:
+    lo^s L phi(s L) with L = log(1 + width/lo) and phi(z) = expm1(z)/z, so a narrow band
+    loses nothing; +inf where lo = 0 and s <= 0, where the integral diverges."""
     at0 = lo == 0.0
-    l = np.where(at0, 0.5 * hi, lo)  # a stand-in at lo = 0, where the band form is not used
-    near = hi <= 2.0 * l
-    span = np.where(near, np.log1p((hi - l) / l), np.log(hi) - np.log(l))
+    l = np.where(at0, 0.5 * width, lo)  # a stand-in at lo = 0, where the band form is not used
+    span = np.where(width <= l, np.log1p(width / l), np.log(l + width) - np.log(l))
     band = s * np.log(l) + np.log(span) + _log_expm1_ratio(s * span)
-    return np.where(at0, s * np.log(hi) - np.log(s) if s > 0 else np.inf, band)
+    return np.where(at0, s * np.log(width) - np.log(s) if s > 0 else np.inf, band)
 
 
-def _log_table_integrals(knots, log_values, lo, hi):
-    """log of int_lo^hi exp(v(x)) dx for each pair ``lo < hi``, v the piecewise-linear
-    interpolant of ``log_values`` with its end segments extended: an exact sum of
-    log-linear segments.
+def _log_table_integrals(knots, log_values, lo, width):
+    """log of int_lo^(lo+width) exp(v(x)) dx for each pair ``width > 0``, v the
+    piecewise-linear interpolant of ``log_values`` with its end segments extended: an
+    exact sum of log-linear segments.
 
     Each span is a partial segment at either end and the whole segments between
     them.  Those are summed from a pairwise tree of block sums, O(log n) blocks per
     span, never as a difference of two prefix sums, whose cancellation would cost a
-    narrow band its accuracy.
+    narrow band its accuracy.  A span within one segment is taken by its width.
     """
     k, v = knots, log_values
     slope = np.diff(v) / np.diff(k)
     last = slope.size - 1
 
-    def segment(u, t, j):  # int_u^t on the segment line j, u < t
-        return v[j] + slope[j] * (u - k[j]) + np.log(t - u) + _log_expm1_ratio(slope[j] * (t - u))
+    def segment(u, d, j):  # int_u^(u+d) on the segment line j, d > 0
+        return v[j] + slope[j] * (u - k[j]) + np.log(d) + _log_expm1_ratio(slope[j] * d)
 
+    hi = lo + width
     i = np.searchsorted(k, lo, side="right")  # the knots strictly inside are k[i:j]
     j = np.searchsorted(k, hi, side="left")
     inside = j > i
-    out = segment(lo, np.where(inside, k[np.minimum(i, k.size - 1)], hi), np.clip(i - 1, 0, last))
-    top = j[inside] - 1
-    out[inside] = np.logaddexp(out[inside], segment(k[top], hi[inside], np.minimum(top, last)))
+    out = segment(lo, np.where(inside, k[np.minimum(i, k.size - 1)] - lo, width),
+                  np.clip(i - 1, 0, last))
+    top, l, w = j[inside] - 1, lo[inside], width[inside]
+    # the part past k[top]: (l - k[top]) + w keeps a narrow band's width where l - k[top]
+    # is exact (Sterbenz); elsewhere it could round to <= 0, and hi - k[top] cannot
+    d = np.where(2.0 * l >= k[top], (l - k[top]) + w, hi[inside] - k[top])
+    out[inside] = np.logaddexp(out[inside], segment(k[top], d, np.minimum(top, last)))
     # whole segments i .. j - 2: a bottom-up pass over the tree of pairwise sums
-    level, a, b = segment(k[:-1], k[1:], np.arange(slope.size)), i, np.maximum(j - 1, i)
+    level, a, b = segment(k[:-1], np.diff(k), np.arange(slope.size)), i, np.maximum(j - 1, i)
     while np.any(a < b):
         take = (a < b) & (a % 2 == 1)
         out[take] = np.logaddexp(out[take], level[a[take]])

@@ -351,24 +351,28 @@ class TestPieces:
                                         FragmentKernel.homogeneous_power(0.0), BB, CONC],
                              ids=lambda k: k.describe())
     def test_bands_keep_the_mass(self, kernel):
-        # n_x(y) is the mass of b(., y) on its spans as eval_kernel draws them in floats:
-        # y for homogeneous_power and below the splits; above them 1/2 + (y - l)(y + l)/2
-        # (boundary_binary) or y r^2/2 + y (y - l)(y + l)/2 (concentrated), r = 1/y and
-        # l = y - 1 or y - r, with y - l exact.  At y = 1e6 concentrated's top band holds
-        # all but 1e-12 of it: as a difference of the prefixes y^3/2 and y l^2/2 it would
-        # lose y^2 eps = 2e-4, and as log y - log l in the power moment 3e-3
+        # n_x(y) is the mass y of b(., y).  Only boundary_binary's reference is taken on
+        # its float spans above the split, 1/2 + (y - l)(y + l)/2 with l = y - 1 and
+        # y - l exact.  concentrated's top band [y - 1/y, y] holds all but 1e-12 of the
+        # mass at y = 1e6 and is taken by its width 1/y: a width rebuilt as
+        # y - fl(y - 1/y) is off by up to eps y^2 (2e-5 on this grid), a difference of
+        # the prefixes y^3/2 and y l^2/2 by 2e-4, and log y - log l by 3e-3
         ys = np.geomspace(1e-3, 1e6, 37)
         if kernel is BB:
             l = ys - 1.0
             want = np.where(ys > 2.0, 0.5 + 0.5 * (ys - l) * (ys + l), ys)
-        elif kernel is CONC:
-            r = 1.0 / ys
-            l = ys - r
-            want = np.where(ys > np.sqrt(2.0), 0.5 * ys * (r * r + (ys - l) * (ys + l)), ys)
         else:
             want = ys
         rel = np.abs(np.expm1(log_n_samples(kernel, Weight.power(1.0), ys) - np.log(want)))
         assert np.all(rel <= 1e-13)
+
+    def test_concentrated_conserves_mass_in_the_verdict(self):
+        # w = x: r(y) = n_x(y)/y = 1 for a kernel that conserves mass.  With the top
+        # band's width rebuilt from the float y - 1/y this read kappa_hat = 1.00000047
+        # and verdict_A32 = fail
+        report = check(CONC, Weight.power(1.0), 2.0, 1e5)
+        assert report.verdict_A32
+        assert abs(report.kappa_hat - 1.0) <= 1e-12
 
     def test_exponential_weights_stay_in_log_space(self):
         # e^x at y = 100 and x e^{x^2} at y = 25 and 100 overflow a double, their logs do not

@@ -2,6 +2,9 @@
 
 import dataclasses
 import inspect
+import io
+import pathlib
+import tokenize
 
 import fragkit
 
@@ -32,6 +35,13 @@ FIXED = {"spec", "samples_per_unit", "points_per_band", "residual_stride", "n_va
 # defaulted parameters over every exported callable and public method; a new knob
 # raises this number in the same change that adds it
 DEFAULTED_PARAMETERS = 46
+
+# code lines of src/fragkit/*.py, not counting comments, blank lines and docstrings;
+# a change to the program moves this number by its net line change, in the same diff
+CODE_LINES = 1861
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def test_no_public_callable_takes_a_spec():
@@ -76,3 +86,24 @@ def test_rk4_has_no_stiffness_error():
     assert not hasattr(fragkit, "StiffnessError") and "StiffnessError" not in fragkit.__all__
     assert not hasattr(fragkit.errors, "StiffnessError")
     assert len(fragkit.__all__) == 50
+
+
+def code_lines(text: str) -> int:
+    """The lines that hold a token of a statement, a statement that is one lone
+    string (a docstring) not counted."""
+    lines, statement = set(), []
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if not (len(statement) == 1 and statement[0].type == tokenize.STRING):
+                lines.update(n for t in statement for n in range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in _NOT_CODE:
+            statement.append(tok)
+    return len(lines)
+
+
+def test_code_line_budget():
+    assert code_lines('"""doc"""\nx = (1,\n\n     2)  # c\n\ndef f():\n    "doc"\n    return 3\n') == 4
+    counts = {p.name: code_lines(p.read_text())
+              for p in sorted(pathlib.Path(fragkit.__file__).parent.glob("*.py"))}
+    assert sum(counts.values()) == CODE_LINES, counts

@@ -356,6 +356,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, sections, params, flags", [
+        ("kernel-info", BB_EXP, "y_samples = 3,5,10\ntol = -1", ()),
+        ("kernel-info", BB_EXP, "y_samples = 3,5,10", ("--tol", "nan")),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 4\ntol = -1", ()),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 4\ntol = nan", ()),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 4\nfloor = -1", ()),
+        ("simulate", SIM, SIM_PARAMS, ("--assert", "mass", "--tol", "nan")),
+    ], ids=["kernel_info_tol_negative", "kernel_info_tol_nan", "build_weight_tol_negative",
+            "build_weight_tol_nan", "build_weight_floor_negative", "simulate_mass_tol_nan"])
+    def test_tolerance_out_of_range_exit_2(self, tmp_path, capsys, command, sections, params,
+                                           flags):
+        # kernel-info called a conserving kernel "violating" and exited 0; build-weight
+        # blamed under-sampled majorants, or failed h's validation, and exited 1; a NaN
+        # --tol made simulate's mass assertion unable to fail
+        text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"
+        cfg = write(tmp_path / "tol.cfg", text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("tol" in err or "floor" in err)
+        assert not (tmp_path / "out").exists()
+
     def test_unsorted_initial_table_named(self, tmp_path, capsys):
         # np.interp needs increasing x: this table gave u0 = 0, and the run exited 0
         (tmp_path / "u0.csv").write_text("x,u\n5,1\n2,1\n0.5,1\n")

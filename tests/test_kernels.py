@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragkit.errors import InvalidKernelError
-from fragkit.kernels import (FragmentKernel, RateFunction, classify_mass,
+from fragkit.errors import InvalidInputError
+from fragkit.kernels import (FragmentKernel, RateFunction, _one_minus_product, classify_mass,
                              eval_kernel, eval_rate, rate_envelope)
 
 BUILT_INS = [FragmentKernel.homogeneous_power(-0.5), FragmentKernel.boundary_binary(),
@@ -120,6 +121,100 @@ class TestKernelEvaluation:
             FragmentKernel.homogeneous_power(-2.0)
         with pytest.raises(InvalidKernelError):
             FragmentKernel.homogeneous_power(0.5)
+
+
+def parent_eval_kernel(kernel, x, y):
+    """eval_kernel's per-family formulas as they were before the band table, frozen."""
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if kernel.family == "homogeneous_power":
+        nu = kernel.nu
+        with np.errstate(divide="ignore"):
+            vals = (nu + 2.0) * np.where(xs > 0, xs, np.nan) ** nu / ys ** (nu + 1.0)
+        vals = np.where(xs > 0, vals, np.inf if nu < 0 else (nu + 2.0) / ys)
+    elif kernel.family == "boundary_binary":
+        vals = np.where(ys <= 2.0, 2.0 / ys, np.where((xs <= 1.0) | (xs >= ys - 1.0), 1.0, 0.0))
+    else:
+        vals = np.where(ys <= np.sqrt(2.0), 2.0 / ys,
+                        np.where((xs <= 1.0 / ys) | (xs >= ys - 1.0 / ys), ys, 0.0))
+    return np.where(xs > ys, 0.0, vals)
+
+
+def parent_mass_partial(kernel, s, y):
+    """mass_partial's per-family closed forms as they were before the band table, frozen."""
+    ys = np.asarray(y, dtype=float)
+    ss = np.clip(np.asarray(s, dtype=float), 0.0, ys)
+    if kernel.family == "homogeneous_power":
+        return ys * (ss / ys) ** (kernel.nu + 2.0)
+    if kernel.family == "boundary_binary":
+        t = ys - 1.0
+        return np.where(ys <= 2.0, ss ** 2 / ys,
+                        np.where(ss <= 1.0, 0.5 * ss ** 2,
+                                 np.where(ss <= t, 0.5, 0.5 + 0.5 * (ss - t) * (ss + t))))
+    c, r = 0.5 / ys, 1.0 / ys
+    t = ys - r
+    e = _one_minus_product(ys, r) / ys
+    return np.where(ys <= np.sqrt(2.0), ss ** 2 / ys,
+                    np.where(ss <= r, 0.5 * ys * ss ** 2,
+                             np.where(ss <= t, c,
+                                      c + 0.5 * ys * (((ss - ys) + r) + e) * (ss + t))))
+
+
+class TestBands:
+    """The band table ``FragmentKernel._bands`` against ``breakpoints`` and against
+    the per-family formulas it replaced."""
+
+    KERNELS = BUILT_INS + [FragmentKernel.homogeneous_power(0.0),
+                           FragmentKernel.homogeneous_power(-1.7)]
+    IDS = BUILT_IN_IDS + ["homogeneous_0", "homogeneous_-1.7"]
+    # the splits, a float on either side of each, and log-uniform draws
+    YS = np.concatenate([[2.0, np.sqrt(2.0)], np.nextafter([2.0, np.sqrt(2.0)], np.inf),
+                         np.nextafter([2.0, np.sqrt(2.0)], 0.0), [1.0, 2.0 + 1e-9, 1e3],
+                         np.exp(np.random.default_rng(27).uniform(np.log(1e-3), np.log(1e4), 200))])
+
+    @staticmethod
+    def edges(kernel, y):
+        """The interior edges of the bands at one y: d0 below y, and y - d1 where d1 > 0."""
+        _, _, d0, _, d1 = kernel._bands(np.array([y]))
+        return tuple(float(e) for e, on in ((d0[0], d0[0] < y), (y - d1[0], d1[0] > 0)) if on)
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+    def test_breakpoints_are_the_band_edges(self, kern):
+        for y in self.YS:
+            assert kern.breakpoints(float(y)) == self.edges(kern, float(y)), y
+
+    def points(self, kern, y):
+        """x = 0, y, just past y, 2y, each band edge and its two neighbours, and draws."""
+        edges = np.array(kern.breakpoints(y) or [y])
+        around = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        draws = np.random.default_rng(int(y * 1e6) % 2**32).uniform(0.0, y, 20)
+        return np.concatenate([[0.0, y, np.nextafter(y, np.inf), 2.0 * y], around, draws])
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+    def test_eval_kernel_agrees_with_the_parent_formulas(self, kern):
+        # bit-equal for the split families; homogeneous_power takes (nu+2)/y^(nu+1)
+        # before x^nu, not after, which moves at most 2 ulp
+        for y in self.YS:
+            x = self.points(kern, float(y))
+            got, want = eval_kernel(kern, x, float(y)), parent_eval_kernel(kern, x, float(y))
+            if kern.family == "homogeneous_power":
+                assert np.array_equal(np.isinf(got), np.isinf(want)), y
+                fin = np.isfinite(want)
+                assert np.all(np.abs(got[fin] - want[fin]) <= 2 * np.spacing(want[fin])), y
+            else:
+                assert np.array_equal(got, want), y
+            # the array path and one scalar call agree
+            assert eval_kernel(kern, float(x[-1]), float(y)) == got[-1]
+
+    @pytest.mark.parametrize("kern", KERNELS, ids=IDS)
+    def test_mass_partial_agrees_with_the_parent_formulas(self, kern):
+        # the bottom band's c0 s^(q+2)/(q+2) may round differently from y (s/y)^(nu+2),
+        # s^2/y and concentrated's 1/(2y), by a few ulp; the top band adds the same bits
+        for y in self.YS:
+            s = np.concatenate([[-1.0, 0.0], self.points(kern, float(y))])
+            got, want = kern.mass_partial(s, float(y)), parent_mass_partial(kern, s, float(y))
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), y
+            if kern.family == "boundary_binary":
+                assert np.array_equal(got, want) or y <= 2.0, y
 
 
 class TestMassIntegral:
@@ -267,6 +362,12 @@ class TestClassifyMass:
         rep2 = classify_mass(kern2, [1.0, 4.0], tol=1e-8)
         assert rep2.classification == "violating"
         assert rep2.max_excess == pytest.approx(1.0 / 3.0, rel=1e-8)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_tolerance_out_of_range_rejected(self, tol):
+        # -1 and NaN called a conserving kernel "violating"
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            classify_mass(FragmentKernel.boundary_binary(), [3.0, 5.0], tol=tol)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(InvalidKernelError):

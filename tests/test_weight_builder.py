@@ -26,6 +26,15 @@ class TestBuildH:
         assert h.eval(0.0) == 1e-8
         assert h.eval(7.3) == 1e-8
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, np.nan, np.inf])
+    def test_floor_out_of_range_refused(self, floor):
+        # h = g + floor must stay strictly positive; -1 failed h's validation instead
+        for eta0 in (0.0, 1.0):
+            with pytest.raises(InvalidInputError, match="floor"):
+                build_h(BB, W_X, eta0, 6.0, floor=floor)
+        with pytest.raises(InvalidInputError, match="floor"):
+            construct_weight(BB, W_X, 1.0, 1.0, 6.0, floor=floor)
+
     def test_boundary_binary_first_band(self):
         # g(y) = 1/y on [1, 2] (b = 2/y there, integral of 2x/y over [0,1]),
         # so the first band supremum is g(1) = 1
@@ -256,6 +265,12 @@ class TestConstructWeight:
         # continuous a-priori bound, plus the trapezoid's O(step^2) growth bias
         log_bound = w.log_eval(1.0) + (b_max / 1.0) * (ys - 1.0)
         assert np.all(w.log_eval(ys) <= log_bound + 1e-3)
+
+    @pytest.mark.parametrize("tol", [-1e-6, np.nan, np.inf])
+    def test_tolerance_out_of_range_refused(self, tol):
+        # a negative or NaN tol failed every certificate, an infinite one passed any
+        with pytest.raises(InvalidInputError, match="tolerance"):
+            construct_weight(BB, W_X, 1.0, 1.0, 6.0, tol=tol)
 
     def test_certificate_never_passes_with_violation(self):
         w, cert = construct_weight(BB, W_X, 1.0, 1.0, 30.0)
