@@ -174,17 +174,20 @@ def _build_weight(sec, name: str) -> Weight:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse and validate a configuration file into built objects."""
+    """Parse and validate a configuration file into built objects.
+
+    Malformed syntax (a duplicate key or section, a line outside any section or
+    without ``=``, an unclosed header, a bad ``%`` interpolation) and bytes that
+    are not UTF-8 raise :class:`ConfigError`, as every out-of-range value does.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    known_sections = {"kernel", "rate", "weight", "weight2", "params"}
-    unknown = set(parser.sections()) - known_sections
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     cfg = RunConfig()
     try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
+        unknown = set(parser.sections()) - {"kernel", "rate", "weight", "weight2", "params"}
+        if unknown:
+            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         if parser.has_section("kernel"):
             cfg.kernel = _build_kernel(parser["kernel"])
         if parser.has_section("rate"):
@@ -193,13 +196,13 @@ def load_config(path: str) -> RunConfig:
             cfg.weight = _build_weight(parser["weight"], "weight")
         if parser.has_section("weight2"):
             cfg.weight2 = _build_weight(parser["weight2"], "weight2")
+        if parser.has_section("params"):
+            _check_keys("params", parser["params"].keys(), _PARAM_KEYS)
+            cfg.params = dict(parser["params"])
     except ConfigError:
         raise
-    except Exception as exc:
+    except Exception as exc:  # configparser.Error and UnicodeDecodeError among them
         raise ConfigError(str(exc)) from exc
-    if parser.has_section("params"):
-        _check_keys("params", parser["params"].keys(), _PARAM_KEYS)
-        cfg.params = dict(parser["params"])
     return cfg
 
 

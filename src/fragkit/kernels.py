@@ -12,8 +12,9 @@ The built-in kernel families are
     b = y on [0, 1/y] u [y-1/y, y] and 0 between, for y > sqrt(2); b = 2/y
     otherwise.  Fragment sizes concentrate at the ends as y grows.
 ``custom``
-    Any vectorized callable b(x, y); optional breakpoint and partial-mass
-    callbacks let the quadrature and the simulator treat it accurately.
+    Any callable b(x, y) that broadcasts over arrays of x and y; an optional
+    breakpoint callback lets the quadrature split at its discontinuities.  Its
+    daughter mass is one batched quadrature pass over the parent sizes.
 
 Each built-in family's shape is written once, in the band table
 ``FragmentKernel._bands``: a bottom band c0 x^q on [0, d0] and, above the
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidKernelError, QuadratureError
-from .quadrature import log_integrate, panel_sums
+from .quadrature import _log_integrate_rows, panel_sums
 
 __all__ = [
     "RateFunction", "FragmentKernel", "MassReport",
@@ -166,7 +167,6 @@ class FragmentKernel:
     nu: float | None = None
     func: object = None
     breakpoints_fn: object = None
-    mass_partial_fn: object = None
     label: str = ""
 
     @classmethod
@@ -186,15 +186,15 @@ class FragmentKernel:
         return cls(family="concentrated", label="concentrated")
 
     @classmethod
-    def custom(cls, func, breakpoints=None, mass_partial=None, label="custom") -> "FragmentKernel":
-        return cls(family="custom", func=func, breakpoints_fn=breakpoints,
-                   mass_partial_fn=mass_partial, label=label)
+    def custom(cls, func, breakpoints=None, label="custom") -> "FragmentKernel":
+        """Any b(x, y) = ``func(x, y)``, vectorized over x and y as arrays that broadcast;
+        ``breakpoints(y)``, for one float y, lists the x-discontinuities of b(., y)."""
+        return cls(family="custom", func=func, breakpoints_fn=breakpoints, label=label)
 
     @classmethod
     def zero(cls) -> "FragmentKernel":
-        return cls.custom(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-                          mass_partial=lambda s, y: np.zeros_like(np.asarray(s, dtype=float)),
-                          label="zero")
+        """b = 0: every quadrature cell is dead, so its daughter mass is exactly 0."""
+        return cls.custom(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)), label="zero")
 
     def __call__(self, x, y):
         return eval_kernel(self, x, y)
@@ -241,9 +241,8 @@ class FragmentKernel:
     def mass_partial(self, s, y):
         """Cumulative daughter mass M(s; y); ``s`` and ``y`` broadcast.
 
-        The built-in families sum the closed form of their bands on the whole table.
-        A custom kernel's ``mass_partial`` callback, or the quadrature fallback,
-        gets one scalar y at a time, with the s values it broadcasts against.
+        The built-in families sum the closed form of their bands on the whole table;
+        a custom kernel takes one batched quadrature pass, ``_mass_partial_numeric``.
         Every y must be positive and finite.
         """
         ys = np.asarray(y, dtype=float)
@@ -265,48 +264,49 @@ class FragmentKernel:
                 s = np.minimum(s, y)
                 out[top] += 0.5 * c * (((s - y) + d) + _one_minus_product(c, d) / c) * (s + t)
         else:
-            # one call per element of y, with the s values that element broadcasts against
-            ss = np.clip(s, 0.0, ys)
-            out = np.empty(ss.shape)
-            yb = ys.reshape((1,) * (ss.ndim - ys.ndim) + ys.shape)
-            for k in np.ndindex(yb.shape):
-                at = tuple(slice(None) if n == 1 else i for i, n in zip(k, yb.shape))
-                y_k = float(yb[k])
-                out[at] = self._mass_partial_numeric(ss[at], y_k) \
-                    if self.mass_partial_fn is None else self.mass_partial_fn(ss[at], y_k)
+            out = self._mass_partial_numeric(*np.broadcast_arrays(np.clip(s, 0.0, ys), ys))
         return float(out) if scalar else out
 
-    def _mass_partial_numeric(self, s, y: float) -> np.ndarray:
-        """Quadrature fallback in one cumulative pass over the sorted positive s.
+    def _mass_partial_numeric(self, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Quadrature for a custom kernel on the broadcast pair ``0 <= s <= y``: one
+        cumulative pass per distinct y over its sorted positive s.
 
-        An adaptive integral reaches the smallest one; fixed-order panels between
-        consecutive points add the rest.  Geometric points are inserted where two
-        consecutive points differ by more than a factor of 2, so every panel is
-        accurate near a singular kernel; finer grids, such as the simulator's, are
-        used as they are.  Results come back in the shape and order of ``s``; zeros
-        map to 0.
+        One batched adaptive integral, a row per distinct y, reaches each y's smallest
+        s; fixed-order panels between consecutive points add the rest.  Geometric points
+        are inserted where two consecutive points differ by more than a factor of 2,
+        so every panel is accurate near a singular kernel; finer grids, such as the
+        simulator's, are used as they are.  The elements that share a y share its
+        pass, and an s of 0 gives 0.
 
         The integrand is ``b(x, y) * exp(log x)``: the daughter mass is n_w with
-        w(x) = x.  A failure carries the plain partial value, not its log.
+        w(x) = x.  If a row fails, raises :class:`QuadratureError` with the plain
+        values, the failed rows' from their last estimates, as ``partial`` and the
+        elements of those rows as ``failed``.
         """
-        b = lambda x: eval_kernel(self, x, y)
-        bps = self.breakpoints(y)
-        shape, s_flat = np.shape(s), np.ravel(s)
-        order = np.argsort(s_flat)
-        order = order[s_flat[order] > 0]
-        s = s_flat[order]
-        out = np.zeros_like(s_flat)
-        if s.size:
-            try:
-                log_base, _ = log_integrate(b, np.log, 0.0, float(s[0]), breakpoints=bps,
-                                            grade_lo=True)
-            except QuadratureError as exc:
-                raise QuadratureError(str(exc), partial=float(np.exp(exc.partial))) from None
-            pts = np.unique(np.concatenate([s, [p for p in bps if s[0] < p < s[-1]]]))
+        shape, s, ys = s.shape, s.ravel(), ys.ravel()
+        pos = np.flatnonzero(s > 0)
+        pos = pos[np.lexsort((s[pos], ys[pos]))]  # by y, then by s
+        y_rows, cuts = np.unique(ys[pos], return_index=True)
+        cuts = np.append(cuts, pos.size)
+        bps = [self.breakpoints(float(y)) for y in y_rows]
+        log_base, failed_rows = _log_integrate_rows(
+            lambda x, i: eval_kernel(self, x, y_rows[i]), np.log,
+            ((0.0, s[pos[lo]], bp) for lo, bp in zip(cuts, bps)))
+        out = np.zeros(s.shape)
+        for y, bp, base, lo, hi in zip(y_rows, bps, log_base, cuts, cuts[1:]):
+            at = pos[lo:hi]
+            pts = np.unique(np.concatenate([s[at], [p for p in bp if s[at[0]] < p < s[at[-1]]]]))
             pts = _geometric_fill(pts)
-            increments = np.exp(panel_sums(b, np.log, pts)) if pts.size > 1 else np.zeros(0)
-            cum = np.exp(log_base) + np.concatenate([[0.0], np.cumsum(increments)])
-            out[order] = cum[np.searchsorted(pts, s)]
+            increments = np.exp(panel_sums(lambda x: eval_kernel(self, x, y), np.log, pts)) \
+                if pts.size > 1 else np.zeros(0)
+            cum = np.exp(base) + np.concatenate([[0.0], np.cumsum(increments)])
+            out[at] = cum[np.searchsorted(pts, s[at])]
+        failed = np.isin(ys, y_rows[failed_rows]) & (s > 0)
+        if failed.any():
+            raise QuadratureError(
+                f"daughter mass quadrature did not converge at {np.count_nonzero(failed_rows)} "
+                f"of {y_rows.size} parent sizes (first at y = {y_rows[failed_rows][0]:g})",
+                partial=out.reshape(shape), failed=failed.reshape(shape))
         return out.reshape(shape)
 
     def describe(self) -> str:
@@ -405,17 +405,11 @@ def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassR
     ys = np.asarray(y_samples, dtype=float)
     if ys.size == 0 or not np.all((ys > 0) & (ys < np.inf)):  # NaN fails both
         raise InvalidKernelError("y_samples must be non-empty, positive and finite")
-    m = np.empty_like(ys)
-    failed = []
-    for i, y in enumerate(ys):
-        try:
-            m[i] = kernel.mass_partial(y, y)
-        except QuadratureError as exc:
-            m[i] = exc.partial if exc.partial is not None else np.nan
-            failed.append(i)
-    ok = np.ones(ys.shape, dtype=bool)
-    ok[failed] = False
-    excess = m[ok] / ys[ok] - 1.0
+    try:
+        m, failed = kernel.mass_partial(ys, ys), np.zeros(ys.shape, dtype=bool)
+    except QuadratureError as exc:
+        m, failed = exc.partial, exc.failed
+    excess = m[~failed] / ys[~failed] - 1.0
     max_excess = float(np.max(excess)) if excess.size else np.nan
     if excess.size == 0:
         cls = "inconclusive"
@@ -426,4 +420,5 @@ def classify_mass(kernel: FragmentKernel, y_samples, tol: float = 1e-8) -> MassR
     else:
         cls = "violating"
     return MassReport(y_samples=ys, m_values=m, classification=cls,
-                      max_excess=max_excess, tol=tol, failed=tuple(failed))
+                      max_excess=max_excess, tol=tol,
+                      failed=tuple(np.flatnonzero(failed).tolist()))

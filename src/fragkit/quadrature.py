@@ -15,9 +15,10 @@ weighted-L1 theory asks for no other), and a negative one raises
     The plain value of the integral of a non-negative ``f``: ``log_integrate``
     with ``log_weight = 0``.
 
-``_log_integrate_rows`` runs it on many rows, one per parent size in
+``_log_integrate_rows`` runs it on many rows, one per parent size: in
 ``admissibility.log_n_samples``, for the kernel and weight pairs whose n_w has
-no closed form.
+no closed form, and in ``FragmentKernel.mass_partial``, for a custom kernel's
+daughter mass up to the smallest point of each parent size.
 
 Accuracy.  It is fixed, the same for every integral: one 12-point
 Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a log total settled within

@@ -238,10 +238,12 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     the caller to halve.  The residual is measured against a half-step
     re-integration of the linear interpolant, which is an independent (finer)
     quadrature of the same equation.  A march of more than ``_MAX_NODES`` nodes
-    is refused with :class:`InvalidInputError` before anything is allocated.
+    is refused with :class:`InvalidInputError` before anything is allocated, as is a
+    ``kappa`` or ``step`` outside ``(0, inf)``.
     """
-    if kappa <= 0 or step <= 0:
-        raise InvalidInputError("kappa and step must be positive")
+    if not (0 < kappa < np.inf and 0 < step < np.inf):  # a NaN fails this test too
+        raise InvalidInputError("need 0 < kappa < inf and 0 < step < inf, got "
+                                f"kappa = {kappa!r}, step = {step!r}")
     n_steps = np.ceil((y_max - eta0) / step - 1e-12)
     if not n_steps < _MAX_NODES:  # a NaN or infinite count too
         raise InvalidInputError(
@@ -314,10 +316,13 @@ def construct_weight(kernel: FragmentKernel, omega0: Weight | None, eta0: float,
     The returned weight equals omega0 exactly below eta0 and the marched
     solution (log-linear interpolation between nodes) on [eta0, y_max].
     A certificate violation raises :class:`ConstructionError` carrying the
-    worst y; the usual cause is under-sampled majorants.
+    worst y; the usual cause is under-sampled majorants.  Out of range, without
+    ``0 <= eta0 < y_max < inf``, ``0 < kappa < inf`` and a ``step`` that is None
+    or in ``(0, inf)``, raises :class:`InvalidInputError` naming the parameter.
     """
-    if eta0 < 0 or y_max <= eta0:
-        raise InvalidInputError("need 0 <= eta0 < y_max")
+    if not 0 <= eta0 < y_max < np.inf:  # a NaN fails this test too
+        raise InvalidInputError(f"need 0 <= eta0 < y_max < inf, got eta0 = {eta0!r}, "
+                                f"y_max = {y_max!r}")
     if not 0 <= tol < np.inf:
         raise InvalidInputError(f"certificate tolerance must be finite and >= 0, got {tol!r}")
     h = build_h(kernel, omega0, eta0, y_max, floor=floor)
@@ -372,10 +377,14 @@ def exp_weight_search(delta1: float, delta2: float, d: float, b_m: float) -> Exp
     The rule delta = min(delta2, 1/(4 b_m)), c = max(2d, e^{2/delta1},
     2^{2/delta}) makes all five constraints hold by construction:
     delta <= delta2, delta*b_m < 1/2, c > d, log c > 1/delta1, c^-delta < 1/2.
-    Returns None (with a logged diagnostic) only when c leaves the float range.
+    Returns None (with a logged diagnostic) only when c leaves the float range;
+    raises :class:`InvalidInputError` without ``0 < delta1, delta2, b_m < inf``
+    and ``1 < d < inf``.
     """
-    if delta1 <= 0 or delta2 <= 0 or b_m <= 0 or d <= 1:
-        raise InvalidInputError("need delta1, delta2, b_m > 0 and d > 1")
+    if not (0 < delta1 < np.inf and 0 < delta2 < np.inf and 0 < b_m < np.inf and 1 < d < np.inf):
+        raise InvalidInputError("need 0 < delta1, delta2, b_m < inf and 1 < d < inf, got "
+                                f"delta1 = {delta1!r}, delta2 = {delta2!r}, d = {d!r}, "
+                                f"b_m = {b_m!r}")
     delta = min(delta2, 1.0 / (4.0 * b_m))
     log_c = max(np.log(2.0 * d), 2.0 / delta1, (2.0 / delta) * np.log(2.0))
     if log_c > 709.0:

@@ -343,11 +343,31 @@ class TestExitCodes:
         # these two ended in numpy's "Maximum allowed size exceeded" traceback
         ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = 1e300"),
         ("compare-weights", TWO_WEIGHTS, "eta0 = 1.0\ny_max = 100.0\nx_grid_n = 1e300"),
+        # build-weight: these three ended in a ValueError or OverflowError traceback, and
+        # the next three blamed "tabulated weight needs finite knots" or "matching knots"
+        ("build-weight", BB_POW, "eta0 = nan\ny_max = 4"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = nan"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = inf"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 4\nkappa = nan"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 4\nkappa = inf"),
+        ("build-weight", BB_POW, "eta0 = 1\ny_max = 4\nstep = inf"),
+        # find-exp-weight: a NaN ended in an AssertionError traceback, b_m = inf in a
+        # ZeroDivisionError; d = inf exited 1 and delta1 = inf exited 0
+        ("find-exp-weight", "", "delta1 = nan\ndelta2 = 1\nd = 1.5\nb_m = 1"),
+        ("find-exp-weight", "", "delta1 = 1\ndelta2 = nan\nd = 1.5\nb_m = 1"),
+        ("find-exp-weight", "", "delta1 = 1\ndelta2 = 1\nd = nan\nb_m = 1"),
+        ("find-exp-weight", "", "delta1 = 1\ndelta2 = 1\nd = 1.5\nb_m = nan"),
+        ("find-exp-weight", "", "delta1 = 1\ndelta2 = 1\nd = 1.5\nb_m = inf"),
+        ("find-exp-weight", "", "delta1 = 1\ndelta2 = 1\nd = inf\nb_m = 1"),
+        ("find-exp-weight", "", "delta1 = inf\ndelta2 = 1\nd = 1.5\nb_m = 1"),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
             "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0", "x_grid_n_2.5",
             "t_end_negative", "unknown_scheme_no_step",
             "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan",
-            "n_samples_1e300", "x_grid_n_1e300"])
+            "n_samples_1e300", "x_grid_n_1e300",
+            "build_eta0_nan", "build_y_max_nan", "build_y_max_inf", "build_kappa_nan",
+            "build_kappa_inf", "build_step_inf", "exp_delta1_nan", "exp_delta2_nan", "exp_d_nan",
+            "exp_b_m_nan", "exp_b_m_inf", "exp_d_inf", "exp_delta1_inf"])
     def test_out_of_range_input_exit_2(self, tmp_path, capsys, command, sections, params):
         # the [params] of ``sections`` are replaced by ``params``
         text = sections.split("[params]")[0] + "\n[params]\n" + params + "\n"
@@ -399,6 +419,23 @@ class TestExitCodes:
                          "--out", str(out)]) == 0
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("text", [
+        b"[kernel]\nfamily = boundary_binary\nfamily = concentrated\n",
+        b"[kernel]\nfamily = boundary_binary\n[kernel]\nfamily = concentrated\n",
+        b"family = boundary_binary\n[kernel]\nfamily = concentrated\n",
+        b"[kernel]\nfamily = boundary_binary\njunk\n",
+        b"[kernel\nfamily = boundary_binary\n",
+        b"[kernel]\nfamily = boundary_binary  # \xff\xfe\n",
+        b"[kernel]\nfamily = boundary_binary\n[params]\ny_samples = 1,2%\n",
+    ], ids=["duplicate_key", "duplicate_section", "line_before_any_section", "line_without_equals",
+            "unclosed_section", "not_utf8", "bad_interpolation"])
+    def test_malformed_config_syntax_exit_2(self, tmp_path, capsys, text):
+        # each of these ended in a configparser or UnicodeDecodeError traceback, exit 1
+        (tmp_path / "bad.cfg").write_bytes(text)
+        assert main(["kernel-info", "--config", str(tmp_path / "bad.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_invalid_config_exit_2(self, tmp_path):
         cfg = write(tmp_path / "f.cfg", "[kernel]\nfamily = custom\nexpr =\n")

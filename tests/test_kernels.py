@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fragkit.errors import InvalidKernelError
-from fragkit.errors import InvalidInputError
+from fragkit.errors import InvalidInputError, QuadratureError
 from fragkit.kernels import (FragmentKernel, RateFunction, _one_minus_product, classify_mass,
                              eval_kernel, eval_rate, rate_envelope)
 
@@ -315,8 +315,11 @@ class TestMassPartialOverArraysOfY:
     # t = y - 1 and t = y - 1/y, is one ulp off t * t
     YS = np.concatenate([np.geomspace(0.3, 30.0, 41), [19.144, 1.8747171664109912]])
 
-    @pytest.mark.parametrize("kern", BUILT_INS, ids=BUILT_IN_IDS)
+    @pytest.mark.parametrize(
+        "kern", BUILT_INS + [FragmentKernel.custom(lambda x, y: eval_kernel(BUILT_INS[0], x, y))],
+        ids=BUILT_IN_IDS + ["custom_homogeneous"])
     def test_array_y_is_the_stacked_scalar_calls(self, kern):
+        # a custom kernel's batched quadrature too: each y's pass depends on its own s alone
         s = np.linspace(0.0, 31.0, 157)
         got = kern.mass_partial(s[:, None], self.YS)
         ref = np.stack([kern.mass_partial(s, float(y)) for y in self.YS], axis=1)
@@ -362,6 +365,23 @@ class TestClassifyMass:
         rep2 = classify_mass(kern2, [1.0, 4.0], tol=1e-8)
         assert rep2.classification == "violating"
         assert rep2.max_excess == pytest.approx(1.0 / 3.0, rel=1e-8)
+
+    def test_failed_samples_keep_their_partials(self):
+        # x^-2.5 x = x^-1.5 is not integrable at 0, so the samples above 2 fail; the others have
+        # m(y) = y.  One batched call gives what each sample gives alone
+        kern = FragmentKernel.custom(lambda x, y: np.where(y > 2, 1, 0) * x**-2.5 + 3 * x / y**2)
+        ys = [1.0, 3.0, 1.5, 4.0]
+        rep = classify_mass(kern, ys)
+        assert rep.failed == (1, 3)
+        assert rep.classification == "conserving"
+        alone = []
+        for y in ys:
+            try:
+                alone.append(kern.mass_partial(y, y))
+            except QuadratureError as exc:
+                alone.append(float(exc.partial))
+        assert rep.m_values.tolist() == alone
+        np.testing.assert_allclose(rep.m_values[[0, 2]], [1.0, 1.5], rtol=1e-12)
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_tolerance_out_of_range_rejected(self, tol):

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, solve_triangular
 
-from fragkit import simulator
+from fragkit import kernels, simulator
 from fragkit.errors import FragkitError, InvalidInputError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_rate
 from fragkit.simulator import (_ASSEMBLY_BLOCK, _IE_BLOCK, _IE_CHUNK, _IE_LEAF, DensityState,
@@ -198,33 +198,36 @@ class TestDiscretize:
         assert np.array_equal(gen.matrix, _per_column_matrix(kern, RATE_ZERO_HEAD, g))
         assert np.all(np.tril(gen.matrix, -1) == 0)
 
-    @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.custom(lambda x, y: x / y**2)],
-                             ids=["closed_form", "custom"])
-    def test_mass_partial_called_once_per_block(self, monkeypatch, kern):
+    @pytest.mark.parametrize("custom", [False, True], ids=["closed_form", "custom"])
+    def test_mass_partial_called_once_per_block(self, monkeypatch, custom):
         # the first edge is the first node, so one call per block of columns
-        # also gives the mass below the grid; a custom kernel's quadrature
-        # still runs once per parent size, with that size as a float
-        calls, per_y = [], []
-        real, real_numeric = FragmentKernel.mass_partial, FragmentKernel._mass_partial_numeric
+        # also gives the mass below the grid; on a custom kernel each call runs
+        # one batched quadrature, whose rows are the parent sizes of the block
+        calls, rows, seen = [], [], []
+        real, real_rows = FragmentKernel.mass_partial, kernels._log_integrate_rows
+
+        def b(x, y):
+            seen.append(np.ravel(y))
+            return x / y**2
 
         def counting(self, s, y):
             calls.append(y)
             return real(self, s, y)
 
-        def counting_numeric(self, s, y):
-            per_y.append(y)
-            return real_numeric(self, s, y)
+        def counting_rows(factor, log_weight, spans):
+            seen.clear()
+            out = real_rows(factor, log_weight, spans)
+            rows.append(np.unique(np.concatenate(seen)).tolist())
+            return out
 
         monkeypatch.setattr(FragmentKernel, "mass_partial", counting)
-        monkeypatch.setattr(FragmentKernel, "_mass_partial_numeric", counting_numeric)
+        monkeypatch.setattr(kernels, "_log_integrate_rows", counting_rows)
         g = Grid.geometric(1e-2, 10.0, 2 * _ASSEMBLY_BLOCK + 3)
-        discretize(kern, RATE_X, g)
+        discretize(FragmentKernel.custom(b) if custom else HOM0, RATE_X, g)
         assert len(calls) == math.ceil(g.n / _ASSEMBLY_BLOCK) == 3
-        if kern.family == "custom":
-            assert per_y == g.nodes.tolist()
-            assert all(type(y) is float for y in per_y)
-        else:
-            assert per_y == []
+        blocks = [g.nodes[lo:lo + _ASSEMBLY_BLOCK].tolist()
+                  for lo in range(0, g.n, _ASSEMBLY_BLOCK)]
+        assert rows == (blocks if custom else [])
 
     @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.boundary_binary(),
                                       FragmentKernel.concentrated()],
@@ -572,8 +575,7 @@ class TestExpmOracle:
         (128, FragmentKernel.homogeneous_power(-0.5), 6.0, 2),
         # b = 3/y makes m(y) = 1.5 y: each breakup gains half the parent's
         # mass, and rho = 1.5
-        (128, FragmentKernel.custom(lambda x, y: 3.0 / y + 0.0 * x,
-                                    mass_partial=lambda s, y: 1.5 * s**2 / y), 0.5, 1),
+        (128, FragmentKernel.custom(lambda x, y: 3.0 / y + 0.0 * x), 0.5, 1),
     ], ids=["64", "256", "more_than_one_hop", "mass_gaining"])
     def test_matches_dense_exponential(self, monkeypatch, n, kern, t, hops):
         # the dense exponential of the generator, dust included, is the reference

@@ -140,6 +140,15 @@ class TestBuildBtilde:
 
 
 class TestSolveVolterra:
+    @pytest.mark.parametrize("kappa, step", [(np.nan, 1e-2), (np.inf, 1e-2), (1.0, np.inf),
+                                             (0.0, 1e-2), (1.0, -1.0)],
+                             ids=["kappa_nan", "kappa_inf", "step_inf", "kappa_0", "step_negative"])
+    def test_kappa_and_step_out_of_range_rejected(self, kappa, step):
+        # a NaN kappa returned NaN values with residual_max 0, an infinite one zeros, and
+        # an infinite step one NaN node
+        with pytest.raises(InvalidInputError, match="kappa = .*, step = "):
+            solve_volterra(MajorantB.constant(1.0, 1.0, 3.0), lambda y: 1.0, kappa, 1.0, 3.0, step)
+
     def test_zero_majorant_gives_f_over_kappa(self):
         bt = MajorantB.constant(0.0, 1.0, 3.0)
         sol = solve_volterra(bt, lambda y: 2.0 + 0.0 * y, 4.0, 1.0, 3.0, 1e-2)
@@ -292,6 +301,23 @@ class TestConstructWeight:
         assert exc.value.worst_y is not None
 
 
+    @pytest.mark.parametrize("eta0, kappa, y_max, step, name", [
+        (np.nan, 1.0, 4.0, None, "eta0"), (-1.0, 1.0, 4.0, None, "eta0"),
+        (1.0, 1.0, np.nan, None, "y_max"), (1.0, 1.0, np.inf, None, "y_max"),
+        (1.0, 1.0, 0.5, None, "y_max"), (1.0, np.nan, 4.0, None, "kappa"),
+        (1.0, np.inf, 4.0, None, "kappa"), (1.0, 0.0, 4.0, None, "kappa"),
+        (1.0, 1.0, 4.0, np.inf, "step"), (1.0, 1.0, 4.0, np.nan, "step"),
+        (1.0, 1.0, 4.0, 0.0, "step"),
+    ], ids=["eta0_nan", "eta0_negative", "y_max_nan", "y_max_inf", "y_max_below_eta0",
+            "kappa_nan", "kappa_inf", "kappa_0", "step_inf", "step_nan", "step_0"])
+    def test_out_of_range_named(self, eta0, kappa, y_max, step, name):
+        # a NaN eta0 or y_max and an infinite y_max ended in a ValueError or OverflowError
+        # from int(); a NaN or infinite kappa and an infinite step in "tabulated weight
+        # needs finite knots"
+        with pytest.raises(InvalidInputError, match=f"{name} = "):
+            construct_weight(BB, W_X, eta0, kappa, y_max, step=step)
+
+
 class TestExpWeightSearch:
     def test_reference_parameters(self):
         res = exp_weight_search(1.0, 1.0, 1.5, 1.0)
@@ -329,3 +355,15 @@ class TestExpWeightSearch:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             exp_weight_search(1.0, 1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("args", [
+        (np.nan, 1.0, 1.5, 1.0), (1.0, np.nan, 1.5, 1.0), (1.0, 1.0, np.nan, 1.0),
+        (1.0, 1.0, 1.5, np.nan), (1.0, 1.0, 1.5, np.inf), (1.0, 1.0, np.inf, 1.0),
+        (np.inf, 1.0, 1.5, 1.0), (1.0, np.inf, 1.5, 1.0),
+    ], ids=["delta1_nan", "delta2_nan", "d_nan", "b_m_nan", "b_m_inf", "d_inf", "delta1_inf",
+            "delta2_inf"])
+    def test_non_finite_inputs_rejected(self, args):
+        # a NaN ended in an AssertionError, b_m = inf in a ZeroDivisionError, d = inf in
+        # "no exponential weight in float range", and delta1 = inf returned a weight
+        with pytest.raises(InvalidInputError):
+            exp_weight_search(*args)
