@@ -225,7 +225,10 @@ def fmt(v: float) -> str:
 
 
 def write_csv(path: str, columns: dict) -> None:
-    """Write equal-length columns under a header of their names."""
+    """Write equal-length columns under a header of their names, each value as
+    ``fmt`` writes it: one ``%`` format per row on Python floats."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values()))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(fmt, row)) + "\n" for row in zip(*columns.values()))
+        fh.writelines(line % row for row in rows)

@@ -252,7 +252,9 @@ class FragmentKernel:
         bands = self._bands(ys)
         if bands is not None:
             q, c0, d0, c1, d1 = bands
-            out = np.asarray(c0 / (q + 2.0) * np.clip(s, 0.0, d0) ** (q + 2.0))
+            # s at least 1-d: np.clip returns a numpy scalar for 0-d input, whose ** is
+            # another pow than the array path's, so an all-scalar call would round apart
+            out = c0 / (q + 2.0) * np.clip(np.atleast_1d(s), 0.0, d0) ** (q + 2.0)
             top = s > np.where(d1 > 0, ys - d1, np.inf)
             if top.any():
                 # the top band [t, y] = [y - d1, y] as ((s - y) + d1 + e)(s + t) c1/2: s - y
@@ -265,7 +267,7 @@ class FragmentKernel:
                 out[top] += 0.5 * c * (((s - y) + d) + _one_minus_product(c, d) / c) * (s + t)
         else:
             out = self._mass_partial_numeric(*np.broadcast_arrays(np.clip(s, 0.0, ys), ys))
-        return float(out) if scalar else out
+        return out.item() if scalar else out
 
     def _mass_partial_numeric(self, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Quadrature for a custom kernel on the broadcast pair ``0 <= s <= y``: one
@@ -316,8 +318,8 @@ class FragmentKernel:
 def _geometric_fill(pts: np.ndarray) -> np.ndarray:
     """Increasing positive ``pts`` with geometric points added so no gap exceeds a factor of 2."""
     pieces = np.ceil(np.log2(pts[1:] / pts[:-1])).astype(int)
-    fill = [a * (b / a) ** (np.arange(1, n) / n)
-            for a, b, n in zip(pts[:-1], pts[1:], pieces) if n > 1]
+    fill = [pts[i] * (pts[i + 1] / pts[i]) ** (np.arange(1, pieces[i]) / pieces[i])
+            for i in np.flatnonzero(pieces > 1)]
     return np.unique(np.concatenate([pts, *fill])) if fill else pts
 
 

@@ -10,7 +10,8 @@ import pytest
 
 import fragkit
 from fragkit.cli import main
-from fragkit.config import ConfigError, load_config, load_weight_csv, save_weight_csv
+from fragkit.config import (ConfigError, fmt, load_config, load_weight_csv, save_weight_csv,
+                            write_csv)
 from fragkit.weights import Weight
 
 
@@ -146,6 +147,33 @@ class TestConfigParsing:
         back = load_weight_csv(path)
         xs = np.linspace(1.0, 4.0, 17)
         np.testing.assert_allclose(back.log_eval(xs), w.log_eval(xs), atol=1e-15)
+
+
+class TestWriteCsv:
+    SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22, 1e16, 0.1, 1 / 3]
+
+    def test_bytes_are_fmt_of_each_value(self, tmp_path):
+        # one % format per row on Python floats writes what fmt writes of each numpy value
+        rng = np.random.default_rng(5)
+        n = len(self.SPECIAL)
+        cols = {"special": np.array(self.SPECIAL), "reversed": np.array(self.SPECIAL[::-1]),
+                "random": rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+                "whole": np.arange(-7.0, n - 7.0), "list": list(np.linspace(-1.0, 1.0, n))}
+        path = tmp_path / "c.csv"
+        write_csv(path, cols)
+        ref = "special,reversed,random,whole,list\n" + "".join(
+            ",".join(fmt(v) for v in row) + "\n" for row in zip(*cols.values()))
+        assert path.read_bytes() == ref.encode()
+        first = [line.split(",")[0] for line in path.read_text().splitlines()[1:9]]
+        assert first == ["inf", "-inf", "nan", "-0", "0", "4.9406564584124654e-324",
+                         "-4.9406564584124654e-324", "1.7976931348623157e+308"]
+
+    def test_one_column_and_no_rows(self, tmp_path):
+        write_csv(tmp_path / "a.csv", {"x": np.array([2.5, -0.0])})
+        assert (tmp_path / "a.csv").read_bytes() == b"x\n2.5\n-0\n"
+        write_csv(tmp_path / "b.csv", {"x": np.zeros(0), "y": np.zeros(0)})
+        assert (tmp_path / "b.csv").read_bytes() == b"x,y\n"
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,7 +52,9 @@ def _stage_form(a, v, dt):
 
 def _per_column_matrix(kernel, rate, grid):
     """The generator assembled one column at a time, one mass_partial call per
-    parent size: the reference the blocked assembly must equal bit for bit."""
+    parent size, each entry a_j (M(e_{i+1}) - M(e_i)) / x_i: the reference a
+    custom kernel's blocked assembly equals bit for bit, and a built-in kernel's
+    band assembly to 1e-12 relative."""
     x = grid.nodes
     n = grid.n
     a = np.asarray(eval_rate(rate, x), dtype=float)
@@ -182,13 +185,60 @@ class TestDiscretize:
            nu=st.floats(-1.9, 0.0), x_min=st.floats(1e-3, 1.3), x_max=st.floats(2.5, 50.0),
            n=st.sampled_from(BLOCK_SIZES), rate=st.sampled_from([RATE_X, RATE_ZERO_HEAD]))
     def test_blocked_assembly_is_the_per_column_one(self, family, nu, x_min, x_max, n, rate):
-        # the grid crosses y = sqrt(2) and y = 2, where the closed forms switch
+        # the grid crosses y = sqrt(2) and y = 2, where the closed forms switch; the
+        # bottom band's cells are c0 / (q + 2) times a difference of powers of the
+        # edges, the per-column reference a difference of two such products, so the
+        # two agree to rounding, on the same nonzero pattern
         kern = FragmentKernel.homogeneous_power(nu) if family == "homogeneous_power" \
             else getattr(FragmentKernel, family)()
         g = Grid.geometric(x_min, x_max, n)
-        gen = discretize(kern, rate, g)
-        assert np.array_equal(gen.matrix, _per_column_matrix(kern, rate, g))
-        assert np.all(np.tril(gen.matrix, -1) == 0)
+        got = discretize(kern, rate, g).matrix
+        ref = _per_column_matrix(kern, rate, g)
+        assert np.array_equal(got != 0, ref != 0)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        assert np.all(np.tril(got, -1) == 0)
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    @pytest.mark.parametrize("x_min, x_max", [(1e-3, 20.0), (0.3, 5.0)])
+    def test_band_assembly_against_exact_arithmetic(self, nu, x_min, x_max):
+        # at nu = 0 and -1, M(s; y) is s^2 / y and s, so with a = x every entry has an
+        # exact rational value on the float grid: the band assembly errs no more than
+        # the per-column one (nu = 0: 1.5e-15 and 4.0e-15 there, 1.1e-15 and 1.9e-15 here)
+        g = Grid.geometric(x_min, x_max, 64)
+        x = [Fraction(v) for v in g.nodes]
+        e = [Fraction(v) for v in g.edges]
+
+        def mass(s, y):
+            return s * s / y if nu == 0.0 else s
+
+        exact = np.zeros((g.n + 1, g.n + 1), dtype=object)
+        for j in range(g.n):
+            ends = e[:j] + [x[j]]
+            exact[0, j + 1] = x[j] * mass(ends[0], x[j])
+            for i in range(j):
+                exact[i + 1, j + 1] = x[j] * (mass(ends[i + 1], x[j]) - mass(ends[i], x[j])) / x[i]
+            exact[j + 1, j + 1] = -x[j]
+
+        def worst(matrix):
+            nonzero = exact != 0
+            assert np.array_equal(matrix != 0, nonzero)
+            return max(abs(Fraction(v) - r) / abs(r)
+                       for v, r in zip(matrix[nonzero], exact[nonzero]))
+
+        kern = FragmentKernel.homogeneous_power(nu)
+        got = worst(discretize(kern, RATE_X, g).matrix)
+        assert got <= worst(_per_column_matrix(kern, RATE_X, g))
+
+    @pytest.mark.parametrize("kern", [FragmentKernel.homogeneous_power(-0.7),
+                                      FragmentKernel.boundary_binary(),
+                                      FragmentKernel.concentrated()],
+                             ids=["homogeneous", "boundary_binary", "concentrated"])
+    def test_band_assembly_does_not_depend_on_the_block_width(self, monkeypatch, kern):
+        g = Grid.geometric(1e-2, 30.0, 2 * _ASSEMBLY_BLOCK + 5)
+        ref = discretize(kern, RATE_ZERO_HEAD, g).matrix
+        for width in (1, 7, 32, g.n + 3):
+            monkeypatch.setattr(simulator, "_ASSEMBLY_BLOCK", width)
+            assert np.array_equal(discretize(kern, RATE_ZERO_HEAD, g).matrix, ref), width
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_blocked_assembly_is_the_per_column_one_custom(self, n):
@@ -200,10 +250,12 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("custom", [False, True], ids=["closed_form", "custom"])
     def test_mass_partial_called_once_per_block(self, monkeypatch, custom):
-        # the first edge is the first node, so one call per block of columns
-        # also gives the mass below the grid; on a custom kernel each call runs
-        # one batched quadrature, whose rows are the parent sizes of the block
-        calls, rows, seen = [], [], []
+        # a custom kernel: the first edge is the first node, so one call per block
+        # of columns also gives the mass below the grid, and each call runs one
+        # batched quadrature, whose rows are the parent sizes of the block.  A
+        # built-in kernel: one call per matrix, however many blocks, on O(N)
+        # points, never the N^2/2 table of the edges below each node
+        calls, sizes, rows, seen = [], [], [], []
         real, real_rows = FragmentKernel.mass_partial, kernels._log_integrate_rows
 
         def b(x, y):
@@ -212,6 +264,7 @@ class TestDiscretize:
 
         def counting(self, s, y):
             calls.append(y)
+            sizes.append(np.broadcast(s, y).size)
             return real(self, s, y)
 
         def counting_rows(factor, log_weight, spans):
@@ -222,12 +275,21 @@ class TestDiscretize:
 
         monkeypatch.setattr(FragmentKernel, "mass_partial", counting)
         monkeypatch.setattr(kernels, "_log_integrate_rows", counting_rows)
+        if not custom:
+            for n in (2 * _ASSEMBLY_BLOCK + 3, 8 * _ASSEMBLY_BLOCK + 3):
+                calls.clear()
+                sizes.clear()
+                discretize(HOM0, RATE_X, Grid.geometric(1e-2, 10.0, n))
+                assert len(calls) == 1  # 3 blocks, then 9
+                assert sum(sizes) <= 3 * n  # the dust and the cell below each node
+            assert rows == []
+            return
         g = Grid.geometric(1e-2, 10.0, 2 * _ASSEMBLY_BLOCK + 3)
-        discretize(FragmentKernel.custom(b) if custom else HOM0, RATE_X, g)
+        discretize(FragmentKernel.custom(b), RATE_X, g)
         assert len(calls) == math.ceil(g.n / _ASSEMBLY_BLOCK) == 3
         blocks = [g.nodes[lo:lo + _ASSEMBLY_BLOCK].tolist()
                   for lo in range(0, g.n, _ASSEMBLY_BLOCK)]
-        assert rows == (blocks if custom else [])
+        assert rows == blocks
 
     @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.boundary_binary(),
                                       FragmentKernel.concentrated()],
@@ -801,6 +863,21 @@ class TestFiniteness:
         # the matrix check, not the per-step guard, must be what refuses it
         with pytest.raises(FragkitError, match="matrix I - dt A has a non-finite"):
             simulate(u0, gen, 0.1, 0.01, scheme="implicit_euler")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [(6, 8), (2, 15)], ids=["diagonal_block", "coupling"])
+    def test_non_finite_entry_implicit_euler_reads_raises(self, monkeypatch, bad, at):
+        # with 4-row blocks the 17 rows are cut at 0, 5, 9, 13, 17: (6, 8) is in the
+        # diagonal block of rows 5:9, (2, 15) in the coupling of rows 0:5 to those below
+        monkeypatch.setattr(simulator, "_IE_BLOCK", 4)
+        assert simulator._cuts(17) == [0, 5, 9, 13, 17]
+        g = Grid.geometric(0.1, 5.0, 16)
+        gen = discretize(HOM0, RATE_X, g)
+        matrix = gen.matrix.copy()
+        matrix[at] = bad
+        gen = dataclasses.replace(gen, matrix=matrix)
+        with pytest.raises(FragkitError, match="matrix I - dt A has a non-finite"):
+            simulate(bump(g, 0.5, 4.0), gen, 0.1, 0.01, scheme="implicit_euler")
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "rk4"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
