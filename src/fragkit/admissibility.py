@@ -227,8 +227,8 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
     """Sample r on both sides of eta0 and assemble every verdict.
 
     The main grid is geometric on [eta0, y_max] (64 points per decade unless
-    ``n_samples`` pins the count); the small-y grid refines geometrically down
-    to eta0 * 1e-6, since boundedness near 0 is what the first condition asks.
+    ``n_samples``, an integer >= 4, pins the count); the small-y grid refines
+    geometrically down to eta0 * 1e-6, since boundedness near 0 is what the first condition asks.
     Samples whose quadrature failed enter no sup and no trend fit; if any
     failed, verdict_A32 and verdict_A41 are False and verdict_limsup is
     "inconclusive".
@@ -237,8 +237,10 @@ def check(kernel: FragmentKernel, weight, eta0: float, y_max: float,
         raise InvalidInputError("need 0 < eta0 < y_max < inf")
     if n_samples is None:
         y_grid = geometric_grid(eta0, y_max)
+    elif isinstance(n_samples, (int, np.integer)) and n_samples >= 4:
+        y_grid = np.geomspace(eta0, y_max, n_samples)
     else:
-        y_grid = np.geomspace(eta0, y_max, max(4, int(n_samples)))
+        raise InvalidInputError(f"n_samples must be an integer >= 4, got {n_samples!r}")
     big = ratio_curve(kernel, weight, y_grid)
 
     y_small = geometric_grid(eta0 * 1e-6, eta0)

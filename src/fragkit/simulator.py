@@ -23,19 +23,19 @@ says that l = (1, x_1, ..., x_N) satisfies l A = 0.  So
 
 holds for every propagator that is a function of A, by the matrix itself.
 
-A built-in kernel's gain comes from its band table (``FragmentKernel._bands``).
-Below x_j, most cells of column j lie wholly in the bottom band c0 x^q, where
-M(s; x_j) = c0 s^(q+2) / (q+2): their entries a_j c0 / (q+2) times
-(e_{i+1}^(q+2) - e_i^(q+2)) / x_i are one outer product per block of
-``_ASSEMBLY_BLOCK`` rows, written into the matrix, the power taken once per
-edge.  The few other cells of each column (the one that straddles the bottom
-band's end, the top band's, the one below x_j) and the dust flux difference M at
-their edges, all in one ``mass_partial`` call.  A custom kernel's columns are
-assembled in blocks of ``_ASSEMBLY_BLOCK``, with one ``mass_partial`` call per
-block on a table whose column j holds the edges below x_j and then x_j itself;
-rows past x_j clip to the parent size, so their differences are exactly 0 and
-the block writes its columns whole.  Each entry is computed alone, so neither
-matrix depends on the block width.
+The gain comes from one assembly rule for every kernel.  A built-in kernel's
+band table (``FragmentKernel._bands``) makes most cells below x_j regular: they
+lie wholly in the bottom band c0 x^q, where M(s; x_j) = c0 s^(q+2) / (q+2), so
+their entries a_j c0 / (q+2) times (e_{i+1}^(q+2) - e_i^(q+2)) / x_i are one
+outer product per block of ``_ASSEMBLY_BLOCK`` rows, written into the matrix,
+the power taken once per edge.  Every other cell (the one that straddles the
+bottom band's end, the top band's, the one below x_j) and the dust flux
+difference M at their edges, from one list of points per column and one
+``mass_partial`` call per group of whole columns.  A custom kernel is the case
+with no regular cells: its list is every edge below x_j, then x_j itself.  A
+column is never split, so each parent size gets one cumulative quadrature
+pass, each entry is computed alone, and the matrix depends on neither the
+block width nor the grouping.
 
 Schemes
 -------
@@ -130,11 +130,13 @@ _IE_LEAF = 32
 # half the size of the implicit-Euler diagonal inverses; 256 steps were no
 # faster and need twice the room
 _IE_CHUNK = 128
-# rows per outer product of a built-in kernel's assembly, and columns per
-# mass_partial call of a custom one's: a custom block's temporaries, a few
-# (N, 32) tables, stay well below the implicit-Euler factors (4.2 MB at
-# N = 2048), so assembling does not raise a run's peak memory; 64 columns are
-# no faster and need twice the room, and 128-row outer products no faster
+# rows per outer product of a built-in kernel's assembly (128 rows are no
+# faster), and with N the budget of one mass_partial call: it takes the whole
+# columns that begin in one stretch of _ASSEMBLY_BLOCK * N / 2 points, so it
+# holds fewer than that before its last column.  A custom kernel's call, with
+# each point's column and index beside it, then holds no more than a table of
+# N points by _ASSEMBLY_BLOCK columns would, well below the implicit-Euler
+# factors (4.2 MB at N = 2048), so assembling does not raise a run's peak memory
 _ASSEMBLY_BLOCK = 32
 # rk4's R(z) in w = 1 + z, 3/8 + w/3 + w^2/4 + w^4/24, from w^4 down: none negative
 _R_IN_B = (1.0 / 24.0, 0.0, 0.25, 1.0 / 3.0, 0.375)
@@ -197,81 +199,68 @@ class DiscreteGenerator:
 
 
 def discretize(kernel: FragmentKernel, rate: RateFunction, grid: Grid) -> DiscreteGenerator:
-    """Assemble the generator; integral truncated at x_max by the triangular structure."""
-    x = grid.nodes
-    n = grid.n
-    a = np.asarray(eval_rate(rate, x), dtype=float)
-    matrix = np.zeros((n + 1, n + 1))
-    bands = kernel._bands(x)
-    if bands is not None:
-        _fill_from_bands(matrix, kernel, bands, a, grid)
-    else:
-        for lo in range(0, n, _ASSEMBLY_BLOCK):
-            # a custom kernel: column j of the table is edges[:j], then x_j; the rows
-            # past it clip to y = x_j, so their differences are exactly 0
-            hi = min(lo + _ASSEMBLY_BLOCK, n)
-            s = np.minimum(grid.edges[:hi, None], x[lo:hi])
-            s[np.arange(lo, hi), np.arange(hi - lo)] = x[lo:hi]
-            cum = kernel.mass_partial(s, x[lo:hi])
-            # edges[0] == x[0], so cum[0] is the mass below the grid: the dust flux
-            matrix[0, lo + 1:hi + 1] = a[lo:hi] * cum[0]
-            matrix[1:hi, lo + 1:hi + 1] = a[lo:hi] * np.diff(cum, axis=0) / x[:hi - 1, None]
-    matrix[np.arange(1, n + 1), np.arange(1, n + 1)] = -a
-    return DiscreteGenerator(grid=grid, matrix=matrix)
+    """Assemble the generator; integral truncated at x_max by the triangular structure.
 
-
-def _fill_from_bands(matrix: np.ndarray, kernel: FragmentKernel, bands, a: np.ndarray,
-                     grid: Grid) -> None:
-    """The gain and dust flux of a built-in kernel from its band table
-    ``(q, c0, d0, c1, d1)`` at the nodes.
-
-    Cell r of parent j is regular when r <= j - 2 and its upper edge is at most
-    d0_j and below the top band: its entry is then
+    A built-in kernel's band table ``(q, c0, d0, c1, d1)`` at the nodes makes cell
+    r of parent j regular when r <= j - 2 and its upper edge is at most d0_j and
+    below the top band: its entry is then
     (a_j c0_j / (q + 2)) (e_{r+1}^(q+2) - e_r^(q+2)) / x_r, a column factor times
     a row factor, so each block of ``_ASSEMBLY_BLOCK`` rows is one outer product,
     with the power taken once per edge.  A column's regular cells are a run from
     the first, so only the columns whose run ends inside a block are masked.  The
     rest, the cell that straddles d0_j, the top band's cells, the cell
-    [e_{j-1}, x_j] and the dust flux, difference M(s; x_j) at their edges, all in
-    one ``mass_partial`` call; a cell between the bands holds
-    M(d0_j) - M(d0_j) = 0 and stays 0.
+    [e_{j-1}, x_j] and the dust flux, difference M(s; x_j) at their edges; a cell
+    between the bands holds M(d0_j) - M(d0_j) = 0 and stays 0.  A custom kernel
+    has no regular cell and no top band, so its points are all of 0..j.  Each
+    ``mass_partial`` call takes the whole columns that begin in one stretch of
+    ``_ASSEMBLY_BLOCK * N / 2`` points.
     """
     x, e, n = grid.nodes, grid.edges, grid.n
-    q, c0, d0, _, d1 = bands
+    a = np.asarray(eval_rate(rate, x), dtype=float)
+    matrix = np.zeros((n + 1, n + 1))
     cols = np.arange(n)
-    t = np.where(d1 > 0, x - d1, np.inf)  # the top band's lower edge, as mass_partial takes it
-    run = np.minimum(np.searchsorted(e[1:], np.minimum(d0, t), side="right"),
-                     np.maximum(cols - 1, 0))
-    top = np.searchsorted(e[1:], t, side="right")  # the first cell that reaches the top band
-    row = np.diff(e ** (q + 2.0)) / x
-    coef = a * c0 / (q + 2.0)
-    for lo in range(0, n, _ASSEMBLY_BLOCK):
-        hi = min(lo + _ASSEMBLY_BLOCK, n)
-        # column j > lo takes rows lo:hi whole when its run reaches past them, none
-        # when it ends at lo, and is masked from its end when that is inside
-        reach = run[lo + 1:]
-        np.multiply(row[lo:hi, None], np.where(reach > lo, coef[lo + 1:], 0.0),
-                    out=matrix[lo + 1:hi + 1, lo + 2:])
-        ends = np.flatnonzero((reach > lo) & (reach < hi)) + lo + 1
-        if ends.size:
+    run = top = np.zeros(n, int)  # a custom kernel: column j's points are 0..j
+    bands = kernel._bands(x)
+    if bands is not None:
+        q, c0, d0, _, d1 = bands
+        t = np.where(d1 > 0, x - d1, np.inf)  # the top band's lower edge, as mass_partial takes it
+        run = np.minimum(np.searchsorted(e[1:], np.minimum(d0, t), side="right"),
+                         np.maximum(cols - 1, 0))
+        top = np.searchsorted(e[1:], t, side="right")  # the first cell that reaches the top band
+        row = np.diff(e ** (q + 2.0)) / x
+        coef = a * c0 / (q + 2.0)
+        for lo in range(0, n, _ASSEMBLY_BLOCK):
+            hi = min(lo + _ASSEMBLY_BLOCK, n)
+            # column j > lo takes rows lo:hi whole when its run reaches past them, none
+            # when it ends at lo, and is masked from its end when that is inside
+            reach = run[lo + 1:]
+            np.multiply(row[lo:hi, None], np.where(reach > lo, coef[lo + 1:], 0.0),
+                        out=matrix[lo + 1:hi + 1, lo + 2:])
+            ends = np.flatnonzero((reach > lo) & (reach < hi)) + lo + 1
             part = matrix[lo + 1:hi + 1, ends + 1]
             part[np.arange(lo, hi)[:, None] >= run[ends]] = 0.0
             matrix[lo + 1:hi + 1, ends + 1] = part
     # the points p of column j that bound its other cells, in order: 0 for the
     # dust, the end of its run and the edge after it, and the top band's cells up
     # to point j, which is x_j; the last two always bound [e_{j-1}, x_j]
-    starts = np.column_stack([np.zeros(n, int), run,
-                              np.maximum(np.minimum(top, cols - 1), run + 2)]).ravel()
-    stops = np.column_stack([np.minimum(run, 1), np.minimum(run + 2, cols + 1), cols + 1]).ravel()
+    starts = np.column_stack([np.zeros_like(cols), run, np.maximum(np.minimum(top, cols - 1), run + 2)])
+    stops = np.column_stack([np.minimum(run, 1), np.minimum(run + 2, cols + 1), cols + 1])
     sizes = np.maximum(stops - starts, 0)
-    j = np.repeat(cols, sizes.reshape(n, 3).sum(axis=1))
-    p = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(j.size)
-    m = kernel.mass_partial(np.where(p == j, x[j], e[p]), x[j])
-    dust = p == 0  # edges[0] == x[0]: the mass below the grid
-    matrix[0, j[dust] + 1] = a[j[dust]] * m[dust]
-    cell = np.flatnonzero((j[1:] == j[:-1]) & (p[1:] == p[:-1] + 1))
-    r, jc = p[cell], j[cell]
-    matrix[r + 1, jc + 1] = a[jc] * (m[cell + 1] - m[cell]) / x[r]
+    count = sizes.sum(axis=1)
+    first = np.cumsum(count) - count  # the index of each column's first point
+    # one call per stretch of _ASSEMBLY_BLOCK * n / 2 points: the columns that start in it
+    bounds = sorted(set(np.searchsorted(first, range(0, first[-1] + 1, _ASSEMBLY_BLOCK * n // 2))))
+    for lo, hi in zip(bounds, bounds[1:] + [n]):
+        size = sizes[lo:hi].ravel()
+        j = np.repeat(cols[lo:hi], count[lo:hi])
+        p = np.repeat(starts[lo:hi].ravel() - np.cumsum(size) + size, size) + np.arange(j.size)
+        m = kernel.mass_partial(np.where(p == j, x[j], e[p]), x[j])
+        matrix[0, lo + 1:hi + 1] = a[lo:hi] * m[p == 0]  # edges[0] == x[0]: the dust flux
+        cell = np.flatnonzero(p[1:] == p[:-1] + 1)  # each column's points start from 0
+        matrix[p[cell] + 1, j[cell] + 1] = a[j[cell]] * (m[cell + 1] - m[cell]) / x[p[cell]]
+        del j, p, m, cell  # before the next call's are made
+    matrix[np.arange(1, n + 1), np.arange(1, n + 1)] = -a
+    return DiscreteGenerator(grid=grid, matrix=matrix)
 
 
 def _norm_weight(weight: Weight, grid: Grid) -> np.ndarray:

@@ -436,6 +436,8 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples) -> Compar
                    for w in (w1, w2))
 
     ys = np.asarray(y_samples, dtype=float)
+    if ys.size == 0:  # no sample would make the inequality hold vacuously
+        raise InvalidInputError("y_samples needs at least 1 point")
     failed = np.zeros(ys.shape, dtype=bool)
     ratios = []
     for w in (w1, w2):

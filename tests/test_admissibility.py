@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from fragkit import quadrature, weight_builder
 from fragkit.admissibility import _log_n_pieces, check, log_n_samples, ratio_curve, relative_bound
-from fragkit.errors import QuadratureError
+from fragkit.errors import InvalidInputError, QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
 from fragkit.weight_builder import build_h, construct_weight
 from fragkit.weights import Weight, compare_weights
@@ -126,6 +126,17 @@ class TestCheck:
         assert rep.tail_estimate <= rep.kappa2_hat + 1e-15
         if rep.trend > 0 and rep.tail_estimate < 1.0:
             assert rep.verdict_limsup == "inconclusive"
+
+    @pytest.mark.parametrize("n_samples", [-5, 0, 1, 2, 3, 7.9, 8.0, "8", True])
+    def test_n_samples_not_an_integer_of_at_least_4_rejected(self, n_samples):
+        # max(4, int(n_samples)) ran 4 samples for -5, 0 and 2, and 7 for 7.9
+        with pytest.raises(InvalidInputError, match="n_samples must be an integer >= 4"):
+            check(HOM1, Weight.power(2.0), 1.0, 10.0, n_samples=n_samples)
+
+    @pytest.mark.parametrize("n_samples", [4, 7, np.int64(9)])
+    def test_n_samples_pins_the_main_grid(self, n_samples):
+        rep = check(HOM1, Weight.power(2.0), 1.0, 10.0, n_samples=n_samples)
+        np.testing.assert_array_equal(rep.y_grid, np.geomspace(1.0, 10.0, n_samples))
 
     def test_five_verdict_lines_in_summary(self):
         rep = check(HOM1, Weight.power(2.0), 1.0, 50.0)

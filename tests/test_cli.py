@@ -181,6 +181,14 @@ class TestExitCodes:
         cfg = write(tmp_path / "a.cfg", BB_EXP)
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    def test_check_weight_n_samples_0_is_the_default_grid(self, tmp_path):
+        outs = []
+        for name, text in (("absent", BB_EXP), ("zero", BB_EXP + "n_samples = 0\n")):
+            cfg = write(tmp_path / f"{name}.cfg", text)
+            assert main(["check-weight", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outs.append((tmp_path / name / "admissibility.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_check_weight_inconclusive(self, tmp_path):
         cfg = write(tmp_path / "b.cfg", BB_POW)
         assert main(["check-weight", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -370,6 +378,11 @@ class TestExitCodes:
         ("compare-weights", TWO_WEIGHTS, "y_samples = 2,nan,10"),
         # these two ended in numpy's "Maximum allowed size exceeded" traceback
         ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = 1e300"),
+        # these four ran 4 samples and exited 0
+        ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = -5"),
+        ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = 1"),
+        ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = 2"),
+        ("check-weight", BB_EXP, "eta0 = 2.0\ny_max = 100.0\nn_samples = 3"),
         ("compare-weights", TWO_WEIGHTS, "eta0 = 1.0\ny_max = 100.0\nx_grid_n = 1e300"),
         # build-weight: these three ended in a ValueError or OverflowError traceback, and
         # the next three blamed "tabulated weight needs finite knots" or "matching knots"
@@ -392,7 +405,8 @@ class TestExitCodes:
             "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0", "x_grid_n_2.5",
             "t_end_negative", "unknown_scheme_no_step",
             "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan",
-            "n_samples_1e300", "x_grid_n_1e300",
+            "n_samples_1e300", "n_samples_-5", "n_samples_1", "n_samples_2", "n_samples_3",
+            "x_grid_n_1e300",
             "build_eta0_nan", "build_y_max_nan", "build_y_max_inf", "build_kappa_nan",
             "build_kappa_inf", "build_step_inf", "exp_delta1_nan", "exp_delta2_nan", "exp_d_nan",
             "exp_b_m_nan", "exp_b_m_inf", "exp_d_inf", "exp_delta1_inf"])

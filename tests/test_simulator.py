@@ -53,7 +53,7 @@ def _stage_form(a, v, dt):
 def _per_column_matrix(kernel, rate, grid):
     """The generator assembled one column at a time, one mass_partial call per
     parent size, each entry a_j (M(e_{i+1}) - M(e_i)) / x_i: the reference a
-    custom kernel's blocked assembly equals bit for bit, and a built-in kernel's
+    custom kernel's assembly equals bit for bit, and a built-in kernel's
     band assembly to 1e-12 relative."""
     x = grid.nodes
     n = grid.n
@@ -71,6 +71,20 @@ def _per_column_matrix(kernel, rate, grid):
 RATE_ZERO_HEAD = RateFunction.tabulated([[0.0, 0.0], [0.5, 0.0], [1.0, 2.0]])
 BLOCK_SIZES = [4, _ASSEMBLY_BLOCK - 1, _ASSEMBLY_BLOCK, _ASSEMBLY_BLOCK + 1,
                2 * _ASSEMBLY_BLOCK + 3]
+CUSTOM = FragmentKernel.custom(lambda x, y: x / y**2)
+_SQRT2 = np.sqrt(2.0)
+# each built-in family and a custom kernel with the same b and breakpoints
+CLONES = {
+    "homogeneous": (FragmentKernel.homogeneous_power(-0.5),
+                    FragmentKernel.custom(lambda x, y: 1.5 * x**-0.5 / y**0.5)),
+    "boundary_binary": (FragmentKernel.boundary_binary(), FragmentKernel.custom(
+        lambda x, y: np.where(y > 2.0, np.where((x <= 1.0) | (x >= y - 1.0), 1.0, 0.0), 2.0 / y),
+        breakpoints=lambda y: (1.0, y - 1.0) if y > 2.0 else ())),
+    "concentrated": (FragmentKernel.concentrated(), FragmentKernel.custom(
+        lambda x, y: np.where(y > _SQRT2, np.where((x <= 1.0 / y) | (x >= y - 1.0 / y), y, 0.0),
+                              2.0 / y),
+        breakpoints=lambda y: (1.0 / y, y - 1.0 / y) if y > _SQRT2 else ())),
+}
 
 
 def _gain_scaled(gen, factor):
@@ -231,9 +245,11 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("kern", [FragmentKernel.homogeneous_power(-0.7),
                                       FragmentKernel.boundary_binary(),
-                                      FragmentKernel.concentrated()],
-                             ids=["homogeneous", "boundary_binary", "concentrated"])
+                                      FragmentKernel.concentrated(), CUSTOM],
+                             ids=["homogeneous", "boundary_binary", "concentrated", "custom"])
     def test_band_assembly_does_not_depend_on_the_block_width(self, monkeypatch, kern):
+        # the width sets the rows per outer product and the points per mass_partial
+        # call: at width 1 a custom kernel takes one call per column or two
         g = Grid.geometric(1e-2, 30.0, 2 * _ASSEMBLY_BLOCK + 5)
         ref = discretize(kern, RATE_ZERO_HEAD, g).matrix
         for width in (1, 7, 32, g.n + 3):
@@ -242,19 +258,34 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("n", BLOCK_SIZES)
     def test_blocked_assembly_is_the_per_column_one_custom(self, n):
-        kern = FragmentKernel.custom(lambda x, y: x / y**2)
         g = Grid.geometric(1e-2, 10.0, n)
-        gen = discretize(kern, RATE_ZERO_HEAD, g)
-        assert np.array_equal(gen.matrix, _per_column_matrix(kern, RATE_ZERO_HEAD, g))
+        gen = discretize(CUSTOM, RATE_ZERO_HEAD, g)
+        assert np.array_equal(gen.matrix, _per_column_matrix(CUSTOM, RATE_ZERO_HEAD, g))
         assert np.all(np.tril(gen.matrix, -1) == 0)
+
+    @pytest.mark.parametrize("family", ["homogeneous", "boundary_binary", "concentrated"])
+    @pytest.mark.parametrize("x_min, x_max, n", [(1e-2, 30.0, 2 * _ASSEMBLY_BLOCK + 5),
+                                                 (1e-3, 20.0, 256)])
+    def test_custom_clone_assembles_to_the_built_in_matrix(self, family, x_min, x_max, n):
+        # the same b, once from its band table and once as a custom kernel with its
+        # breakpoints: one assembly rule, so the same cells, and entries within the
+        # quadrature's accuracy (worst measured 4.0e-13, concentrated at N = 256,
+        # whose top band [y - 1/y, y] is narrow; 8e-15 for the other two)
+        built_in, clone = CLONES[family]
+        g = Grid.geometric(x_min, x_max, n)
+        want = discretize(built_in, RATE_X, g).matrix
+        got = discretize(clone, RATE_X, g).matrix
+        assert np.array_equal(got != 0, want != 0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("custom", [False, True], ids=["closed_form", "custom"])
     def test_mass_partial_called_once_per_block(self, monkeypatch, custom):
-        # a custom kernel: the first edge is the first node, so one call per block
-        # of columns also gives the mass below the grid, and each call runs one
-        # batched quadrature, whose rows are the parent sizes of the block.  A
-        # built-in kernel: one call per matrix, however many blocks, on O(N)
-        # points, never the N^2/2 table of the edges below each node
+        # each call takes the whole columns that begin in one stretch of
+        # _ASSEMBLY_BLOCK * N / 2 points.  A built-in kernel: one call per matrix,
+        # however many blocks, on O(N) points, never the N^2/2 edges below each
+        # node.  A custom kernel: column j is the j + 1 points 0..j, the first edge
+        # being the first node gives the mass below the grid, and each call runs one
+        # batched quadrature, whose rows are the parent sizes of its columns
         calls, sizes, rows, seen = [], [], [], []
         real, real_rows = FragmentKernel.mass_partial, kernels._log_integrate_rows
 
@@ -263,7 +294,7 @@ class TestDiscretize:
             return x / y**2
 
         def counting(self, s, y):
-            calls.append(y)
+            calls.append(np.asarray(y))
             sizes.append(np.broadcast(s, y).size)
             return real(self, s, y)
 
@@ -286,14 +317,18 @@ class TestDiscretize:
             return
         g = Grid.geometric(1e-2, 10.0, 2 * _ASSEMBLY_BLOCK + 3)
         discretize(FragmentKernel.custom(b), RATE_X, g)
-        assert len(calls) == math.ceil(g.n / _ASSEMBLY_BLOCK) == 3
-        blocks = [g.nodes[lo:lo + _ASSEMBLY_BLOCK].tolist()
-                  for lo in range(0, g.n, _ASSEMBLY_BLOCK)]
-        assert rows == blocks
+        budget = _ASSEMBLY_BLOCK * g.n // 2
+        assert len(calls) == math.ceil(g.n * (g.n + 1) / 2 / budget) == 3
+        columns = [np.unique(y, return_counts=True) for y in calls]
+        assert np.concatenate([ys for ys, _ in columns]).tolist() == g.nodes.tolist()
+        for (ys, counts), size in zip(columns, sizes):
+            assert np.array_equal(counts, np.searchsorted(g.nodes, ys) + 1)  # whole columns
+            assert size - counts[-1] < budget
+        assert rows == [ys.tolist() for ys, _ in columns]
 
     @pytest.mark.parametrize("kern", [HOM0, FragmentKernel.boundary_binary(),
-                                      FragmentKernel.concentrated()],
-                             ids=["homogeneous", "boundary_binary", "concentrated"])
+                                      FragmentKernel.concentrated(), CUSTOM],
+                             ids=["homogeneous", "boundary_binary", "concentrated", "custom"])
     def test_assembly_needs_less_room_than_the_ie_factors(self, kern):
         # numpy reports its buffers to tracemalloc; beyond the generator itself,
         # assembling may hold no more than the implicit-Euler diagonal factors,

@@ -226,6 +226,12 @@ class TestCompareWeights:
         with pytest.raises(InvalidInputError, match="at least 2 points"):
             compare_weights(Weight.power(1.0), Weight.power(2.0), hom, x_grid, [2.0])
 
+    def test_empty_y_samples_rejected(self):
+        # with no sample the ratio inequality held vacuously, and the summary said True
+        hom = FragmentKernel.homogeneous_power(0.0)
+        with pytest.raises(InvalidInputError, match="y_samples needs at least 1 point"):
+            compare_weights(Weight.power(1.0), Weight.power(2.0), hom, [1.0, 2.0, 4.0], [])
+
     def test_failed_samples_make_the_comparison_inconclusive(self, monkeypatch):
         # each weight's quadrature fails somewhere; the verdict keeps the partials
         # and the union of the masks instead of raising
