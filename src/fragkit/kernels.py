@@ -19,8 +19,10 @@ The built-in kernel families are
 Each built-in family's shape is written once, in the band table
 ``FragmentKernel._bands``: a bottom band c0 x^q on [0, d0] and, above the
 splits, a top band c1 on [y - d1, y].  ``eval_kernel``, ``mass_partial`` and
-the closed-form n_w of ``admissibility`` are sums over those bands;
-``breakpoints`` is their scalar twin in plain floats.  Both bands are closed
+the closed-form n_w of ``admissibility`` are sums over those bands, and
+nothing else states their edges: ``breakpoints`` lists a custom kernel's only.
+No split family reaches a quadrature, since every weight family integrates a
+band of level c in closed form (at q = 0).  Both bands are closed
 intervals; the choice is measure-zero and invisible to every integral.  An
 integral takes the top band by its width d1, never as the difference
 y - fl(y - d1), whose rounding would cost a narrow band such as concentrated's
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidKernelError, QuadratureError
-from .quadrature import _log_integrate_rows, panel_sums
+from .quadrature import _log_cell_values, _log_integrate_rows, _segments
 
 __all__ = [
     "RateFunction", "FragmentKernel", "MassReport",
@@ -202,14 +204,12 @@ class FragmentKernel:
     # -- support structure ---------------------------------------------------
 
     def breakpoints(self, y: float) -> tuple[float, ...]:
-        """Interior x-discontinuities of b(., y), for quadrature splitting."""
-        if self.family == "boundary_binary":
-            return (1.0, y - 1.0) if y > 2.0 else ()
-        if self.family == "concentrated":
-            return (1.0 / y, y - 1.0 / y) if y > _SQRT2 else ()
-        if self.family == "custom" and self.breakpoints_fn is not None:
-            return tuple(float(p) for p in self.breakpoints_fn(y))
-        return ()
+        """Interior x-discontinuities of a custom b(., y), from its ``breakpoints``
+        callback, for quadrature splitting; ``()`` without one.  A built-in kernel
+        gives ``()`` too: its edges are those of its bands (``_bands``)."""
+        if self.breakpoints_fn is None:
+            return ()
+        return tuple(float(p) for p in self.breakpoints_fn(y))
 
     def _bands(self, ys: np.ndarray):
         """The band table of a built-in b(., y): ``(q, c0, d0, c1, d1)``, so that
@@ -220,9 +220,9 @@ class FragmentKernel:
         ``homogeneous_power``, and the split families up to their splits, have the
         bottom band alone: d0 = y.  Above the splits the two bands share one level c
         and each holds one of the two fragments, c d = 1, so d0 = d1 = d is the
-        rounded width 1/c.  The edges are d0 and the float y - d1, as in
-        ``breakpoints``; an integral takes the top band by its width d1, never as
-        y - fl(y - d1).
+        rounded width 1/c.  The edges are d0 and the float y - d1, written nowhere
+        else (``breakpoints`` is a custom kernel's); an integral takes the top band
+        by its width d1, never as y - fl(y - d1).
         """
         if self.family == "homogeneous_power":
             c0 = (self.nu + 2.0) / ys ** (self.nu + 1.0)
@@ -273,8 +273,11 @@ class FragmentKernel:
         """Quadrature for a custom kernel on the broadcast pair ``0 <= s <= y``: one
         cumulative pass per distinct y over its sorted positive s.
 
-        One batched adaptive integral, a row per distinct y, reaches each y's smallest
-        s; fixed-order panels between consecutive points add the rest.  Geometric points
+        The positive s are sorted by y, then by s, and each run of one y
+        (``quadrature._segments``) is a row.  One batched adaptive integral, a row per
+        distinct y, reaches each y's smallest s; fixed-order panels between its
+        consecutive distinct points, the ``breakpoints`` callback's among them, add
+        the rest (``quadrature._log_cell_values``, no refinement).  Geometric points
         are inserted where two consecutive points differ by more than a factor of 2,
         so every panel is accurate near a singular kernel; finer grids, such as the
         simulator's, are used as they are.  The elements that share a y share its
@@ -288,22 +291,24 @@ class FragmentKernel:
         shape, s, ys = s.shape, s.ravel(), ys.ravel()
         pos = np.flatnonzero(s > 0)
         pos = pos[np.lexsort((s[pos], ys[pos]))]  # by y, then by s
-        y_rows, cuts = np.unique(ys[pos], return_index=True)
-        cuts = np.append(cuts, pos.size)
+        cuts, counts = _segments(ys[pos])
+        y_rows = ys[pos[cuts]]
         bps = [self.breakpoints(float(y)) for y in y_rows]
         log_base, failed_rows = _log_integrate_rows(
             lambda x, i: eval_kernel(self, x, y_rows[i]), np.log,
             ((0.0, s[pos[lo]], bp) for lo, bp in zip(cuts, bps)))
         out = np.zeros(s.shape)
-        for y, bp, base, lo, hi in zip(y_rows, bps, log_base, cuts, cuts[1:]):
-            at = pos[lo:hi]
-            pts = np.unique(np.concatenate([s[at], [p for p in bp if s[at[0]] < p < s[at[-1]]]]))
-            pts = _geometric_fill(pts)
-            increments = np.exp(panel_sums(lambda x: eval_kernel(self, x, y), np.log, pts)) \
-                if pts.size > 1 else np.zeros(0)
+        for y, bp, base, lo, n in zip(y_rows, bps, log_base, cuts, counts):
+            at = pos[lo:lo + n]
+            pts = np.sort(np.concatenate([s[at], [p for p in bp if s[at[0]] < p < s[at[-1]]]]))
+            pts = _geometric_fill(pts[np.r_[True, pts[1:] != pts[:-1]]])
+            cells = np.column_stack([pts[:-1], pts[1:]])
+            increments = np.exp(_log_cell_values(lambda x: eval_kernel(self, x, y), np.log,
+                                                 cells)) if pts.size > 1 else np.zeros(0)
             cum = np.exp(base) + np.concatenate([[0.0], np.cumsum(increments)])
             out[at] = cum[np.searchsorted(pts, s[at])]
-        failed = np.isin(ys, y_rows[failed_rows]) & (s > 0)
+        failed = np.zeros(s.shape, dtype=bool)
+        failed[pos] = np.repeat(failed_rows, counts)
         if failed.any():
             raise QuadratureError(
                 f"daughter mass quadrature did not converge at {np.count_nonzero(failed_rows)} "
@@ -320,7 +325,8 @@ def _geometric_fill(pts: np.ndarray) -> np.ndarray:
     pieces = np.ceil(np.log2(pts[1:] / pts[:-1])).astype(int)
     fill = [pts[i] * (pts[i + 1] / pts[i]) ** (np.arange(1, pieces[i]) / pieces[i])
             for i in np.flatnonzero(pieces > 1)]
-    return np.unique(np.concatenate([pts, *fill])) if fill else pts
+    # each filled point lies strictly inside its gap, so the sorted points stay distinct
+    return np.sort(np.concatenate([pts, *fill])) if fill else pts
 
 
 def _one_minus_product(y: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Panel Gauss-Legendre quadrature with breakpoint splitting and log-space accumulation.
 
-All integrals in the toolkit go through one adaptive routine, ``_adaptive``,
+The integrals of the toolkit go through one adaptive routine, ``_adaptive``,
 which integrates many rows at once in log space.  A row is one integral: its
 interval, its interior breakpoints and, during the run, its own cells, log
 total, last change and failed flag.  Every integrand is non-negative (the
@@ -18,7 +18,10 @@ weighted-L1 theory asks for no other), and a negative one raises
 ``_log_integrate_rows`` runs it on many rows, one per parent size: in
 ``admissibility.log_n_samples``, for the kernel and weight pairs whose n_w has
 no closed form, and in ``FragmentKernel.mass_partial``, for a custom kernel's
-daughter mass up to the smallest point of each parent size.
+daughter mass up to the smallest point of each parent size.  The one pass
+beside the routine is the rest of that daughter mass: a fixed-panel cumulative
+pass, one Gauss cell (``_log_cell_values``) between each two consecutive
+points of a parent size, summed without refinement.
 
 Accuracy.  It is fixed, the same for every integral: one 12-point
 Gauss-Legendre rule (``_NODES``, ``_WEIGHTS``), a log total settled within
@@ -81,7 +84,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InvalidInputError, QuadratureError
 
-__all__ = ["integrate", "log_integrate", "panel_sums"]
+__all__ = ["integrate", "log_integrate"]
 
 # accuracy of every integral (see the module docstring)
 _REL_TOL = 1e-10
@@ -110,8 +113,8 @@ def _segment_logsumexp(v: np.ndarray, starts: np.ndarray, counts: np.ndarray) ->
 
 
 def _segments(row: np.ndarray):
-    """Start and length of each run of equal values of ``row``."""
-    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    """Start and length of each run of equal values of ``row``; none for an empty ``row``."""
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]][:row.size])
     return starts, np.diff(np.r_[starts, row.size])
 
 
@@ -172,17 +175,6 @@ def _log_cell_values(factor, log_weight, cells: np.ndarray) -> np.ndarray:
             out[bad] = _segment_logsumexp(terms.ravel(), np.arange(0, terms.size, _NODES.size),
                                           np.full(terms.shape[0], _NODES.size))
     return out
-
-
-def panel_sums(factor, log_weight, edges: np.ndarray) -> np.ndarray:
-    """Fixed-order log-space Gauss integrals of ``factor * exp(log_weight)`` over
-    consecutive ``edges`` intervals.
-
-    One vectorized pass, no refinement: meant for batched cumulative
-    integrals of piecewise-smooth integrands whose breakpoints the caller has
-    already inserted into ``edges``.
-    """
-    return _log_cell_values(factor, log_weight, np.column_stack([edges[:-1], edges[1:]]))
 
 
 def _adaptive(factor, log_weight, edges, grade_lo: bool):

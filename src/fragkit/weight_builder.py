@@ -170,8 +170,11 @@ def build_btilde(kernel: FragmentKernel, eta0: float, y_max: float) -> MajorantB
     """Band suprema of b over the anti-diagonal strips above eta0.
 
     Each strip is scanned on the deterministic ``_BAND_LATTICE`` of ``n_s``
-    lines s and ``n_x`` points x per line, augmented with the kernel's own
-    breakpoints so piecewise plateaus are hit exactly.
+    lines s and ``n_x`` points x per line, augmented with a custom kernel's
+    breakpoints so piecewise plateaus are hit exactly.  A built-in kernel adds
+    none: its band edges, taken at the y of each line's point x = eta0, never
+    raise a strip's maximum above the lattice's own (a per-line scan in the
+    tests keeps this so).
     """
     n_bands = int(np.ceil(2.0 * (y_max - eta0))) + 2
     n_s, n_x = _BAND_LATTICE
@@ -183,7 +186,7 @@ def build_btilde(kernel: FragmentKernel, eta0: float, y_max: float) -> MajorantB
         x_hi = eta0 + 0.5 * s
         xs = np.linspace(eta0, x_hi, n_x, axis=1)
         ys = (s[:, None] + 2.0 * eta0) - xs
-        # the kernel's breakpoints on each line, so piecewise plateaus are hit exactly
+        # a custom kernel's breakpoints on each line, so piecewise plateaus are hit exactly
         extra = [(bp, si) for si, top in zip(s, x_hi)
                  for bp in kernel.breakpoints(float((si + 2.0 * eta0) - eta0))
                  if eta0 <= bp <= top]

@@ -27,6 +27,7 @@ from fragkit.errors import InvalidInputError, QuadratureError
 from fragkit.kernels import FragmentKernel, RateFunction, eval_kernel
 from fragkit.weight_builder import build_h, construct_weight
 from fragkit.weights import Weight, compare_weights
+from kernel_edges import band_edges
 
 BB = FragmentKernel.boundary_binary()
 CONC = FragmentKernel.concentrated()
@@ -41,7 +42,7 @@ def r_bb_exp(y):
 
 def custom_clone(kernel):
     """The same b(x, y) as a custom kernel, which has no pieces: n_w by quadrature."""
-    return FragmentKernel.custom(kernel.__call__, breakpoints=kernel.breakpoints)
+    return FragmentKernel.custom(kernel.__call__, breakpoints=lambda y: band_edges(kernel, y))
 
 
 # a built-in kernel as it is (n_w from its pieces) and as its custom clone (quadrature)
@@ -199,7 +200,7 @@ class TestFrozenCells:
         def func(x, y):
             xs.append(np.broadcast_to(x, np.broadcast(x, y).shape).ravel())
             return eval_kernel(kernel, x, y)
-        return FragmentKernel.custom(func, breakpoints=kernel.breakpoints)
+        return FragmentKernel.custom(func, breakpoints=lambda y: band_edges(kernel, y))
 
     def test_graded_cells_below_eps_are_not_halved(self):
         # w = x, b = 2/5 on [0, 1]: 49 graded cells, whose innermost ones are below eps
@@ -345,6 +346,22 @@ class TestPieces:
                 continue  # the divergent pairs: test_divergent_pairs_fail_on_both_paths
             rel = np.abs(np.expm1(got - want))
             assert np.all(rel <= 1e-12), (weight.describe(), float(rel.max()))
+
+    @pytest.mark.parametrize("kernel", [BB, CONC, FragmentKernel.homogeneous_power(0.0),
+                                        FragmentKernel.homogeneous_power(-0.5)],
+                             ids=lambda k: k.describe())
+    def test_no_band_edge_reaches_the_quadrature(self, kernel):
+        # a built-in kernel lists no breakpoints, so the quadrature would integrate across
+        # its band edges unsplit: a kernel with an interior edge below some y takes n_w
+        # from its pieces with every weight family, at every cut
+        _, _, d0, _, d1 = kernel._bands(self.YS)
+        edged = bool(np.any((d0 < self.YS) | (d1 > 0)))
+        assert edged == (kernel.family != "homogeneous_power")
+        for hi in (None, 1.0, 1.7):
+            top = self.YS if hi is None else np.minimum(self.YS, hi)
+            for weight in self.WEIGHTS:
+                assert not edged or _log_n_pieces(kernel, weight, self.YS, top) is not None, \
+                    (weight.describe(), hi)
 
     @pytest.mark.parametrize("hi", [None, 1.0])
     @pytest.mark.parametrize("weight", [Weight.power(0.4), Weight.power(-0.3),

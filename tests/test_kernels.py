@@ -1,5 +1,8 @@
 """Kernels and rates: pointwise values, mass balance, envelopes, invariants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fragkit import kernels
 from fragkit.errors import InvalidKernelError
 from fragkit.errors import InvalidInputError, QuadratureError
 from fragkit.kernels import (FragmentKernel, RateFunction, _geometric_fill, _one_minus_product,
                              classify_mass, eval_kernel, eval_rate, rate_envelope)
+from kernel_edges import band_edges
 
 BUILT_INS = [FragmentKernel.homogeneous_power(-0.5), FragmentKernel.boundary_binary(),
              FragmentKernel.concentrated()]
@@ -160,8 +165,8 @@ def parent_mass_partial(kernel, s, y):
 
 
 class TestBands:
-    """The band table ``FragmentKernel._bands`` against ``breakpoints`` and against
-    the per-family formulas it replaced."""
+    """The band table ``FragmentKernel._bands`` against the per-family formulas it
+    replaced."""
 
     KERNELS = BUILT_INS + [FragmentKernel.homogeneous_power(0.0),
                            FragmentKernel.homogeneous_power(-1.7)]
@@ -172,19 +177,24 @@ class TestBands:
                          np.exp(np.random.default_rng(27).uniform(np.log(1e-3), np.log(1e4), 200))])
 
     @staticmethod
-    def edges(kernel, y):
-        """The interior edges of the bands at one y: d0 below y, and y - d1 where d1 > 0."""
-        _, _, d0, _, d1 = kernel._bands(np.array([y]))
-        return tuple(float(e) for e, on in ((d0[0], d0[0] < y), (y - d1[0], d1[0] > 0)) if on)
+    def parent_edges(kernel, y):
+        """The interior edges of b(., y) as the per-family formulas wrote them."""
+        if kernel.family == "boundary_binary":
+            return (1.0, y - 1.0) if y > 2.0 else ()
+        if kernel.family == "concentrated":
+            return (1.0 / y, y - 1.0 / y) if y > np.sqrt(2.0) else ()
+        return ()
 
     @pytest.mark.parametrize("kern", KERNELS, ids=IDS)
-    def test_breakpoints_are_the_band_edges(self, kern):
+    def test_band_edges_are_the_family_formulas(self, kern):
+        # the edges live in the band table alone: a built-in kernel lists no breakpoints
         for y in self.YS:
-            assert kern.breakpoints(float(y)) == self.edges(kern, float(y)), y
+            assert band_edges(kern, float(y)) == self.parent_edges(kern, float(y)), y
+            assert kern.breakpoints(float(y)) == (), y
 
     def points(self, kern, y):
         """x = 0, y, just past y, 2y, each band edge and its two neighbours, and draws."""
-        edges = np.array(kern.breakpoints(y) or [y])
+        edges = np.array(band_edges(kern, y) or [y])
         around = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
         draws = np.random.default_rng(int(y * 1e6) % 2**32).uniform(0.0, y, 20)
         return np.concatenate([[0.0, y, np.nextafter(y, np.inf), 2.0 * y], around, draws])
@@ -238,6 +248,10 @@ class TestMassIntegral:
         m = clone.mass_partial(3.0, 3.0)
         assert m == pytest.approx(3.0, rel=1e-9)
         assert classify_mass(clone, [3.0]).m_values[0] == m
+        # no positive s: no parent size to group, and the mass is 0
+        assert clone.mass_partial(0.0, 3.0) == 0.0
+        assert np.array_equal(clone.mass_partial(np.array([[-1.0], [0.0]]), [2.0, 3.0]),
+                              np.zeros((2, 2)))
 
     def test_numeric_partial_mass_across_a_wide_gap(self):
         # one fixed panel over [1e-4, 1] missed 2.6% of the mass of x^-1.5
@@ -264,9 +278,29 @@ class TestMassIntegral:
             for y in (1.1, 3.0, 8.0):
                 for s in (0.3 * y, 0.8 * y, y):
                     ref, _ = integrate(lambda x: eval_kernel(kern, x, y) * x, 0.0, s,
-                                       breakpoints=kern.breakpoints(y), grade_lo=True)
+                                       breakpoints=band_edges(kern, y), grade_lo=True)
                     np.testing.assert_allclose(kern.mass_partial(s, y), ref,
                                                rtol=1e-8, atol=1e-12)
+
+    def test_custom_mass_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call under numpy 2.4, about 0.5 MB of
+        # resident memory: a custom kernel's daughter mass groups its parent sizes
+        # without it, in classify_mass and in the generator's assembly alike
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import fragkit\n"
+                "from fragkit.kernels import FragmentKernel, RateFunction, classify_mass\n"
+                "from fragkit.simulator import Grid, discretize\n"
+                "k = FragmentKernel.custom(lambda x, y: 1.5 * np.sqrt(np.abs(x)) / y ** 1.5,\n"
+                "                          breakpoints=lambda y: (0.5 * y,))\n"
+                "classify_mass(k, [0.5, 2.0, 2.0, 7.0])\n"
+                "discretize(k, RateFunction.power(1.0), Grid.geometric(1e-3, 20.0, 64))\n"
+                "loaded = sorted(m for m in sys.modules if m in ('numpy.ma', 'scipy'))\n"
+                "assert not loaded, loaded\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kernels.__file__)))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("kern", BUILT_INS[1:], ids=BUILT_IN_IDS[1:])
     def test_top_band_closed_form_against_exact_arithmetic(self, kern):

@@ -14,6 +14,7 @@ from fragkit.weight_builder import (MajorantB, MajorantH, build_btilde, build_h,
                                     construct_weight, exp_weight_search,
                                     solve_volterra)
 from fragkit.weights import Weight
+from kernel_edges import band_edges
 
 BB = FragmentKernel.boundary_binary()
 HOM1 = FragmentKernel.homogeneous_power(-1.0)
@@ -123,20 +124,27 @@ class TestBuildBtilde:
                                       FragmentKernel.custom(
                                           lambda x, y: np.where(x == 1.375, 3.0, 1.0) / y,
                                           breakpoints=lambda y: (1.375,) if y > 1.375 else ())])
-    @pytest.mark.parametrize("eta0, y_max", [(1.0, 7.3), (0.5, 4.2)])
+    @pytest.mark.parametrize("eta0, y_max", [(1.0, 7.3), (0.5, 4.2), (1.0, 12.25), (1.0, 19.25),
+                                             (0.0, 6.3), (2.5, 9.1)])
     def test_band_scan_matches_a_scan_per_line(self, kern, eta0, y_max):
-        # the lattice of each band in one call gives the bits of one call per line s
+        # the lattice of each band in one call gives the bits of one call per line s; the
+        # reference adds each line's band edges, which a built-in kernel's breakpoints no
+        # longer list, so the lattice alone must reach every plateau's maximum
         n_s, n_x = 64, 156  # weight_builder._BAND_LATTICE
         want = []
         for n in range(int(np.ceil(2.0 * (y_max - eta0))) + 3):
             strip = 0.0
             for s in np.linspace(max(n - 1.0, 0.0) + 1e-12, float(n) + 1.0, n_s):
                 xs = np.linspace(eta0, eta0 + 0.5 * s, n_x)
-                bps = kern.breakpoints(float((s + 2.0 * eta0) - xs[0]))
+                bps = band_edges(kern, float((s + 2.0 * eta0) - xs[0]))
                 xs = np.concatenate([xs, [bp for bp in bps if eta0 <= bp <= eta0 + 0.5 * s]])
                 strip = max(strip, float(np.max(eval_kernel(kern, xs, (s + 2.0 * eta0) - xs))))
             want.append(max(want[-1] if want else 0.0, strip))
-        assert np.array_equal(build_btilde(kern, eta0, y_max).band_values, want)
+        if np.isinf(want[0]):  # x^-1 at x = eta0 = 0: the scan refuses the kernel
+            with pytest.raises(ConstructionError, match="unbounded on band 0"):
+                build_btilde(kern, eta0, y_max)
+        else:
+            assert np.array_equal(build_btilde(kern, eta0, y_max).band_values, want)
 
 
 class TestSolveVolterra:
