@@ -32,16 +32,21 @@ Accuracy.  The sampling densities are fixed, the same for every construction:
 (64, 156)`` lattice in (s, x) per strip of bt, and ``_N_VALIDATION = 200``
 certificate points.  The march's residual is measured at every node.
 
-The march replaces a truncated Neumann series: one forward pass gives
-machine-precision consistency with the discretized equation, and the
-factorial series bound is used only as an a-priori growth estimate in tests.
+The march replaces a truncated Neumann series: solving the discretized
+equation gives machine-precision consistency with it, and the factorial series
+bound is used only as an a-priori growth estimate in tests.
 
 bt depends on (x, y) only through s = x + y - 2 eta0.  On the march nodes
 y_k = eta0 + k*step and the residual's half-step nodes x_j = eta0 + j*step/2,
 s = (j + 2k) * step/2, so one lattice s_i = i*step/2, i = 0..4n, holds every
 value the march uses: row k is band[2k:4k:2], the residual row is
 band[2k:4k+1] and the diagonal bt(y_k, y_k) is band[4k].  The majorant is
-interpolated once per march, not once per row.
+interpolated once per march.  The march's system is lower triangular, and
+entry (k, j) depends on j + k alone, so the march is blocked: ``_BLOCK`` rows
+take their history from the nodes before them in one correlation with the
+lattice, and their own triangle in one linear solve.  The residual has no
+recursion; each block of its rows is one correlation over the even half-step
+points and one over the odd ones, plus the block's own triangle.
 """
 
 from __future__ import annotations
@@ -66,9 +71,17 @@ logger = logging.getLogger(__name__)
 _H_SAMPLES_PER_UNIT = 256
 _BAND_LATTICE = (64, 156)
 _N_VALIDATION = 200
-# most nodes of one Volterra march: its time is quadratic in them, about a
-# minute at this count, and a smaller step asks for no other result
+# most nodes of one Volterra march: its time is quadratic in them, about 50 s
+# at this count on one core of a 2-vCPU VM, and a smaller step asks for no
+# other result
 _MAX_NODES = 1 << 18
+# rows the march solves at once; row m of a block reads bt at lattice index m + l
+# from the block's corner, and weighs the block's own nodes l < m by 1 and its own
+# node by 1/2 (the trapezoid rule), or, on the residual's odd points, l < m only
+_BLOCK = 64
+_HANKEL = np.add.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+_STRICT = np.tri(_BLOCK, k=-1)
+_TRAPEZOID = _STRICT + 0.5 * np.eye(_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +199,10 @@ def build_btilde(kernel: FragmentKernel, eta0: float, y_max: float) -> MajorantB
         x_hi = eta0 + 0.5 * s
         xs = np.linspace(eta0, x_hi, n_x, axis=1)
         ys = (s[:, None] + 2.0 * eta0) - xs
-        # a custom kernel's breakpoints on each line, so piecewise plateaus are hit exactly
-        extra = [(bp, si) for si, top in zip(s, x_hi)
+        # a custom kernel's breakpoints on each line, so piecewise plateaus are hit
+        # exactly; a kernel without the callback has none to ask for
+        lines = zip(s, x_hi) if kernel.breakpoints_fn is not None else ()
+        extra = [(bp, si) for si, top in lines
                  for bp in kernel.breakpoints(float((si + 2.0 * eta0) - eta0))
                  if eta0 <= bp <= top]
         ex, es = np.array(extra, dtype=float).reshape(-1, 2).T
@@ -231,18 +246,23 @@ class VolterraSolution:
 
 def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
                    step: float) -> VolterraSolution:
-    """Forward march for the second-kind Volterra equation.
+    """Blocked forward march for the second-kind Volterra equation.
 
     ``btilde`` is a :class:`MajorantB`; it is read once, on the half-step
     anti-diagonal lattice that holds every value the march and the residual
-    use, and ``f`` is evaluated once on the nodes.  Each new node is solvable
-    because the diagonal trapezoid coefficient kappa - step/2 * bt(y, y) stays
-    positive; a step too large for that raises :class:`StepSizeError` telling
-    the caller to halve.  The residual is measured against a half-step
-    re-integration of the linear interpolant, which is an independent (finer)
-    quadrature of the same equation.  A march of more than ``_MAX_NODES`` nodes
-    is refused with :class:`InvalidInputError` before anything is allocated, as is a
-    ``kappa`` or ``step`` outside ``(0, inf)``.
+    use, and ``f`` is evaluated once on the nodes.  The collocated-trapezoid
+    system is lower triangular; the march solves it ``_BLOCK`` rows at a time,
+    the history of a block's rows in one correlation and the block's own
+    triangle in one linear solve.  Each node is solvable because the diagonal
+    trapezoid coefficient kappa - step/2 * bt(y, y) stays positive; a step too
+    large for that raises :class:`StepSizeError` telling the caller to halve.
+    A node that is not finite (``f`` or ``btilde`` is not, or the weight
+    leaves the float range) raises :class:`ConstructionError` at the first
+    such node.  The residual is measured against a half-step re-integration
+    of the linear interpolant, which is an independent (finer) quadrature of
+    the same equation, over the same blocks of rows.  A march of more than
+    ``_MAX_NODES`` nodes is refused with :class:`InvalidInputError` before
+    anything is allocated, as is a ``kappa`` or ``step`` outside ``(0, inf)``.
     """
     if not (0 < kappa < np.inf and 0 < step < np.inf):  # a NaN fails this test too
         raise InvalidInputError("need 0 < kappa < inf and 0 < step < inf, got "
@@ -256,37 +276,73 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     n_steps = int(n_steps)
     ys = eta0 + step * np.arange(n_steps + 1)
     # bt is constant along anti-diagonals, so one half-step lattice in s holds every
-    # value used below: bt(eta0 + step*j/2, eta0 + step*k) = band[j + 2k]
+    # value used below: bt(eta0 + step*j/2, eta0 + step*k) = band[j + 2k]; on the
+    # nodes, bt(ys[j], ys[k]) = even[j + k]
     band = btilde.eval_s(2.0 * (eta0 - btilde.eta0) + 0.5 * step * np.arange(4 * n_steps + 1))
-    diag = band[::4]
     fy = np.broadcast_to(np.asarray(f(ys), dtype=float), ys.shape)
-    if np.any(kappa - 0.5 * step * diag <= 0):
+    # a node is lost where f is not finite, or where its row first reads a bt that is
+    # not (row k reads band[2k:4k+1], so band[p] first at node ceil(p/4)); the march
+    # takes both as 0, so that it is exact up to the first node lost or past the float
+    # range, and raises there
+    finite = np.isfinite(band)
+    lost = ~np.isfinite(fy)
+    lost[-(-np.flatnonzero(~finite) // 4)] = True
+    band, fy = np.where(finite, band, 0.0), np.where(lost, 0.0, fy)
+    even = band[::2]
+    if np.any(kappa - 0.5 * step * even[::2] <= 0):
         raise StepSizeError(
             f"step {step:g} loses diagonal dominance (max bt on the diagonal "
-            f"{float(np.max(diag)):g}); halve the step")
+            f"{float(np.max(even[::2])):g}); halve the step")
+    # every sum below carries its step, so it stays on the scale of kappa*w and leaves
+    # the float range only where the weight does
+    step_even = step * even
 
+    # row k: kappa w[k] - step * (w[0]/2 bt(y_0, y_k) + sum_{0<j<k} bt(y_j, y_k) w[j]
+    #                              + bt(y_k, y_k) w[k]/2) = f(y_k), row 0 without the sum
     w = np.empty(n_steps + 1)
-    w[0] = fy[0] / kappa
-    for k in range(1, n_steps + 1):
-        row = band[2 * k:4 * k:2]  # bt(ys[:k], ys[k])
-        acc = 0.5 * row[0] * w[0] + float(row[1:] @ w[1:k])
-        w[k] = (fy[k] + step * acc) / (kappa - 0.5 * step * diag[k])
-    if np.any(w < 0):
-        raise ConstructionError("Volterra march produced a negative node (should be impossible "
-                                "for non-negative f and btilde)")
+    blocks = [(k0, min(k0 + _BLOCK, n_steps + 1)) for k0 in range(1, n_steps + 1, _BLOCK)]
+    with np.errstate(all="ignore"):  # a node that is not finite raises, at the first one
+        w[0] = 0.5 * fy[0] / kappa  # half: its trapezoid weight in every row
+        for k0, k1 in blocks:
+            b = k1 - k0
+            rhs = fy[k0:k1] + np.correlate(step_even[k0:k1 + k0 - 1], w[:k0], "valid")
+            a = kappa * np.eye(b) - _TRAPEZOID[:b, :b] * step_even[2 * k0 + _HANKEL[:b, :b]]
+            # rows and columns reversed, the triangle is upper, which LU factors with no
+            # row exchange: the solve is a substitution from node k0 on, so a value that
+            # is not finite reaches only the nodes after it
+            w[k0:k1] = np.linalg.solve(a[::-1, ::-1], rhs[::-1])[::-1]
+        w[0] *= 2.0
+        bad = lost | ~np.isfinite(w)
+        if np.any(bad):
+            y = float(ys[np.argmax(bad)])
+            raise ConstructionError(
+                f"the Volterra march is not finite at y = {y:g}: f or btilde is not finite "
+                "there, or the weight leaves the float range (take a smaller y_max or a "
+                "larger kappa)", worst_y=y)
+        if np.any(w < 0):
+            raise ConstructionError("Volterra march produced a negative node (should be "
+                                    "impossible for non-negative f and btilde)")
 
-    # residual against half-step re-integration of the linear interpolant
-    res = 0.0
-    fine = eta0 + 0.5 * step * np.arange(2 * n_steps + 1)
-    w_fine = np.interp(fine, ys, w)
-    for k in range(1, n_steps + 1):
-        m = 2 * k
-        row = band[m:2 * m + 1]  # bt(fine[:m + 1], ys[k])
-        integral = 0.5 * step * 0.5 * float(row[0] * w_fine[0] + row[m] * w_fine[m]
-                                            + 2.0 * (row[1:m] @ w_fine[1:m]))
-        denom = kappa * w[k]
-        if denom > 0:
-            res = max(res, abs(kappa * w[k] - fy[k] - integral) / denom)
+        # residual against half-step re-integration of the linear interpolant, taken
+        # at the even and odd half-step points apart: row k's trapezoid sum is
+        # sum_{i<=k} even[k+i] u_even[i] + sum_{i<k} odd[k+i] u_odd[i], u the
+        # interpolant times its trapezoid weight, the last even term at half weight
+        quarter = 0.25 * step * w
+        u_even = 2.0 * quarter
+        u_even[0] = quarter[0]
+        u_odd = np.append(quarter[:-1] + quarter[1:], 0.0)  # at the midpoints
+        odd = np.append(band[1::2], 0.0)
+        integral = np.zeros(n_steps + 1)
+        for k0, k1 in blocks:
+            b = k1 - k0
+            hank = 2 * k0 + _HANKEL[:b, :b]
+            integral[k0:k1] = (np.correlate(even[k0:k1 + k0 - 1], u_even[:k0], "valid")
+                               + np.correlate(odd[k0:k1 + k0 - 1], u_odd[:k0], "valid")
+                               + (_TRAPEZOID[:b, :b] * even[hank]) @ u_even[k0:k1]
+                               + (_STRICT[:b, :b] * odd[hank]) @ u_odd[k0:k1])
+        denom = kappa * w[1:]
+        ok = denom > 0
+        res = float(np.max(np.abs(denom - fy[1:] - integral[1:])[ok] / denom[ok], initial=0.0))
     return VolterraSolution(eta0=eta0, y_max=float(ys[-1]), step=step, nodes=ys,
                             values=w, kappa=kappa, residual_max=res)
 

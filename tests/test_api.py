@@ -38,7 +38,7 @@ DEFAULTED_PARAMETERS = 44
 
 # code lines of src/fragkit/*.py, not counting comments, blank lines and docstrings;
 # a change to the program moves this number by its net line change, in the same diff
-CODE_LINES = 1884
+CODE_LINES = 1910
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENCODING, tokenize.ENDMARKER}

@@ -357,6 +357,18 @@ class TestExitCodes:
         assert err.startswith("error: the Volterra march with step 1.25e-13 needs 4e+13 nodes")
         assert not (tmp_path / "out" / "weight.csv").exists()
 
+    def test_build_weight_march_past_the_float_range_exit_1(self, tmp_path, capsys):
+        # w ~ e^{2y} overflows near y = 355: the march printed overflow RuntimeWarnings
+        # and the tabulated weight then refused its knots ("error:", exit 2)
+        cfg = write(tmp_path / "big.cfg",
+                    "[kernel]\nfamily = homogeneous_power\nnu = 0\n\n[weight]\nfamily = power\n"
+                    "p = 1\n\n[params]\neta0 = 1\nkappa = 1\ny_max = 400\n")
+        assert main(["build-weight", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("construction failed: the Volterra march is not finite at "
+                              "y = 351.489")
+        assert not (tmp_path / "out" / "weight.csv").exists()
+
     @pytest.mark.parametrize("command, sections, params", [
         ("compare-weights", TWO_WEIGHTS, "y_samples = 0,2"),
         ("check-weight", BB_EXP, "eta0 = 5\ny_max = 2"),

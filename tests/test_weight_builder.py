@@ -147,6 +147,32 @@ class TestBuildBtilde:
             assert np.array_equal(build_btilde(kern, eta0, y_max).band_values, want)
 
 
+def wavy(y):
+    return 1.0 + 0.5 * np.sin(3.0 * np.asarray(y))
+
+
+B = weight_builder._BLOCK
+LINEAR = MajorantB(eta0=0.0, band_values=np.linspace(0.5, 1.5, 12))
+# bt <= 1.5, so step * bt_max = 0.95 kappa at kappa = 2
+WAVY = MajorantB(eta0=0.0, band_values=1.0 + 0.5 * np.sin(np.arange(400) / 7.0))
+LARGE_STEP = 0.95 * 2.0 / 1.5
+# (btilde, f, kappa, eta0, y_max, steps) of the march against its per-row reference
+LATTICE_CASES = {
+    "linear band, scalar f": (lambda: LINEAR, lambda y: 1.0, 2.0, 0.0, 4.0, (1e-2, 2e-3)),
+    "boundary_binary, array f": (lambda: build_btilde(BB, 1.0, 6.0), wavy, 2.0, 1.0, 6.0,
+                                 (1e-2, 2e-3)),
+    "concentrated, array f": (lambda: build_btilde(FragmentKernel.concentrated(), 1.0, 6.0),
+                              wavy, 2.0, 1.0, 6.0, (1e-2, 2e-3)),
+    # node counts about the block width: the blocks start at node 1, so B + 1 nodes
+    # fill one block and 2B + 1 two
+    **{f"nodes = {n}": (lambda: LINEAR, wavy, 2.0, 0.0, 4.0 if n > 1 else 0.0,
+                      (4.0 / max(n - 1, 1),))
+       for n in (1, B - 1, B, B + 1, B + 2, 2 * B + 1)},
+    "step * bt_max = 0.95 kappa": (lambda: WAVY, wavy, 2.0, 0.0, 2 * B * LARGE_STEP,
+                                   (LARGE_STEP,)),
+}
+
+
 class TestSolveVolterra:
     @pytest.mark.parametrize("kappa, step", [(np.nan, 1e-2), (np.inf, 1e-2), (1.0, np.inf),
                                              (0.0, 1e-2), (1.0, -1.0)],
@@ -241,21 +267,51 @@ class TestSolveVolterra:
             res = max(res, abs(kappa * w[k] - f(ys[k]) - integral) / (kappa * w[k]))
         return w, res
 
-    @pytest.mark.parametrize("case", ["linear band, scalar f", "boundary_binary, array f"])
+    @pytest.mark.parametrize("case", LATTICE_CASES)
     def test_lattice_matches_per_row_evaluation(self, case):
-        if case.startswith("linear"):
-            bt, f, eta0, y_max = (MajorantB(eta0=0.0, band_values=np.linspace(0.5, 1.5, 12)),
-                                  lambda y: 1.0, 0.0, 4.0)
-        else:
-            bt, f, eta0, y_max = (build_btilde(BB, 1.0, 6.0),
-                                  lambda y: 1.0 + 0.5 * np.sin(3.0 * np.asarray(y)), 1.0, 6.0)
-        for step in (1e-2, 2e-3):
-            sol = solve_volterra(bt, f, 2.0, eta0, y_max, step)
-            w, res = self._per_row(bt, f, 2.0, eta0, y_max, step)
+        make_bt, f, kappa, eta0, y_max, steps = LATTICE_CASES[case]
+        bt = make_bt()
+        for step in steps:
+            sol = solve_volterra(bt, f, kappa, eta0, y_max, step)
+            w, res = self._per_row(bt, f, kappa, eta0, y_max, step)
+            if case.startswith("nodes"):
+                assert sol.nodes.size == int(case.split()[-1])
             np.testing.assert_allclose(sol.values, w, rtol=1e-13, atol=0.0)
             # residual_max is already relative to kappa*w(y); for boundary_binary it
             # is round-off sized (the majorant is flat), so compare it on that scale
             assert abs(sol.residual_max - res) <= 1e-13
+
+    @pytest.mark.parametrize("case, first", [
+        ("f = nan", 1.0), ("f = inf", 1.0), ("f = nan past y = 2", 2.01),
+        ("btilde nan from s = 2", 2.0), ("overflow", 351.489)])
+    def test_non_finite_march_raises_at_its_first_node(self, case, first):
+        # each returned its nodes as if converged, with residual_max 0: 201 NaN or
+        # infinite nodes, 200 NaN ones for the NaN knot, and the overflow, after
+        # RuntimeWarnings, ended in an unrelated error from the tabulated weight
+        bt, f, eta0, y_max, step = (MajorantB.constant(1.0, 1.0, 3.0), lambda y: 1.0 + 0.0 * y,
+                                    1.0, 3.0, 1e-2)
+        if case.startswith("f = "):
+            value = np.inf if case == "f = inf" else np.nan
+            f = lambda y: np.where(y > (2.0 if "past" in case else 0.0), value, 1.0)
+        elif case.startswith("btilde"):  # NaN on s in [2, 4), first read by row y = 2
+            bt = MajorantB(eta0=1.0, band_values=np.array([1.0, 1.0, 1.0, np.nan, 1.0, 1.0]))
+        else:  # w ~ e^{2y}, past the float range near y = 355
+            kern, y_max = FragmentKernel.homogeneous_power(0.0), 400.0
+            bt, f = build_btilde(kern, eta0, y_max), build_h(kern, W_X, eta0, y_max).eval
+            step = min((y_max - eta0) / 2048.0, 0.5 / bt.diagonal_max(y_max))
+        with pytest.raises(ConstructionError, match="the Volterra march is not finite") as err:
+            solve_volterra(bt, f, 1.0, eta0, y_max, step)
+        worst = err.value.worst_y
+        assert worst == pytest.approx(first, abs=1e-3)
+        if worst == eta0:
+            return
+        # the nodes before it march: the march stops at the first node it cannot hold
+        sol = solve_volterra(bt, f, 1.0, eta0, worst - step, step)
+        assert np.all(np.isfinite(sol.values)) and sol.nodes[-1] == pytest.approx(worst - step)
+        if case == "overflow":
+            assert sol.values[-1] > 1e305 and sol.residual_max < 1e-13
+            with pytest.raises(ConstructionError, match="not finite at y = 351.489"):
+                construct_weight(kern, W_X, eta0, 1.0, y_max)
 
 
 class TestConstructWeight:
