@@ -163,8 +163,8 @@ class Grid:
     @classmethod
     def geometric(cls, x_min: float, x_max: float, n: int) -> "Grid":
         # past 2^53 nodes the node index is no longer exact, and no grid could hold them
-        if not (0 < x_min < x_max and isinstance(n, (int, np.integer)) and 4 <= n < 2**53):
-            raise InvalidInputError("need 0 < x_min < x_max and an integer 4 <= n < 2^53")
+        if not (0 < x_min < x_max < np.inf and isinstance(n, (int, np.integer)) and 4 <= n < 2**53):
+            raise InvalidInputError("need 0 < x_min < x_max < inf and an integer 4 <= n < 2^53")
         nodes = np.geomspace(x_min, x_max, n)
         edges = np.empty(n + 1)
         edges[0] = nodes[0]

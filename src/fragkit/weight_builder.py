@@ -262,11 +262,13 @@ def solve_volterra(btilde, f, kappa: float, eta0: float, y_max: float,
     of the linear interpolant, which is an independent (finer) quadrature of
     the same equation, over the same blocks of rows.  A march of more than
     ``_MAX_NODES`` nodes is refused with :class:`InvalidInputError` before
-    anything is allocated, as is a ``kappa`` or ``step`` outside ``(0, inf)``.
+    anything is allocated, as is a ``kappa`` or ``step`` outside ``(0, inf)``
+    and a ``y_max`` below ``eta0``.
     """
-    if not (0 < kappa < np.inf and 0 < step < np.inf):  # a NaN fails this test too
-        raise InvalidInputError("need 0 < kappa < inf and 0 < step < inf, got "
-                                f"kappa = {kappa!r}, step = {step!r}")
+    if not (0 < kappa < np.inf and 0 < step < np.inf and eta0 <= y_max):  # a NaN fails too
+        raise InvalidInputError("need 0 < kappa < inf, 0 < step < inf and eta0 <= y_max, got "
+                                f"kappa = {kappa!r}, step = {step!r}, eta0 = {eta0!r}, "
+                                f"y_max = {y_max!r}")
     n_steps = np.ceil((y_max - eta0) / step - 1e-12)
     if not n_steps < _MAX_NODES:  # a NaN or infinite count too
         raise InvalidInputError(

@@ -16,6 +16,10 @@ the constructive weight builder).
 in closed form where the family has one, which ``admissibility.log_n_samples``
 sums over the bands of a built-in kernel.  A band is given by its width, not by
 its upper edge, so a narrow band far from 0 keeps its accuracy.
+
+The two weight checks are one test, that a quotient of two weights is
+non-decreasing along a grid, read from ``log_eval``: ``gamma_monotone_check``
+takes w(x)/x, and ``compare_weights``' ordering hypothesis w2(x)/w1(x).
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ class Weight:
     # -- evaluation -------------------------------------------------------------
 
     def _check_log_domain(self, xs) -> None:
-        """Refuse x < 0 or NaN, and x = 0 where log w, and so its derivative, is undefined."""
+        """Refuse x < 0 or NaN, and x = 0 where log w is undefined."""
         if not np.all(xs >= 0):
             raise WeightDomainError("weights live on [0, inf); x has a negative or NaN entry")
         if self.family in ("power", "super_exponential") and np.any(xs == 0):
@@ -166,52 +170,6 @@ class Weight:
         return self.eval(x)
 
     # -- structure ----------------------------------------------------------------
-
-    @property
-    def monotone(self) -> bool:
-        """Whether the weight is non-decreasing (exact per family)."""
-        if self.family in ("power", "power_shifted"):
-            return self.p >= 0
-        if self.family in ("exponential", "super_exponential"):
-            return True
-        increasing = bool(np.all(np.diff(self.log_values) >= 0))
-        if self.family == "composite":
-            return increasing and self.base_weight.monotone
-        return increasing
-
-    def log_derivative(self, x):
-        """d/dx log w(x) = w'(x)/w(x); the comparison test only needs this ratio.
-
-        Analytic for the smooth families.  Tabulated weights use central
-        differences of log w at the knots (one-sided at the two endpoints),
-        interpolated linearly between knots.
-        """
-        xs = np.asarray(x, dtype=float)
-        scalar = np.ndim(x) == 0
-        self._check_log_domain(xs)
-        fam = self.family
-        if fam == "power":
-            out = self.p / xs
-        elif fam == "power_shifted":
-            # (p/x) * x^p/(1+x^p), the logistic of t = p log x taken as
-            # 1/(1+e) or e/(1+e) with e = e^-|t| <= 1, so no x^p overflows
-            t = self.p * np.log(np.where(xs > 0, xs, 1.0))
-            e = np.exp(-np.abs(t))
-            out = np.where(xs > 0, self.p / np.where(xs > 0, xs, 1.0)
-                           * (np.where(t >= 0, 1.0, e) / (1.0 + e)), 0.0)
-        elif fam == "exponential":
-            out = np.full_like(xs, np.log(self.base))
-        elif fam == "super_exponential":
-            out = 1.0 / xs + 2.0 * xs
-        elif fam in ("tabulated", "composite"):
-            if fam == "composite" and np.any(xs < self.cutoff):
-                raise WeightDomainError("log_derivative of a composite weight below its cutoff")
-            k, v = self.knots, self.log_values
-            d = np.gradient(v, k)
-            out = np.interp(xs, k, d)
-        else:
-            raise WeightDomainError(f"unknown weight family {fam!r}")
-        return float(out) if scalar else out
 
     def quad_breakpoints(self, lo: float, hi: float) -> tuple[float, ...]:
         """Kinks of log w inside (lo, hi) worth splitting quadrature panels at."""
@@ -344,6 +302,20 @@ def _log_table_integrals(knots, log_values, lo, width):
 # operations
 # ---------------------------------------------------------------------------
 
+def _log_ratio_non_decreasing(w_lo: Weight, w_hi: Weight, grid) -> bool:
+    """True when w_hi/w_lo is non-decreasing along ``grid``, read from ``log_eval``.
+
+    A step of log(w_hi/w_lo) down by less than the rounding of the log weights,
+    1e-12 max(1, |log w|) at either end of the step, is no step down.
+    """
+    g = np.asarray(grid, dtype=float)
+    if g.size < 2 or not (np.all(g > 0) and np.all(np.diff(g) > 0)):  # a NaN fails too
+        raise WeightDomainError("grid must be positive and strictly increasing")
+    lo, hi = w_lo.log_eval(g), w_hi.log_eval(g)
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return bool(np.all(np.diff(hi - lo) >= -1e-12 * np.maximum(scale[:-1], scale[1:])))
+
+
 def gamma_monotone_check(weight: Weight, grid) -> bool:
     """True when gamma(x) = w(x)/x is non-decreasing along the grid.
 
@@ -351,11 +323,7 @@ def gamma_monotone_check(weight: Weight, grid) -> bool:
     non-decreasing gamma makes the weighted fragment mass satisfy
     n_w(y) <= w(y), i.e. the kappa <= 1 admissibility condition holds for free.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.size < 2 or np.any(g <= 0) or np.any(np.diff(g) <= 0):
-        raise WeightDomainError("grid must be strictly increasing and positive")
-    log_gamma = weight.log_eval(g) - np.log(g)
-    return bool(np.all(np.diff(log_gamma) >= -1e-12))
+    return _log_ratio_non_decreasing(Weight.power(1.0), weight, grid)
 
 
 def derived_weight(weight: Weight, rate: RateFunction, knots) -> Weight:
@@ -373,10 +341,12 @@ def derived_weight(weight: Weight, rate: RateFunction, knots) -> Weight:
 class ComparisonVerdict:
     """Outcome of the two-weight tail-ratio comparison.
 
-    ``hypothesis_holds``: (log w1)' <= (log w2)' at every grid point.
+    ``hypothesis_holds``: w2/w1 is non-decreasing along the grid, the sampled
+    form of (log w1)' <= (log w2)'.
     ``pointwise_inequality_holds``: r1(y) >= r2(y) at every sampled y, where
-    r_i(y) is the weighted fragment mass ratio n_{w_i}(y)/w_i(y).  The first
-    implies the second; a counterexample would be a genuine bug.
+    r_i(y) is the weighted fragment mass ratio n_{w_i}(y)/w_i(y).  On a grid
+    fine enough to see w2/w1 fall, the first implies the second; a
+    counterexample would be a genuine bug.
     ``failed`` marks the samples whose quadrature did not converge for either
     weight.  Their ratios are partial estimates, and if there is any, the
     comparison is inconclusive and ``pointwise_inequality_holds`` is False.
@@ -389,7 +359,6 @@ class ComparisonVerdict:
     ratio1: np.ndarray
     ratio2: np.ndarray
     failed: np.ndarray
-    onesided_endpoints: bool = False
 
     @property
     def inconclusive(self) -> bool:
@@ -402,8 +371,6 @@ class ComparisonVerdict:
         if self.inconclusive:
             lines.append("quadrature failed at y = "
                          + ", ".join(f"{y:g}" for y in self.y_samples[self.failed]))
-        if self.onesided_endpoints:
-            lines.append("note: one-sided differences used at table endpoints")
         lines.append("      y        r1(y)        r2(y)")
         for y, r1, r2 in zip(self.y_samples, self.ratio1, self.ratio2):
             lines.append(f"{y:10.4g} {r1:12.8f} {r2:12.8f}")
@@ -413,27 +380,19 @@ class ComparisonVerdict:
 def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples) -> ComparisonVerdict:
     """Check the ordering hypothesis and the ratio inequality it implies.
 
-    Increasing differentiable weights with (log w1)' <= (log w2)' pointwise
-    force the larger-growth weight to see a smaller fragment-mass ratio; the
-    sampled form of that conclusion is evaluated by quadrature here.
+    Increasing weights with (log w1)' <= (log w2)', i.e. with w2/w1
+    non-decreasing, force the larger-growth weight to see a smaller
+    fragment-mass ratio.  The hypothesis is checked as w2/w1 non-decreasing
+    along ``x_grid``, from ``log_eval`` for every family (the test of
+    :func:`gamma_monotone_check` with w1 in place of x); the sampled form of
+    the conclusion is evaluated by quadrature.
     """
     from .admissibility import log_n_samples  # local import; admissibility is weight-agnostic
 
-    for w in (w1, w2):
-        if w.family in ("tabulated", "composite") and w.knots.size < 3:
-            raise WeightDomainError("comparison needs >= 3 knots for a finite-difference "
-                                    "derivative of a tabulated weight")
     xg = np.asarray(x_grid, dtype=float)
     if xg.size < 2:
         raise InvalidInputError(f"x_grid needs at least 2 points, got {xg.size}")
-    if np.any(xg <= 0) or np.any(np.diff(xg) <= 0):
-        raise WeightDomainError("x_grid must be positive and strictly increasing")
-    d1 = w1.log_derivative(xg)
-    d2 = w2.log_derivative(xg)
-    hypothesis = bool(np.all(d1 <= d2 + 1e-12 * np.maximum(np.abs(d2), 1.0)))
-    onesided = any(w.family in ("tabulated", "composite")
-                   and (np.any(xg <= w.knots[0]) or np.any(xg >= w.knots[-1]))
-                   for w in (w1, w2))
+    hypothesis = _log_ratio_non_decreasing(w1, w2, xg)
 
     ys = np.asarray(y_samples, dtype=float)
     if ys.size == 0:  # no sample would make the inequality hold vacuously
@@ -453,4 +412,4 @@ def compare_weights(w1: Weight, w2: Weight, kernel, x_grid, y_samples) -> Compar
     return ComparisonVerdict(hypothesis_holds=hypothesis,
                              pointwise_inequality_holds=pointwise,
                              x_grid=xg, y_samples=ys, ratio1=r1, ratio2=r2,
-                             failed=failed, onesided_endpoints=onesided)
+                             failed=failed)

@@ -384,6 +384,8 @@ class TestExitCodes:
         # these two ran no step and exited 0
         ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = -1")),
         ("simulate", SIM, SIM_PARAMS.replace("t_end = 0.25", "t_end = 0\nscheme = leapfrog")),
+        # this one printed four numpy warnings and blamed a parent size that is not finite
+        ("simulate", SIM, SIM_PARAMS.replace("x_max = 20", "x_max = inf")),
         # these three printed a verdict on a NaN or infinite parent size and exited 0
         ("kernel-info", BB_EXP, "y_samples = 1,nan,5"),
         ("kernel-info", BB_EXP, "y_samples = 1,inf,5"),
@@ -415,7 +417,7 @@ class TestExitCodes:
         ("find-exp-weight", "", "delta1 = inf\ndelta2 = 1\nd = 1.5\nb_m = 1"),
     ], ids=["y_sample_0", "eta0_above_y_max", "y_max_inf", "y_max_below_eta0", "negative_kappa", "d_below_1",
             "empty_y_sample", "x_grid_min_0", "x_grid_min_negative", "x_grid_n_0", "x_grid_n_2.5",
-            "t_end_negative", "unknown_scheme_no_step",
+            "t_end_negative", "unknown_scheme_no_step", "x_max_inf",
             "kernel_info_y_sample_nan", "kernel_info_y_sample_inf", "compare_y_sample_nan",
             "n_samples_1e300", "n_samples_-5", "n_samples_1", "n_samples_2", "n_samples_3",
             "x_grid_n_1e300",

@@ -114,6 +114,12 @@ class TestGrid:
             with pytest.raises(InvalidInputError, match="integer"):
                 Grid.geometric(0.1, 1.0, n)
 
+    @pytest.mark.parametrize("x_max", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_x_max_not_finite_rejected(self, x_max):
+        # an infinite x_max built NaN nodes, with RuntimeWarnings from geomspace
+        with pytest.raises(InvalidInputError, match="x_max < inf"):
+            Grid.geometric(1e-4, x_max, 8)
+
 
 class TestDiscretize:
     def test_zero_kernel_is_pure_decay(self):
@@ -782,14 +788,15 @@ class TestExpmOracle:
                 "from fragkit.kernels import FragmentKernel, RateFunction\n"
                 "from fragkit.simulator import Grid, bump, discretize, expm_oracle, semigroup_check\n"
                 "from fragkit.simulator import simulate\n"
-                "from fragkit.weights import Weight\n"
+                "from fragkit.weights import Weight, compare_weights\n"
                 "g = Grid.geometric(0.1, 5.0, 16)\n"
                 "gen = discretize(FragmentKernel.homogeneous_power(0.0), RateFunction.power(1.0), g)\n"
                 "expm_oracle(gen, 0.5, bump(g, 0.5, 2.0))\n"
                 "semigroup_check(gen, bump(g, 0.5, 2.0), 0.3, 0.2, scheme='expm')\n"
                 "simulate(bump(g, 0.5, 2.0), gen, 0.1, 0.01, scheme='implicit_euler')\n"
                 "simulate(bump(g, 0.5, 2.0), gen, 0.1, 0.01, scheme='rk4')\n"
-                "Weight.power_shifted(2.0).log_derivative(g.nodes)\n"
+                "compare_weights(Weight.power(1.0), Weight.power_shifted(2.0),\n"
+                "                FragmentKernel.homogeneous_power(0.0), g.nodes, [2.0])\n"
                 "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
                 "assert not loaded, loaded\n")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(simulator.__file__)))

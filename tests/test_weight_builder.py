@@ -174,14 +174,18 @@ LATTICE_CASES = {
 
 
 class TestSolveVolterra:
-    @pytest.mark.parametrize("kappa, step", [(np.nan, 1e-2), (np.inf, 1e-2), (1.0, np.inf),
-                                             (0.0, 1e-2), (1.0, -1.0)],
-                             ids=["kappa_nan", "kappa_inf", "step_inf", "kappa_0", "step_negative"])
-    def test_kappa_and_step_out_of_range_rejected(self, kappa, step):
+    @pytest.mark.parametrize("kappa, step, y_max", [
+        (np.nan, 1e-2, 3.0), (np.inf, 1e-2, 3.0), (1.0, np.inf, 3.0), (0.0, 1e-2, 3.0),
+        (1.0, -1.0, 3.0), (1.0, 1e-2, 0.5), (1.0, 1e-2, np.nan)],
+        ids=["kappa_nan", "kappa_inf", "step_inf", "kappa_0", "step_negative",
+             "y_max_below_eta0", "y_max_nan"])
+    def test_kappa_and_step_out_of_range_rejected(self, kappa, step, y_max):
         # a NaN kappa returned NaN values with residual_max 0, an infinite one zeros, and
-        # an infinite step one NaN node
-        with pytest.raises(InvalidInputError, match="kappa = .*, step = "):
-            solve_volterra(MajorantB.constant(1.0, 1.0, 3.0), lambda y: 1.0, kappa, 1.0, 3.0, step)
+        # an infinite step one NaN node; y_max = 0.5 < eta0 ended in numpy's "negative
+        # dimensions are not allowed"
+        with pytest.raises(InvalidInputError, match="kappa = .*, step = .*, eta0 = 1.0, y_max = "):
+            solve_volterra(MajorantB.constant(1.0, 1.0, 3.0), lambda y: 1.0, kappa, 1.0, y_max,
+                           step)
 
     def test_zero_majorant_gives_f_over_kappa(self):
         bt = MajorantB.constant(0.0, 1.0, 3.0)
@@ -211,7 +215,11 @@ class TestSolveVolterra:
 
     def test_eta0_zero_is_refused_before_allocating(self):
         # b = 2/y near 0 puts 4e12 on btilde's diagonal, so the step is 1.25e-13 and the
-        # march would want 4e13 nodes: a 291 TiB array
+        # march would want 4e13 nodes: a 291 TiB array.  A first call outside the trace
+        # takes the one-time costs (lazy imports, numpy's caches), which run alone
+        # peaked at 1.29 MB inside it
+        with pytest.raises(InvalidInputError):
+            construct_weight(BB, None, 0.0, 1.0, 5.0)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInputError, match=r"step 1\.25e-13 needs 4e\+13 nodes"):

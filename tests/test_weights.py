@@ -1,14 +1,12 @@
 """Weight families: log/linear consistency, derived weights, comparisons."""
 
-import warnings
-
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from fragkit import admissibility
 from fragkit.errors import InvalidInputError, QuadratureError, WeightDomainError
 from fragkit.kernels import FragmentKernel, RateFunction
+from fragkit.weight_builder import construct_weight
 from fragkit.weights import (Weight, compare_weights, derived_weight,
                              gamma_monotone_check)
 
@@ -44,47 +42,6 @@ class TestEvaluation:
         with pytest.raises(WeightDomainError):
             Weight.super_exponential().log_eval(0.0)
 
-    @pytest.mark.parametrize("w", [Weight.power(1.0), Weight.super_exponential(),
-                                   Weight.power_shifted(1.0), Weight.exponential(2.0),
-                                   Weight.tabulated([1.0, 3.0], [0.0, 2.0])],
-                             ids=["power", "super_exponential", "power_shifted",
-                                  "exponential", "tabulated"])
-    def test_log_derivative_has_the_domain_of_log_eval(self, w):
-        # power(1).log_derivative(-1) was -1, and at 0 it warned and gave inf
-        with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
-            w.log_derivative(-1.0)
-        with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
-            w.log_derivative(np.array([1.0, -1.0]))
-        if w.family in ("power", "super_exponential"):
-            with pytest.raises(WeightDomainError, match="undefined at x = 0"):
-                w.log_derivative(0.0)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert np.isfinite(w.log_derivative(0.0))
-
-    @pytest.mark.skipif(np.finfo(np.longdouble).maxexp <= np.finfo(float).maxexp,
-                        reason="the reference needs a long double wider than a double")
-    @pytest.mark.parametrize("p", [-3.0, 0.5, 2.0, 400.0])
-    def test_power_shifted_log_derivative_is_the_logistic(self, p):
-        # (p/x) expit(t) at t = p log x over |t| <= 745, with x and p/x kept
-        # finite (so |t| <= 345 at p = 0.5).  scipy's expit in double is
-        # 1/(1 + e^-t), 0 below t = -709.78, so the reference is its long-double
-        # loop on the same double t.  Below log(tiny) the logistic is subnormal,
-        # and its one rounding, 2^-1074, times p/x adds to the 4 ulp
-        log_x = np.linspace(max(-745.0 / abs(p), np.log(1e-300)),
-                            min(745.0 / abs(p), np.log(1e300)), 4001)
-        x = np.exp(log_x)
-        t = p * np.log(x)
-        assert t.min() < -340 and t.max() > 340
-        ld = np.longdouble
-        want = (ld(p) / x.astype(ld) * expit(t.astype(ld))).astype(float)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = Weight.power_shifted(p).log_derivative(x)
-        bound = 4 * np.spacing(np.abs(want)) + np.abs(p / x) * 2.0**-1074
-        assert np.all(np.abs(got - want) <= bound)
-
     def test_eval_overflows_to_inf_not_crash(self):
         w = Weight.super_exponential()
         assert w.eval(50.0) == np.inf
@@ -119,7 +76,7 @@ class TestEvaluation:
                                   "tabulated"])
     def test_nan_x_is_a_domain_error(self, w):
         # "x < 0" missed NaN, and each returned NaN
-        for method in (w.eval, w.log_eval, w.log_derivative):
+        for method in (w.eval, w.log_eval):
             with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
                 method(np.nan)
             with pytest.raises(WeightDomainError, match=r"\[0, inf\)"):
@@ -128,13 +85,6 @@ class TestEvaluation:
     def test_tabulated_interpolates_log_linearly(self):
         w = Weight.tabulated([1.0, 3.0], [0.0, 2.0])
         assert w.log_eval(2.0) == pytest.approx(1.0)
-
-    def test_monotone_flag(self):
-        assert Weight.power(2.0).monotone
-        assert Weight.exponential(2.0).monotone
-        assert Weight.super_exponential().monotone
-        assert Weight.tabulated([1.0, 2.0], [0.0, 1.0]).monotone
-        assert not Weight.tabulated([1.0, 2.0], [1.0, 0.0]).monotone
 
 
 class TestDerivedWeight:
@@ -203,21 +153,52 @@ class TestCompareWeights:
         assert not v.hypothesis_holds
         assert v.ratio1.size == 1  # pointwise still reported
 
-    def test_tabulated_endpoint_flagged(self):
-        # nu = 0 keeps b bounded, so the tabulated weight's flat extension
-        # below its first knot stays integrable
-        hom = FragmentKernel.homogeneous_power(0.0)
-        knots = np.geomspace(0.5, 10.0, 24)
-        wt = Weight.tabulated(knots, 2.0 * np.log(knots))
-        v = compare_weights(wt, Weight.power(2.0), hom,
-                            np.geomspace(0.5, 10.0, 16), [2.0])
-        assert v.onesided_endpoints
-
-    def test_two_knot_table_rejected(self):
+    def test_two_knot_table_accepted(self):
+        # the finite-difference derivative refused a table of fewer than 3 knots; the
+        # quotient needs only log_eval: w2/w1 = x^2 / e^(x - 1) rises on [1, 2]
         hom = FragmentKernel.homogeneous_power(0.0)
         wt = Weight.tabulated([1.0, 2.0], [0.0, 1.0])
-        with pytest.raises(WeightDomainError):
-            compare_weights(wt, Weight.power(2.0), hom, [1.0, 1.5, 2.0], [2.0])
+        assert compare_weights(wt, Weight.power(2.0), hom, [1.0, 1.5, 2.0], [2.0]).hypothesis_holds
+        v = compare_weights(wt, Weight.power(2.0), hom, [1.0, 2.0, 4.0], [2.0])
+        assert not v.hypothesis_holds
+
+    def test_tabulated_segments_are_read_exactly(self):
+        # every segment of log w1 the grid reaches rises by less than log 4.28 per unit,
+        # so 4.28^x / w1 is non-decreasing; the central differences of the table,
+        # interpolated to x = 0.76, said (log w1)' = 1.467 > 1.454 there
+        hom = FragmentKernel.homogeneous_power(0.0)
+        knots = np.geomspace(0.5, 60.0, 40)
+        wt = Weight.tabulated(knots, np.log(knots) + 0.14 * knots)
+        assert knots[3] < 0.76 < knots[4]
+        assert np.max((np.diff(wt.log_values) / np.diff(knots))[3:]) < np.log(4.28)
+        v = compare_weights(wt, Weight.exponential(4.28), hom,
+                            np.geomspace(0.76, 73.3, 64), [2.0])
+        assert v.hypothesis_holds and v.pointwise_inequality_holds
+
+    def test_composite_below_its_cutoff(self):
+        # a constructed weight is x below eta0 = 1, so w2/w1 is 1 there and rises above;
+        # the derivative path refused every grid point below the cutoff
+        bb = FragmentKernel.boundary_binary()
+        w, _ = construct_weight(bb, Weight.power(1.0), 1.0, 1.0, 6.0)
+        grid = np.geomspace(0.1, 6.0, 48)
+        assert w.family == "composite" and grid[0] < w.cutoff
+        v = compare_weights(Weight.power(1.0), w, bb, grid, [0.5, 2.0, 5.0])
+        assert v.hypothesis_holds and v.pointwise_inequality_holds
+        assert not compare_weights(w, Weight.power(1.0), bb, grid, [2.0]).hypothesis_holds
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.0, 2.0, 4.0], np.geomspace(0.05, 8.0, 64)],
+                             ids=["4_points", "64_points"])
+    def test_gamma_check_is_the_comparison_with_x(self, grid):
+        hom = FragmentKernel.homogeneous_power(0.0)
+        for w in _family_zoo():
+            v = compare_weights(Weight.power(1.0), w, hom, grid, [2.0])
+            assert gamma_monotone_check(w, grid) == v.hypothesis_holds, w.describe()
+
+    def test_grid_not_positive_and_increasing_rejected(self):
+        hom = FragmentKernel.homogeneous_power(0.0)
+        for grid in ([0.0, 1.0], [1.0, np.nan, 2.0], [2.0, 1.0]):
+            with pytest.raises(WeightDomainError, match="positive and strictly increasing"):
+                compare_weights(Weight.power(1.0), Weight.power(2.0), hom, grid, [2.0])
 
     @pytest.mark.parametrize("x_grid", [[], [1.0]], ids=["empty", "one_point"])
     def test_grid_of_fewer_than_two_points_rejected(self, x_grid):
